@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -155,6 +157,25 @@ def test_scenario_runs_from_json_file(tmp_path):
     path.write_text(json.dumps(scenario_to_json(preset("kyoto-exact"))))
     row = run_scenario(scenario_from_json(json.loads(path.read_text())))
     assert row.outcome == "success"
+
+
+# sha256 of every artifact and metrics.csv that run_suite writes for the five
+# locator presets at 20 seeds and hornet-scatter at 2 seeds; any change to
+# output bytes shows here and must be deliberate
+GOLDEN_DIGESTS = Path(__file__).with_name("golden_digests.json")
+LOCATOR_PRESETS = ("kyoto-exact", "grindr-hidden", "sparse-remote", "hornet-no-favorites", "hornet-favorites")
+
+
+def test_artifact_bytes_match_golden_digests(tmp_path):
+    for group, names, reps in (("locators", LOCATOR_PRESETS, 20), ("scatter", ("hornet-scatter",), 2)):
+        run_suite([preset(n) for n in names], reps, out_dir=tmp_path / group)
+    actual = {
+        f"{p.parent.name}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(tmp_path.glob("*/*"))
+    }
+    expected = json.loads(GOLDEN_DIGESTS.read_text())
+    assert sorted(actual) == sorted(expected)
+    assert [name for name in sorted(expected) if actual[name] != expected[name]] == []
 
 
 # -- CLI ------------------------------------------------------------------------
