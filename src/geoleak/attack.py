@@ -3,8 +3,8 @@ and the adaptive colluder-driven localization loop.
 
 Drivers operate purely through the service's query surface plus the attacker's
 own knowledge: entry order, entry ids, shown distances, and the positions the
-attacker chose for accounts under his control ("side-channel" distances). The
-true_distance field inside responses is never read.
+attacker chose for accounts under his control ("side-channel" distances).
+Responses carry no true distance, so a driver has none to read.
 """
 
 from __future__ import annotations
@@ -12,12 +12,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
 from .geodesy import GeoPoint, LocalPoint, Projection, haversine_distance, project, unproject
-from .lbs_sim import DisclosurePolicy, PolicyMode, QueryKind, QueryResponse, World
+from .lbs_sim import DisclosurePolicy, PolicyMode, QueryKind, QueryRecord, QueryResponse, ScreenEntry, World
 from .obfuscation import invert_reading
 
 log = logging.getLogger(__name__)
@@ -41,21 +41,14 @@ class NonConvergence(RuntimeError):
 
 @dataclass(frozen=True)
 class DistanceObservation:
-    """A distance reading taken at one adversary position."""
+    """An exact distance reading taken at one adversary position."""
 
     adversary_position: GeoPoint
-    distance: float = 0.0
-    kind: str = "exact"
-    interval: tuple[float, float] | None = None
+    distance: float
 
     def __post_init__(self):
-        if self.kind not in ("exact", "interval"):
-            raise ValueError(f"kind must be 'exact' or 'interval', got {self.kind!r}")
-        if self.kind == "exact" and self.distance < 0.0:
-            raise ValueError("exact observation needs a distance >= 0")
-        if self.kind == "interval":
-            if self.interval is None or self.interval[0] > self.interval[1]:
-                raise ValueError("interval observation needs (lo, hi) with lo <= hi")
+        if self.distance < 0.0:
+            raise ValueError("observation needs a distance >= 0")
 
 
 @dataclass(frozen=True)
@@ -94,13 +87,6 @@ class AnnulusConstraint:
 
 def annulus_from_sandwich(s: SandwichObservation, proj: Projection) -> AnnulusConstraint:
     return AnnulusConstraint(project(s.adversary_position, proj), s.an1, s.an2)
-
-
-def annulus_from_interval_observation(obs: DistanceObservation, proj: Projection) -> AnnulusConstraint:
-    if obs.kind != "interval":
-        raise ValueError("expected an interval observation")
-    lo, hi = obs.interval
-    return AnnulusConstraint(project(obs.adversary_position, proj), lo, hi)
 
 
 # -- exact trilateration ---------------------------------------------------
@@ -146,8 +132,6 @@ def trilaterate(observations: Sequence[DistanceObservation], proj: Projection) -
     """
     if len(observations) != 3:
         raise ValueError(f"need exactly 3 observations, got {len(observations)}")
-    if any(o.kind != "exact" for o in observations):
-        raise ValueError("trilateration needs exact observations")
     pts = [project(o.adversary_position, proj) for o in observations]
     anchors = [(p.x, p.y) for p in pts]
     dists = [o.distance for o in observations]
@@ -271,28 +255,29 @@ def intersect_constraints(
 
 # -- attack drivers ----------------------------------------------------------
 
+# far edge of the first bracket probed from a vantage while the victim's
+# distance has no upper bound; doubled until a sandwich closes
+_INITIAL_UPPER_M = 5000.0
+
 
 @dataclass
 class ColludingOptions:
     epsilon: float = 20.0
     cell_size: float = 5.0
     use_favorites: bool = False
-    vantage_points: tuple[GeoPoint, GeoPoint, GeoPoint] | None = None
     max_moves: int = 80
     max_queries: int = 40
-    initial_upper: float = 5000.0
 
 
 @dataclass
 class AttackReport:
-    """Outcome of one attack run; error is filled by the harness against ground truth."""
+    """Outcome of one attack run, holding only what the attacker knows."""
 
     estimate: GeoPoint
     region_area: float
     moves: int
     queries: int
     victim_profile_queries: int
-    error: float | None = None
     residual: float | None = None
     region: CandidateRegion | None = None
     trajectories: dict[str, list[GeoPoint]] = field(default_factory=dict)
@@ -327,16 +312,44 @@ def attack_report_to_geojson_features(report: AttackReport) -> list[dict]:
     return features
 
 
-class _Session:
-    """Budgeted view of the world for one attack run; counts moves and queries
-    and remembers where the attacker put his own accounts."""
+def query_counts(records: Sequence[QueryRecord], attacker_ids: Collection[str], victim_id: str) -> tuple[int, int]:
+    """Queries the attacker's accounts made among `records`, and how many of
+    them were views of the victim's profile."""
+    mine = [r for r in records if r.observer in attacker_ids]
+    return len(mine), sum(1 for r in mine if r.kind is QueryKind.PROFILE_VIEW and r.subject == victim_id)
 
-    def __init__(self, world: World, attacker_ids: Sequence[str], victim_id: str, options: ColludingOptions):
+
+class _Session:
+    """One attack run's only way to touch the world: moves the attacker's own
+    accounts and remembers where it put them, runs queries within the budget
+    when options are given, and builds the report, whose counts come from the
+    run's slice of the query log. Its projection is centred on the vantages."""
+
+    def __init__(
+        self,
+        world: World,
+        attacker_ids: Sequence[str],
+        vantages: Sequence[GeoPoint],
+        victim_id: str,
+        accounts: int = 1,
+        options: ColludingOptions | None = None,
+    ):
+        if len(attacker_ids) != accounts or len(set(attacker_ids)) != accounts:
+            raise ValueError(f"need exactly {accounts} distinct attacker-controlled accounts")
+        if victim_id in attacker_ids:
+            raise ValueError("victim cannot be one of the attacker accounts")
+        for uid in (*attacker_ids, victim_id):
+            if uid not in world.users:
+                raise ValueError(f"no such user: {uid}")
+        if len(vantages) != 3:
+            raise ValueError("need exactly 3 vantage points")
         self.world = world
+        self.attacker_ids = tuple(attacker_ids)
         self.victim_id = victim_id
         self.options = options
+        self.proj = Projection.at(_geo_centroid(vantages))
+        self.log_start = len(world.query_log)
         self.moves = 0
-        self.queries = 0
         self.victim_seen = False
         self.own_positions: dict[str, GeoPoint] = {
             uid: world.users[uid].location for uid in attacker_ids
@@ -346,29 +359,45 @@ class _Session:
         }
 
     def move(self, uid: str, where: GeoPoint) -> None:
-        if self.moves >= self.options.max_moves:
-            self._give_up("move budget exhausted")
+        if self.options is not None and self.moves >= self.options.max_moves:
+            self.give_up("move budget exhausted")
         self.world.move_user(uid, where)
         self.moves += 1
         self.own_positions[uid] = where
         self.trajectories[uid].append(where)
 
-    def observe(self, observer: str, favorites: bool) -> QueryResponse:
-        if self.queries >= self.options.max_queries:
-            self._give_up("query budget exhausted")
-        self.queries += 1
+    def observe(self, observer: str, favorites: bool = False) -> QueryResponse:
+        if self.options is not None and len(self.world.query_log) - self.log_start >= self.options.max_queries:
+            self.give_up("query budget exhausted")
         resp = self.world.query_favorites(observer) if favorites else self.world.query_nearby(observer)
         if resp.index_of(self.victim_id) is not None:
             self.victim_seen = True
         return resp
 
+    def view_profile(self, observer: str) -> ScreenEntry:
+        return self.world.view_profile(observer, self.victim_id)
+
     def side_distance(self, vantage: GeoPoint, uid: str) -> float:
         return haversine_distance(vantage, self.own_positions[uid])
 
-    def _give_up(self, why: str) -> None:
+    def give_up(self, why: str) -> None:
         if not self.victim_seen and not self.options.use_favorites:
             raise VictimNeverVisible(f"{why}; victim never appeared in any response")
         raise NonConvergence(why)
+
+    def report(self, estimate: GeoPoint, region_area: float, **details) -> AttackReport:
+        queries, victim_profile_queries = query_counts(
+            self.world.query_log[self.log_start :], self.attacker_ids, self.victim_id
+        )
+        return AttackReport(
+            estimate=estimate,
+            region_area=region_area,
+            moves=self.moves,
+            queries=queries,
+            victim_profile_queries=victim_profile_queries,
+            trajectories=self.trajectories,
+            **details,
+        )
 
 
 def _geo_centroid(points: Sequence[GeoPoint]) -> GeoPoint:
@@ -455,20 +484,22 @@ def _on_ray(v_local: LocalPoint, direction: tuple[float, float], r: float, proj:
 def colluding_trilateration(
     world: World,
     attacker_ids: Sequence[str],
+    vantages: Sequence[GeoPoint],
     victim_id: str,
     options: ColludingOptions | None = None,
 ) -> AttackReport:
     """Locate a victim whose distance may be hidden or obfuscated by keeping
     them sandwiched between two attacker-controlled accounts.
 
-    Per vantage point: read the screen once to find the victim's rank and take
-    coarse bounds from the flanking entries, then repeatedly move the two
-    colluders a quarter of the way in from the current bracket and confirm the
-    victim still sorts between them. A confirmed placement is a sound annulus
-    (radii are the attacker-computed true colluder distances); a broken
-    sandwich tells which side the victim fell on, so the bracket shrinks on
-    every usable observation. Stops when a confirmed bracket is narrower than
-    options.epsilon. The victim's profile is never queried.
+    attacker_ids are the observer and the inner and outer colluder, in that
+    order. Per vantage point: read the screen once to find the victim's rank
+    and take coarse bounds from the flanking entries, then repeatedly move the
+    two colluders a quarter of the way in from the current bracket and confirm
+    the victim still sorts between them. A confirmed placement is a sound
+    annulus (radii are the attacker-computed true colluder distances); a
+    broken sandwich tells which side the victim fell on, so the bracket
+    shrinks on every usable observation. Stops when a confirmed bracket is
+    narrower than options.epsilon. The victim's profile is never queried.
 
     Raises:
         VictimNeverVisible: budgets ran out and the victim was never seen
@@ -476,26 +507,9 @@ def colluding_trilateration(
         NonConvergence: move/query budget exhausted.
     """
     opts = options or ColludingOptions()
-    if len(attacker_ids) != 3 or len(set(attacker_ids)) != 3:
-        raise ValueError("need exactly 3 distinct attacker-controlled accounts")
-    if victim_id in attacker_ids:
-        raise ValueError("victim cannot be one of the attacker accounts")
+    session = _Session(world, attacker_ids, vantages, victim_id, accounts=3, options=opts)
     observer, inner_id, outer_id = attacker_ids
-    for uid in (*attacker_ids, victim_id):
-        if uid not in world.users:
-            raise ValueError(f"no such user: {uid}")
-
-    if opts.vantage_points is not None:
-        vantages = tuple(opts.vantage_points)
-    else:
-        others = [u.location for uid, u in sorted(world.users.items()) if uid not in attacker_ids]
-        vantages = default_vantage_points(others)
-    if len(vantages) != 3:
-        raise ValueError("need exactly 3 vantage points")
-
-    log_start = len(world.query_log)
-    session = _Session(world, attacker_ids, victim_id, opts)
-    proj = Projection.at(_geo_centroid(vantages))
+    proj = session.proj
     fallback_target = project(_geo_centroid(vantages), proj)
     coarse_cell = max(opts.cell_size, opts.epsilon)
 
@@ -539,7 +553,7 @@ def colluding_trilateration(
 
         accepted = 0
         s0: float | None = None
-        expand = max(opts.initial_upper, lo * 2.0)
+        expand = max(_INITIAL_UPPER_M, lo * 2.0)
         while True:
             # the bracket invariant lo < AV < hi is maintained exactly by every
             # update below, so a narrow bracket is itself a finished vantage
@@ -578,25 +592,16 @@ def colluding_trilateration(
                 if not math.isfinite(hi):
                     expand *= 2.0
                     if expand > 100_000.0:
-                        session._give_up("victim distance bracket never established")
+                        session.give_up("victim distance bracket never established")
         accepted_steps.append(accepted)
         initial_separations.append(s0 if s0 is not None else 0.0)
         log.debug("vantage %s bounded to [%.1f, %.1f] after %d accepted steps", vantage, lo, hi, accepted)
 
     region = intersect_constraints(annuli, opts.cell_size, proj)
-    victim_profile_queries = sum(
-        1
-        for r in world.query_log[log_start:]
-        if r.kind is QueryKind.PROFILE_VIEW and r.subject == victim_id
-    )
-    return AttackReport(
-        estimate=region.centroid(),
-        region_area=region.area(),
-        moves=session.moves,
-        queries=session.queries,
-        victim_profile_queries=victim_profile_queries,
+    return session.report(
+        region.centroid(),
+        region.area(),
         region=region,
-        trajectories=session.trajectories,
         accepted_steps=tuple(accepted_steps),
         initial_separations=tuple(initial_separations),
         observations=tuple(sandwiches),
@@ -605,75 +610,56 @@ def colluding_trilateration(
 
 def passive_sandwich_survey(
     world: World,
-    attacker_id: str,
-    vantage_points: Sequence[GeoPoint],
+    attacker_ids: Sequence[str],
+    vantages: Sequence[GeoPoint],
     victim_id: str,
     cell_size: float = 5.0,
-) -> CandidateRegion:
+) -> AttackReport:
     """Non-adaptive variant: one nearby query per vantage point, bounds taken
-    from whatever real users happen to flank the victim.
+    from whatever real users happen to flank the victim. The one attacker
+    account's trajectory is the survey path, the vantage points alone.
 
     Raises:
         VictimNeverVisible: victim absent from all three responses.
         EmptyRegion: no bounded constraint was collected, or constraints clash.
     """
-    if len(vantage_points) != 3:
-        raise ValueError("need exactly 3 vantage points")
-    proj = Projection.at(_geo_centroid(vantage_points))
-    own = {attacker_id: world.users[attacker_id].location}
+    session = _Session(world, attacker_ids, vantages, victim_id)
+    (observer,) = attacker_ids
     constraints: list[AnnulusConstraint] = []
-    victim_seen = False
-    for vantage in vantage_points:
-        world.move_user(attacker_id, vantage)
-        own[attacker_id] = vantage
-        resp = world.query_nearby(attacker_id)
+    for vantage in vantages:
+        session.move(observer, vantage)
+        resp = session.observe(observer)
         vi = resp.index_of(victim_id)
         if vi is None:
             continue
-        victim_seen = True
-        lo, hi = _flank_bounds(resp, vi, vantage, own, world.policy)
+        lo, hi = _flank_bounds(resp, vi, vantage, session.own_positions, world.policy)
         if lo > 0.0 or math.isfinite(hi):
-            constraints.append(annulus_from_sandwich(SandwichObservation(vantage, lo, hi), proj))
-    if not victim_seen:
+            constraints.append(annulus_from_sandwich(SandwichObservation(vantage, lo, hi), session.proj))
+    if not session.victim_seen:
         raise VictimNeverVisible("victim absent from every vantage response")
-    return intersect_constraints(constraints, cell_size, proj)
+    region = intersect_constraints(constraints, cell_size, session.proj)
+    del session.trajectories[observer][0]  # where the account started is not part of the survey
+    return session.report(region.centroid(), region.area(), region=region)
 
 
 def exact_trilateration_attack(
     world: World,
-    attacker_id: str,
-    vantage_points: Sequence[GeoPoint],
+    attacker_ids: Sequence[str],
+    vantages: Sequence[GeoPoint],
     victim_id: str,
 ) -> AttackReport:
     """The original attack: view the victim's profile from three positions and
-    intersect the three distance circles. Requires the shown distance to be
-    present (it is taken at face value, so obfuscated services yield a noisy
-    residual rather than a fix)."""
-    if len(vantage_points) != 3:
-        raise ValueError("need exactly 3 vantage points")
-    log_start = len(world.query_log)
-    trajectories: dict[str, list[GeoPoint]] = {attacker_id: [world.users[attacker_id].location]}
+    intersect the three distance circles, with one attacker account. Requires
+    the shown distance to be present (it is taken at face value, so obfuscated
+    services yield a noisy residual rather than a fix)."""
+    session = _Session(world, attacker_ids, vantages, victim_id)
+    (observer,) = attacker_ids
     observations = []
-    moves = 0
-    for vantage in vantage_points:
-        world.move_user(attacker_id, vantage)
-        moves += 1
-        trajectories[attacker_id].append(vantage)
-        entry = world.view_profile(attacker_id, victim_id)
+    for vantage in vantages:
+        session.move(observer, vantage)
+        entry = session.view_profile(observer)
         if entry.shown_distance is None:
             raise VictimNeverVisible("victim's distance is hidden from profile views")
-        observations.append(DistanceObservation(vantage, entry.shown_distance, kind="exact"))
-    proj = Projection.at(_geo_centroid(vantage_points))
-    fix = trilaterate(observations, proj)
-    attacker_records = [r for r in world.query_log[log_start:] if r.observer == attacker_id]
-    return AttackReport(
-        estimate=fix.point,
-        region_area=0.0,
-        moves=moves,
-        queries=len(attacker_records),
-        victim_profile_queries=sum(
-            1 for r in attacker_records if r.kind is QueryKind.PROFILE_VIEW and r.subject == victim_id
-        ),
-        residual=fix.residual,
-        trajectories=trajectories,
-    )
+        observations.append(DistanceObservation(vantage, entry.shown_distance))
+    fix = trilaterate(observations, session.proj)
+    return session.report(fix.point, 0.0, residual=fix.residual)

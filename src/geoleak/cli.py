@@ -30,6 +30,28 @@ EXIT_CONFIG = 1
 EXIT_ATTACK_FAILED = 2
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes to whatever sys.stderr is when a record is emitted, so a caller
+    that swaps or closes stderr between in-process runs never strands it."""
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+    @stream.setter
+    def stream(self, _):
+        pass
+
+
+def _configure_logging() -> None:
+    """Set the geoleak logger's level from GEOLEAK_LOG and give it one stderr
+    handler; repeated calls add no handler, and the root logger is untouched."""
+    logger = logging.getLogger("geoleak")
+    logger.setLevel(getattr(logging, os.environ.get("GEOLEAK_LOG", "error").upper(), logging.ERROR))
+    if not any(isinstance(h, _StderrHandler) for h in logger.handlers):
+        logger.addHandler(_StderrHandler())
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; here 2 is reserved for
     # attack-failure outcomes
@@ -109,8 +131,7 @@ def _cmd_infer(args) -> int:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("GEOLEAK_LOG", "error").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.ERROR))
+    _configure_logging()
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":

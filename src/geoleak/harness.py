@@ -11,7 +11,7 @@ Scenario JSON schema::
       "name": "grindr-hidden",
       "seed": 7,
       "policy": {"mode": "hidden_respects_flag", "drop_probability": 0.0,
-                 "pattern": null, "accuracy_setting": null},
+                 "pattern": null},
       "victim": {"lat": 35.0235, "lon": 135.7769, "show_distance": false},
       "background": {"count": 50, "center": {"lat": ..., "lon": ...}, "radius_m": 1500.0}
                     -- or -- {"users": [{"id": "bg-000", "lat": ..., "lon": ...,
@@ -52,9 +52,10 @@ from .attack import (
     default_vantage_points,
     exact_trilateration_attack,
     passive_sandwich_survey,
+    query_counts,
 )
 from .geodesy import GeoPoint, LocalPoint, Projection, haversine_distance, unproject
-from .lbs_sim import DisclosurePolicy, QueryKind, World, policy_from_json, policy_to_json
+from .lbs_sim import DisclosurePolicy, World, policy_from_json, policy_to_json
 from .obfuscation import (
     HORNET_DEFAULT,
     InsufficientSamples,
@@ -68,8 +69,36 @@ from .obfuscation import (
 log = logging.getLogger(__name__)
 
 VICTIM_ID = "victim"
-ATTACK_KINDS = ("trilateration", "passive_sandwich", "colluding", "colluding_favorites", "infer_pattern")
-OUTCOMES = ("success", "victim_never_visible", "non_convergence", "empty_region")
+_OBSERVER = ("attacker",)
+_COLLUDERS = ("attacker", "colluder-a", "colluder-b")
+
+
+def _colluding(world: World, ids: tuple[str, ...], vantages: tuple[GeoPoint, ...], a: AttackSpec) -> AttackReport:
+    opts = ColludingOptions(
+        epsilon=a.epsilon_m,
+        cell_size=a.cell_size_m,
+        use_favorites=(a.kind == "colluding_favorites"),
+        max_moves=a.max_moves,
+        max_queries=a.max_queries,
+    )
+    return colluding_trilateration(world, ids, vantages, VICTIM_ID, opts)
+
+
+# locator attack kind -> (attacker-controlled account ids, driver); each
+# driver runs on (world, ids, vantages, attack spec) and returns its report
+_LOCATORS = {
+    "trilateration": (
+        _OBSERVER,
+        lambda world, ids, vantages, a: exact_trilateration_attack(world, ids, vantages, VICTIM_ID),
+    ),
+    "passive_sandwich": (
+        _OBSERVER,
+        lambda world, ids, vantages, a: passive_sandwich_survey(world, ids, vantages, VICTIM_ID, a.cell_size_m),
+    ),
+    "colluding": (_COLLUDERS, _colluding),
+    "colluding_favorites": (_COLLUDERS, _colluding),
+}
+ATTACK_KINDS = (*_LOCATORS, "infer_pattern")
 
 _BACKGROUND_SALT = 0x6267656E  # decorrelates user placement from the world's own streams
 
@@ -146,14 +175,8 @@ class SuiteSummary:
 # -- world construction -------------------------------------------------------
 
 
-def _attacker_ids(kind: str) -> tuple[str, ...]:
-    if kind in ("colluding", "colluding_favorites"):
-        return ("attacker", "colluder-a", "colluder-b")
-    return ("attacker",)
-
-
 def build_world(scenario: Scenario, seed: int) -> tuple[World, tuple[str, ...], tuple[GeoPoint, ...]]:
-    """Instantiate the scenario's world for one seed.
+    """Instantiate a locator scenario's world for one seed.
 
     Returns the world, the attacker-controlled account ids, and the effective
     vantage points (explicit ones, or the default triangle scaled to the
@@ -178,7 +201,7 @@ def build_world(scenario: Scenario, seed: int) -> tuple[World, tuple[str, ...], 
     else:
         population = [u.location for _, u in sorted(world.users.items())]
         vantages = default_vantage_points(population)
-    ids = _attacker_ids(scenario.attack.kind)
+    ids, _ = _LOCATORS[scenario.attack.kind]
     for uid in ids:
         world.add_user(uid, vantages[0], True)
     return world, ids, vantages
@@ -235,34 +258,12 @@ def run_scenario(scenario: Scenario, out_dir: Path | None = None, seed: int | No
         return _run_inference(scenario, seed, out_dir)
 
     world, ids, vantages = build_world(scenario, seed)
+    _, driver = _LOCATORS[scenario.attack.kind]
     log_start = len(world.query_log)
-    a = scenario.attack
     outcome = "success"
     report: AttackReport | None = None
     try:
-        if a.kind == "trilateration":
-            report = exact_trilateration_attack(world, ids[0], vantages, VICTIM_ID)
-        elif a.kind == "passive_sandwich":
-            region = passive_sandwich_survey(world, ids[0], vantages, VICTIM_ID, cell_size=a.cell_size_m)
-            report = AttackReport(
-                estimate=region.centroid(),
-                region_area=region.area(),
-                moves=len(vantages),
-                queries=0,  # recounted from the log below
-                victim_profile_queries=0,
-                region=region,
-                trajectories={ids[0]: list(vantages)},
-            )
-        else:
-            opts = ColludingOptions(
-                epsilon=a.epsilon_m,
-                cell_size=a.cell_size_m,
-                use_favorites=(a.kind == "colluding_favorites"),
-                vantage_points=vantages,
-                max_moves=a.max_moves,
-                max_queries=a.max_queries,
-            )
-            report = colluding_trilateration(world, ids, VICTIM_ID, opts)
+        report = driver(world, ids, vantages, scenario.attack)
     except VictimNeverVisible:
         outcome = "victim_never_visible"
     except NonConvergence:
@@ -270,30 +271,22 @@ def run_scenario(scenario: Scenario, out_dir: Path | None = None, seed: int | No
     except EmptyRegion:
         outcome = "empty_region"
 
-    attacker_records = [r for r in world.query_log[log_start:] if r.observer in ids]
-    queries = len(attacker_records)
-    profile_queries = sum(
-        1 for r in attacker_records if r.kind is QueryKind.PROFILE_VIEW and r.subject == VICTIM_ID
-    )
-    error = None
-    if report is not None:
-        report.error = error = haversine_distance(report.estimate, scenario.victim)
-        report.queries = queries
+    queries, profile_queries = query_counts(world.query_log[log_start:], ids, VICTIM_ID)
     row = MetricsRow(
         scenario=scenario.name,
         seed=seed,
         outcome=outcome,
-        localization_error=error if outcome == "success" else None,
-        region_area=report.region_area if report is not None else None,
-        moves=report.moves if report is not None else None,
+        localization_error=haversine_distance(report.estimate, scenario.victim) if report else None,
+        region_area=report.region_area if report else None,
+        moves=report.moves if report else None,
         queries=queries,
         victim_profile_queries=profile_queries,
     )
-    log.info("%s seed=%d outcome=%s error=%s queries=%d", scenario.name, seed, outcome, error, queries)
+    log.info("%s seed=%d outcome=%s error=%s queries=%d", scenario.name, seed, outcome, row.localization_error, queries)
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        doc = scenario_geojson(scenario, seed, vantages, report, outcome)
+        doc = scenario_geojson(scenario, vantages, report, row)
         path = out_dir / f"{scenario.name}-{seed}.geojson"
         path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
     return row
@@ -422,11 +415,11 @@ def write_suite_csv(path: Path, rows: Sequence[MetricsRow], summaries: Sequence[
 
 def scenario_geojson(
     scenario: Scenario,
-    seed: int,
     vantages: Sequence[GeoPoint],
     report: AttackReport | None,
-    outcome: str,
+    row: MetricsRow,
 ) -> dict:
+    """The run's FeatureCollection; its metrics block is the run's MetricsRow."""
     features = [
         {
             "type": "Feature",
@@ -442,23 +435,23 @@ def scenario_geojson(
                 "properties": {"role": "vantage", "index": i},
             }
         )
-    metrics: dict = {"outcome": outcome}
+    metrics: dict = {"outcome": row.outcome}
     if report is not None:
         features.extend(attack_report_to_geojson_features(report))
         metrics.update(
             {
-                "localization_error_m": report.error,
-                "region_area_m2": report.region_area,
-                "moves": report.moves,
-                "queries": report.queries,
-                "victim_profile_queries": report.victim_profile_queries,
+                "localization_error_m": row.localization_error,
+                "region_area_m2": row.region_area,
+                "moves": row.moves,
+                "queries": row.queries,
+                "victim_profile_queries": row.victim_profile_queries,
             }
         )
     return {
         "type": "FeatureCollection",
         "features": features,
-        "scenario": scenario.name,
-        "seed": seed,
+        "scenario": row.scenario,
+        "seed": row.seed,
         "metrics": metrics,
     }
 

@@ -38,16 +38,11 @@ class PolicyMode(enum.Enum):
 
 @dataclass(frozen=True)
 class DisclosurePolicy:
-    """Server-side rule mapping true distances to displayed ones.
-
-    accuracy_setting mirrors the close/near/far toggle some services expose;
-    it is metadata only and never changes the output.
-    """
+    """Server-side rule mapping true distances to displayed ones."""
 
     mode: PolicyMode
     pattern: ObfuscationPattern | None = None
     drop_probability: float = 0.0
-    accuracy_setting: str | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.drop_probability <= 1.0:
@@ -79,15 +74,14 @@ class QueryRecord:
 
 @dataclass(frozen=True)
 class ScreenEntry:
-    """One row of a distance-sorted screen.
+    """One row of a distance-sorted screen: what any user of the service sees.
 
-    true_distance is simulator-internal bookkeeping; attacker-side code reads
-    only the entry order, the user id, and shown_distance.
+    The entry order, the user id and shown_distance are all it carries; the
+    true distance stays inside the World.
     """
 
     user: str
     shown_distance: float | None
-    true_distance: float
 
 
 @dataclass(frozen=True)
@@ -225,7 +219,7 @@ class World:
                 shown = obfuscate_distance(true_d, self.policy.pattern, self._obf_rng)
             else:
                 shown = None
-        return ScreenEntry(user=subject.id, shown_distance=shown, true_distance=true_d)
+        return ScreenEntry(user=subject.id, shown_distance=shown)
 
     # -- serialization ----------------------------------------------------
 
@@ -255,7 +249,6 @@ def policy_to_json(policy: DisclosurePolicy) -> dict:
         "mode": policy.mode.value,
         "drop_probability": policy.drop_probability,
         "pattern": pattern_to_json(policy.pattern) if policy.pattern else None,
-        "accuracy_setting": policy.accuracy_setting,
     }
 
 
@@ -265,7 +258,6 @@ def policy_from_json(obj: Mapping) -> DisclosurePolicy:
         mode=PolicyMode(obj["mode"]),
         pattern=pattern_from_json(pattern) if pattern else None,
         drop_probability=float(obj.get("drop_probability", 0.0)),
-        accuracy_setting=obj.get("accuracy_setting"),
     )
 
 

@@ -44,12 +44,11 @@ def test_criterion_2_colluding_locates_hidden_victim():
         opts = ColludingOptions(
             epsilon=sc.attack.epsilon_m,
             cell_size=sc.attack.cell_size_m,
-            vantage_points=vantages,
             max_moves=sc.attack.max_moves,
             max_queries=sc.attack.max_queries,
         )
         start = time.perf_counter()
-        report = colluding_trilateration(world, ids, VICTIM_ID, opts)
+        report = colluding_trilateration(world, ids, vantages, VICTIM_ID, opts)
         worst_time = max(worst_time, time.perf_counter() - start)
         err = haversine_distance(report.estimate, sc.victim)
         worst_err = max(worst_err, err)
@@ -72,8 +71,8 @@ def test_criterion_3_sparse_remote_region_contains_victim():
     contained = 0
     for i in range(20):
         world, ids, vantages = build_world(sc, seed=sc.seed + i)
-        region = passive_sandwich_survey(world, ids[0], vantages, VICTIM_ID, cell_size=sc.attack.cell_size_m)
-        contained += region.contains(sc.victim)
+        report = passive_sandwich_survey(world, ids, vantages, VICTIM_ID, cell_size=sc.attack.cell_size_m)
+        contained += report.region.contains(sc.victim)
     _verdict(3, contained == 20, f"remote-victim survey containment {contained}/20 seeds")
 
 
@@ -195,9 +194,7 @@ def test_criterion_7_property_suites():
     # zero contact: the colluding run never views the victim's profile
     sc = preset("grindr-hidden")
     world, ids, vantages = build_world(sc, seed=901)
-    report = colluding_trilateration(
-        world, ids, VICTIM_ID, ColludingOptions(vantage_points=vantages)
-    )
+    report = colluding_trilateration(world, ids, vantages, VICTIM_ID, ColludingOptions())
     zero_contact = report.victim_profile_queries == 0 and not any(
         r.kind is QueryKind.PROFILE_VIEW for r in world.query_log
     )

@@ -12,7 +12,6 @@ from geoleak.attack import (
     NonConvergence,
     SandwichObservation,
     VictimNeverVisible,
-    annulus_from_interval_observation,
     annulus_from_sandwich,
     colluding_trilateration,
     default_vantage_points,
@@ -30,7 +29,7 @@ from geoleak.fixtures import (
 )
 from geoleak.geodesy import GeoPoint, LocalPoint, Projection, haversine_distance, unproject
 from geoleak.lbs_sim import DisclosurePolicy, PolicyMode, QueryKind, World
-from geoleak.obfuscation import HORNET_DEFAULT, invert_reading
+from geoleak.obfuscation import HORNET_DEFAULT
 
 EXACT = DisclosurePolicy(PolicyMode.EXACT_DISTANCE)
 HIDDEN = DisclosurePolicy(PolicyMode.HIDDEN_RESPECTS_FLAG)
@@ -70,7 +69,7 @@ def test_collinear_anchors_rejected():
 def test_trilaterate_recovers_fixture_victim():
     proj = Projection.at(LAB)
     obs = [
-        DistanceObservation(p, haversine_distance(p, LAB), kind="exact")
+        DistanceObservation(p, haversine_distance(p, LAB))
         for p in SURVEY_TRIANGLE
     ]
     fix = trilaterate(obs, proj)
@@ -81,7 +80,7 @@ def test_trilaterate_recovers_fixture_victim():
 def test_trilaterate_reports_residual_for_noisy_distances():
     proj = Projection.at(LAB)
     obs = [
-        DistanceObservation(p, haversine_distance(p, LAB) + noise, kind="exact")
+        DistanceObservation(p, haversine_distance(p, LAB) + noise)
         for p, noise in zip(SURVEY_TRIANGLE, (40.0, -25.0, 10.0))
     ]
     fix = trilaterate(obs, proj)
@@ -90,18 +89,14 @@ def test_trilaterate_reports_residual_for_noisy_distances():
 
 def test_trilaterate_validates_input():
     proj = Projection.at(LAB)
-    ob = DistanceObservation(LAB, 10.0, kind="exact")
+    ob = DistanceObservation(LAB, 10.0)
     with pytest.raises(ValueError):
         trilaterate([ob, ob], proj)
-    with pytest.raises(ValueError):
-        trilaterate([ob, ob, DistanceObservation(LAB, kind="interval", interval=(1.0, 2.0))], proj)
 
 
 def test_observation_validation():
     with pytest.raises(ValueError):
-        DistanceObservation(LAB, -5.0, kind="exact")
-    with pytest.raises(ValueError):
-        DistanceObservation(LAB, kind="interval", interval=(5.0, 1.0))
+        DistanceObservation(LAB, -5.0)
     with pytest.raises(ValueError):
         SandwichObservation(LAB, 300.0, 200.0)
 
@@ -125,14 +120,6 @@ def test_disc_and_unbounded_special_cases():
     outside = annulus_from_sandwich(SandwichObservation(LAB, 500.0, math.inf), proj)
     assert not outside.bounded
     assert outside.contains_local(LocalPoint(outside.center.x + 900.0, outside.center.y))
-
-
-def test_obfuscated_reading_becomes_interval_annulus():
-    proj = Projection.at(LAB)
-    interval = invert_reading(350.0, HORNET_DEFAULT)
-    obs = DistanceObservation(LAB, kind="interval", interval=interval)
-    ann = annulus_from_interval_observation(obs, proj)
-    assert (ann.r_lo, ann.r_hi) == (250.0, 350.0)
 
 
 def test_single_disc_area_close_to_analytic():
@@ -204,7 +191,7 @@ def test_exact_trilateration_attack_on_fixture_world():
     world = World(EXACT, 1)
     world.add_user("victim", LAB, True)
     world.add_user("attacker", DEMACHIYANAGI_STATION, True)
-    report = exact_trilateration_attack(world, "attacker", SURVEY_TRIANGLE, "victim")
+    report = exact_trilateration_attack(world, ("attacker",), SURVEY_TRIANGLE, "victim")
     assert haversine_distance(report.estimate, LAB) < 1.0
     assert report.victim_profile_queries == 3
     assert report.moves == 3 and report.queries == 3
@@ -215,7 +202,7 @@ def test_exact_trilateration_attack_fails_when_hidden():
     world.add_user("victim", LAB, False)
     world.add_user("attacker", DEMACHIYANAGI_STATION, True)
     with pytest.raises(VictimNeverVisible):
-        exact_trilateration_attack(world, "attacker", SURVEY_TRIANGLE, "victim")
+        exact_trilateration_attack(world, ("attacker",), SURVEY_TRIANGLE, "victim")
 
 
 # -- colluding trilateration -----------------------------------------------------------
@@ -231,8 +218,8 @@ def _grindr_world(seed, n_background=50):
 
 def test_colluding_locates_hidden_victim():
     world = _grindr_world(seed=5)
-    opts = ColludingOptions(vantage_points=SURVEY_TRIANGLE)
-    report = colluding_trilateration(world, ("attacker", "colluder-a", "colluder-b"), "victim", opts)
+    opts = ColludingOptions()
+    report = colluding_trilateration(world, ("attacker", "colluder-a", "colluder-b"), SURVEY_TRIANGLE, "victim", opts)
     assert haversine_distance(report.estimate, LAB) <= 25.0
     assert report.victim_profile_queries == 0
     assert report.region is not None and report.region.contains(LAB)
@@ -241,16 +228,16 @@ def test_colluding_locates_hidden_victim():
 
 def test_colluding_never_touches_the_victim_profile():
     world = _grindr_world(seed=6)
-    opts = ColludingOptions(vantage_points=SURVEY_TRIANGLE)
-    colluding_trilateration(world, ("attacker", "colluder-a", "colluder-b"), "victim", opts)
+    opts = ColludingOptions()
+    colluding_trilateration(world, ("attacker", "colluder-a", "colluder-b"), SURVEY_TRIANGLE, "victim", opts)
     profile_views = [r for r in world.query_log if r.kind is QueryKind.PROFILE_VIEW]
     assert profile_views == []
 
 
 def test_colluding_accepted_steps_within_log2_budget():
     world = _grindr_world(seed=8)
-    opts = ColludingOptions(vantage_points=SURVEY_TRIANGLE, epsilon=20.0)
-    report = colluding_trilateration(world, ("attacker", "colluder-a", "colluder-b"), "victim", opts)
+    opts = ColludingOptions(epsilon=20.0)
+    report = colluding_trilateration(world, ("attacker", "colluder-a", "colluder-b"), SURVEY_TRIANGLE, "victim", opts)
     assert len(report.accepted_steps) == 3
     for accepted, s0 in zip(report.accepted_steps, report.initial_separations):
         budget = max(0, math.ceil(math.log2(max(s0, opts.epsilon) / opts.epsilon)))
@@ -260,8 +247,8 @@ def test_colluding_accepted_steps_within_log2_budget():
 def test_colluding_bisection_shrinks_separation_monotonically():
     # the recorded evidence trail per vantage narrows strictly down to epsilon
     world = _grindr_world(seed=9)
-    opts = ColludingOptions(vantage_points=SURVEY_TRIANGLE)
-    report = colluding_trilateration(world, ("attacker", "colluder-a", "colluder-b"), "victim", opts)
+    opts = ColludingOptions()
+    report = colluding_trilateration(world, ("attacker", "colluder-a", "colluder-b"), SURVEY_TRIANGLE, "victim", opts)
     assert len(report.initial_separations) == 3
     for vantage in SURVEY_TRIANGLE:
         widths = [
@@ -282,8 +269,8 @@ def test_colluding_bisection_shrinks_separation_monotonically():
 def test_colluding_is_deterministic():
     def run():
         world = _grindr_world(seed=11)
-        opts = ColludingOptions(vantage_points=SURVEY_TRIANGLE)
-        r = colluding_trilateration(world, ("attacker", "colluder-a", "colluder-b"), "victim", opts)
+        opts = ColludingOptions()
+        r = colluding_trilateration(world, ("attacker", "colluder-a", "colluder-b"), SURVEY_TRIANGLE, "victim", opts)
         return (r.estimate, r.moves, r.queries, r.region_area)
 
     assert run() == run()
@@ -294,8 +281,8 @@ def test_colluding_with_favorites_beats_dropping():
     world.add_user("victim", LAB, False)
     for uid in ("attacker", "colluder-a", "colluder-b"):
         world.add_user(uid, DEMACHIYANAGI_STATION, True)
-    opts = ColludingOptions(vantage_points=SURVEY_TRIANGLE, use_favorites=True)
-    report = colluding_trilateration(world, ("attacker", "colluder-a", "colluder-b"), "victim", opts)
+    opts = ColludingOptions(use_favorites=True)
+    report = colluding_trilateration(world, ("attacker", "colluder-a", "colluder-b"), SURVEY_TRIANGLE, "victim", opts)
     assert haversine_distance(report.estimate, LAB) <= 25.0
     assert report.victim_profile_queries == 0
     assert "victim" in world.favorites["attacker"]
@@ -308,9 +295,9 @@ def test_colluding_without_favorites_starves_under_dropping():
         world.add_user("victim", LAB, False)
         for uid in ("attacker", "colluder-a", "colluder-b"):
             world.add_user(uid, DEMACHIYANAGI_STATION, True)
-        opts = ColludingOptions(vantage_points=SURVEY_TRIANGLE, use_favorites=False)
+        opts = ColludingOptions(use_favorites=False)
         try:
-            colluding_trilateration(world, ("attacker", "colluder-a", "colluder-b"), "victim", opts)
+            colluding_trilateration(world, ("attacker", "colluder-a", "colluder-b"), SURVEY_TRIANGLE, "victim", opts)
         except (VictimNeverVisible, NonConvergence):
             failures += 1
     assert failures >= 9
@@ -318,17 +305,17 @@ def test_colluding_without_favorites_starves_under_dropping():
 
 def test_colluding_budget_exhaustion_raises_nonconvergence():
     world = _grindr_world(seed=13)
-    opts = ColludingOptions(vantage_points=SURVEY_TRIANGLE, max_queries=4)
+    opts = ColludingOptions(max_queries=4)
     with pytest.raises(NonConvergence):
-        colluding_trilateration(world, ("attacker", "colluder-a", "colluder-b"), "victim", opts)
+        colluding_trilateration(world, ("attacker", "colluder-a", "colluder-b"), SURVEY_TRIANGLE, "victim", opts)
 
 
 def test_colluding_validates_arguments():
     world = _grindr_world(seed=14)
     with pytest.raises(ValueError):
-        colluding_trilateration(world, ("attacker", "attacker", "colluder-b"), "victim")
+        colluding_trilateration(world, ("attacker", "attacker", "colluder-b"), SURVEY_TRIANGLE, "victim")
     with pytest.raises(ValueError):
-        colluding_trilateration(world, ("attacker", "colluder-a", "victim"), "victim")
+        colluding_trilateration(world, ("attacker", "colluder-a", "victim"), SURVEY_TRIANGLE, "victim")
 
 
 # -- passive survey ----------------------------------------------------------------
@@ -338,10 +325,10 @@ def test_passive_survey_dense_background():
     world = _uniform_world(EXACT, 17, 200, 2000.0)
     world.add_user("victim", LAB, True)
     world.add_user("attacker", DEMACHIYANAGI_STATION, True)
-    region = passive_sandwich_survey(world, "attacker", SURVEY_TRIANGLE, "victim")
-    assert region.contains(LAB)
+    report = passive_sandwich_survey(world, ("attacker",), SURVEY_TRIANGLE, "victim")
+    assert report.region.contains(LAB)
     disc_area = math.pi * 2000.0**2
-    assert region.area() < 0.05 * disc_area
+    assert report.region_area < 0.05 * disc_area
 
 
 def test_passive_survey_remote_victim():
@@ -351,8 +338,8 @@ def test_passive_survey_remote_victim():
     world.add_user("victim", LAB, True)
     world.add_user("attacker", cluster, True)
     vantages = (_offset(LAB, 650.0, 220.0), _offset(LAB, 750.0, 0.0), _offset(LAB, 650.0, -220.0))
-    region = passive_sandwich_survey(world, "attacker", vantages, "victim")
-    assert region.contains(LAB)
+    report = passive_sandwich_survey(world, ("attacker",), vantages, "victim")
+    assert report.region.contains(LAB)
 
 
 def test_passive_survey_with_no_flankers_raises_empty_region():
@@ -360,7 +347,7 @@ def test_passive_survey_with_no_flankers_raises_empty_region():
     world.add_user("victim", LAB, True)
     world.add_user("attacker", DEMACHIYANAGI_STATION, True)
     with pytest.raises(EmptyRegion):
-        passive_sandwich_survey(world, "attacker", SURVEY_TRIANGLE, "victim")
+        passive_sandwich_survey(world, ("attacker",), SURVEY_TRIANGLE, "victim")
 
 
 def test_passive_survey_victim_never_visible():
@@ -370,7 +357,7 @@ def test_passive_survey_victim_never_visible():
     world.add_user("other", HEIAN_SHRINE, True)
     world.add_user("attacker", DEMACHIYANAGI_STATION, True)
     with pytest.raises(VictimNeverVisible):
-        passive_sandwich_survey(world, "attacker", SURVEY_TRIANGLE, "victim")
+        passive_sandwich_survey(world, ("attacker",), SURVEY_TRIANGLE, "victim")
 
 
 def test_default_vantage_points_scale_with_population():

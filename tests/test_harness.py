@@ -234,10 +234,20 @@ def test_cli_missing_file_is_config_error(tmp_path):
 def test_cli_log_level_env(monkeypatch, capsys):
     import logging
 
+    root, logger = logging.getLogger(), logging.getLogger("geoleak")
+    root_handlers, root_level = list(root.handlers), root.level
+    level, handlers = logger.level, list(logger.handlers)
     monkeypatch.setenv("GEOLEAK_LOG", "debug")
-    logging.getLogger().handlers.clear()
-    assert main(["run", "--scenario", "preset:kyoto-exact"]) == 0
-    assert logging.getLogger().level == logging.DEBUG
+    try:
+        assert main(["run", "--scenario", "preset:kyoto-exact"]) == 0
+        assert logger.level == logging.DEBUG
+        configured = list(logger.handlers)
+        assert main(["run", "--scenario", "preset:kyoto-exact"]) == 0
+        assert logger.handlers == configured
+        assert root.handlers == root_handlers and root.level == root_level
+    finally:
+        logger.setLevel(level)
+        logger.handlers[:] = handlers
     capsys.readouterr()
 
 

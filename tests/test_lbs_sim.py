@@ -43,9 +43,6 @@ def test_policy_validation():
         DisclosurePolicy(PolicyMode.EXACT_DISTANCE, pattern=HORNET_DEFAULT)
     with pytest.raises(ValueError):
         DisclosurePolicy(PolicyMode.EXACT_DISTANCE, drop_probability=1.5)
-    # the accuracy toggle is carried but changes nothing
-    p = DisclosurePolicy(PolicyMode.EXACT_DISTANCE, accuracy_setting="close")
-    assert p.accuracy_setting == "close"
 
 
 def test_duplicate_and_unknown_users():
@@ -64,7 +61,7 @@ def test_exact_distance_shown_matches_golden_constant():
     resp = world.query_nearby("obs")
     entry = [e for e in resp.entries if e.user == "victim"][0]
     assert entry.shown_distance == pytest.approx(LAB_TO_STATION_M, abs=1e-5)
-    assert entry.true_distance == entry.shown_distance
+    assert entry.shown_distance == haversine_distance(world.users["obs"].location, world.users["victim"].location)
 
 
 def test_entries_sorted_ascending_with_id_tie_break():
@@ -76,7 +73,8 @@ def test_entries_sorted_ascending_with_id_tie_break():
     world.add_user("far", _offset(SCIENCE_FRONTIER_LAB, 400.0, 0.0), True)
     resp = world.query_nearby("obs")
     assert [e.user for e in resp.entries] == ["a", "b", "far"]
-    dists = [e.true_distance for e in resp.entries]
+    here = world.users["obs"].location
+    dists = [haversine_distance(here, world.users[e.user].location) for e in resp.entries]
     assert dists == sorted(dists)
 
 
@@ -219,9 +217,10 @@ def test_obfuscated_profile_views_change_between_queries():
 def test_obfuscated_screen_respects_envelope():
     policy = DisclosurePolicy(PolicyMode.OBFUSCATED, pattern=HORNET_DEFAULT)
     world = _small_world(policy, seed=7)
+    here = world.users["obs"].location
     for _ in range(50):
         for e in world.query_nearby("obs").entries:
-            lo, hi = obfuscation_envelope(e.true_distance, HORNET_DEFAULT)
+            lo, hi = obfuscation_envelope(haversine_distance(here, world.users[e.user].location), HORNET_DEFAULT)
             assert lo <= e.shown_distance <= hi
 
 
@@ -244,12 +243,15 @@ def _serialize_run(seed):
     world.add_user("v", _offset(SCIENCE_FRONTIER_LAB, 222.0, -80.0), False)
     world.add_user("n", _offset(SCIENCE_FRONTIER_LAB, -350.0, 10.0), True)
     world.add_favorite("obs", "v")
+    here = world.users["obs"].location
+
+    def rows(resp):
+        return [(e.user, e.shown_distance, haversine_distance(here, world.users[e.user].location)) for e in resp.entries]
+
     outputs = []
     for _ in range(25):
-        resp = world.query_nearby("obs")
-        outputs.append([(e.user, e.shown_distance, e.true_distance) for e in resp.entries])
-        resp = world.query_favorites("obs")
-        outputs.append([(e.user, e.shown_distance, e.true_distance) for e in resp.entries])
+        outputs.append(rows(world.query_nearby("obs")))
+        outputs.append(rows(world.query_favorites("obs")))
     return json.dumps({"out": outputs, "snapshot": world.snapshot()}, sort_keys=True)
 
 
