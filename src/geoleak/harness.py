@@ -176,7 +176,7 @@ class SuiteSummary:
 
 
 def build_world(scenario: Scenario, seed: int) -> tuple[World, tuple[str, ...], tuple[GeoPoint, ...]]:
-    """Instantiate a locator scenario's world for one seed.
+    """Instantiate the scenario's world for one seed.
 
     Returns the world, the attacker-controlled account ids, and the effective
     vantage points (explicit ones, or the default triangle scaled to the
@@ -201,7 +201,7 @@ def build_world(scenario: Scenario, seed: int) -> tuple[World, tuple[str, ...], 
     else:
         population = [u.location for _, u in sorted(world.users.items())]
         vantages = default_vantage_points(population)
-    ids, _ = _LOCATORS[scenario.attack.kind]
+    ids, _ = _LOCATORS.get(scenario.attack.kind, (_OBSERVER, None))  # infer_pattern has no driver
     for uid in ids:
         world.add_user(uid, vantages[0], True)
     return world, ids, vantages
