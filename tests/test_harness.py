@@ -35,6 +35,28 @@ def test_presets_serialize_round_trip():
         assert sc.name == name
 
 
+# sha256 of json.dumps(scenario_to_json(preset(name)), sort_keys=True), and the
+# dumps themselves (tests/preset_dumps.json), both taken before the scenario
+# codec was rewritten; the file format must not drift
+PRESET_DUMP_DIGESTS = {
+    "kyoto-exact": "eb0fa3cd1f52394c9bcfed83dd8a150a0f0426d18ca4c16b32a5b99218c77f28",
+    "grindr-hidden": "985550dbde79da64edaac8b922472604a962f625f1da8b1e1d85a66213f2da15",
+    "sparse-remote": "48d3d5006b873e1fb0c64304c43fb64c9228d2c234adcc9ab8ac880b4fb3b832",
+    "hornet-no-favorites": "ac61ef1b37bcc665aa50c67f79d9d295f6d3d6a2b550a78b5c1f1abad7fd9403",
+    "hornet-favorites": "1b2db72c0a5c4a4f2f37790866945f7045a27881a8534d11a18fbb483bc1900d",
+    "hornet-scatter": "8236207dad9dbb165d1f740e769a1eb4169ef16fd49b4c2ee74e945ec74dcf0d",
+}
+
+
+def test_preset_dumps_match_pinned_format():
+    dumps = json.loads(Path(__file__).with_name("preset_dumps.json").read_text())
+    assert sorted(PRESET_DUMP_DIGESTS) == sorted(PRESETS) == sorted(dumps)
+    for name, digest in PRESET_DUMP_DIGESTS.items():
+        text = json.dumps(scenario_to_json(preset(name)), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+        assert scenario_from_json(dumps[name]) == preset(name), name
+
+
 def test_attack_spec_validation():
     with pytest.raises(ValueError):
         AttackSpec(kind="nope")
