@@ -22,7 +22,8 @@ from .harness import (
     scenario_from_json,
     with_seed,
 )
-from .obfuscation import HORNET_DEFAULT, InsufficientSamples, infer_pattern, pattern_from_json
+from .jsonio import from_json, to_json
+from .obfuscation import HORNET_DEFAULT, InsufficientSamples, ObfuscationPattern, infer_pattern
 from .scenarios import PRESETS, preset
 
 EXIT_OK = 0
@@ -97,7 +98,7 @@ def _load_pattern(spec: str):
     if spec == "preset:hornet":
         return HORNET_DEFAULT
     with open(spec) as fh:
-        return pattern_from_json(json.load(fh))
+        return from_json(ObfuscationPattern, json.load(fh))
 
 
 def _cmd_run(args) -> int:
@@ -126,7 +127,7 @@ def _cmd_scatter(args) -> int:
 def _cmd_infer(args) -> int:
     samples = load_samples_csv(args.samples)
     inferred = infer_pattern(samples)
-    print(json.dumps(inferred.to_json(), indent=2, sort_keys=True))
+    print(json.dumps(to_json(inferred), indent=2, sort_keys=True))
     return EXIT_OK
 
 

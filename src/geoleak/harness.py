@@ -24,9 +24,11 @@ Scenario JSON schema::
       "max_entries": null
     }
 
-World snapshots (`World.snapshot()`) use the same policy/user leaf objects:
-``{"seed", "max_entries", "policy", "users": [{"id", "lat", "lon",
-"show_distance"}], "favorites": {owner: [target, ...]}}``.
+Loading is strict: an unknown key, a missing required key or a value of the
+wrong JSON type (a boolean for a number, a string for an integer) raises
+ValueError naming the key path, e.g. ``$.attack: unknown key 'epsilon'``. A key
+whose dataclass field has a default (every `attack` key but `kind`, say) may be
+left out and takes that default.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ from .attack import (
     query_counts,
 )
 from .geodesy import GeoPoint, LocalPoint, Projection, haversine_distance, unproject
-from .lbs_sim import DisclosurePolicy, World, policy_from_json, policy_to_json
+from .jsonio import from_json, to_json
+from .lbs_sim import DisclosurePolicy, World
 from .obfuscation import (
     HORNET_DEFAULT,
     InsufficientSamples,
@@ -63,7 +66,6 @@ from .obfuscation import (
     ObfuscationSample,
     infer_pattern,
     obfuscate_distance,
-    pattern_to_json,
 )
 
 log = logging.getLogger(__name__)
@@ -296,13 +298,13 @@ def _run_inference(scenario: Scenario, seed: int, out_dir: Path | None) -> Metri
     a = scenario.attack
     pattern = scenario.policy.pattern if scenario.policy.pattern is not None else HORNET_DEFAULT
     samples = emit_scatter(pattern, a.locations, a.queries_per_location, a.max_distance_m, seed)
-    truth = pattern_to_json(pattern)
+    truth = to_json(pattern)
     outcome = "non_convergence"
     error = None
     inferred_json: dict | None = None
     try:
         inferred = infer_pattern(samples)
-        inferred_json = inferred.to_json()
+        inferred_json = to_json(inferred)
         if inferred.all_exact():
             deviations = [abs(inferred_json[k] - truth[k]) for k in truth]
             if max(deviations) == 0.0:
@@ -459,89 +461,51 @@ def scenario_geojson(
 # -- scenario (de)serialization ----------------------------------------------------
 
 
-def _geo_to_json(p: GeoPoint) -> dict:
-    return {"lat": p.lat, "lon": p.lon}
+@dataclass(frozen=True)
+class _UserJson:
+    """One explicit background user as a scenario file spells it."""
+
+    id: str
+    lat: float
+    lon: float
+    show_distance: bool
 
 
-def _geo_from_json(obj: Mapping) -> GeoPoint:
-    return GeoPoint(float(obj["lat"]), float(obj["lon"]))
+def _take(obj, key: str, path: str) -> tuple[object, dict]:
+    """obj[key] and the rest of the JSON object at ``path``; key is required."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected object")
+    if key not in obj:
+        raise ValueError(f"{path}: missing key {key!r}")
+    rest = dict(obj)
+    return rest.pop(key), rest
+
+
+# The file spells two things differently from the dataclasses: the victim's
+# show_distance sits inside "victim", and explicit background users are
+# {id, lat, lon, show_distance} objects, not (id, point, flag) triples.
 
 
 def scenario_to_json(s: Scenario) -> dict:
-    bg = s.background
-    if bg.users is not None:
-        background = {
-            "users": [
-                {"id": uid, "lat": p.lat, "lon": p.lon, "show_distance": show}
-                for uid, p, show in bg.users
-            ]
-        }
-    else:
-        background = {"count": bg.count, "center": _geo_to_json(bg.center), "radius_m": bg.radius_m}
-    return {
-        "name": s.name,
-        "seed": s.seed,
-        "policy": policy_to_json(s.policy),
-        "victim": {"lat": s.victim.lat, "lon": s.victim.lon, "show_distance": s.victim_show_distance},
-        "background": background,
-        "attack": {
-            "kind": s.attack.kind,
-            "epsilon_m": s.attack.epsilon_m,
-            "cell_size_m": s.attack.cell_size_m,
-            "vantage_points": (
-                [_geo_to_json(p) for p in s.attack.vantage_points]
-                if s.attack.vantage_points is not None
-                else None
-            ),
-            "max_moves": s.attack.max_moves,
-            "max_queries": s.attack.max_queries,
-            "locations": s.attack.locations,
-            "queries_per_location": s.attack.queries_per_location,
-            "max_distance_m": s.attack.max_distance_m,
-        },
-        "max_entries": s.max_entries,
-    }
+    doc = to_json(s)
+    doc["victim"]["show_distance"] = doc.pop("victim_show_distance")
+    users = doc["background"].pop("users")
+    if users is not None:
+        doc["background"] = {"users": [{"id": uid, **p, "show_distance": show} for uid, p, show in users]}
+    return doc
 
 
 def scenario_from_json(obj: Mapping) -> Scenario:
-    bg_obj = obj["background"]
-    if "users" in bg_obj:
-        background = BackgroundSpec(
-            users=tuple(
-                (u["id"], GeoPoint(float(u["lat"]), float(u["lon"])), bool(u["show_distance"]))
-                for u in bg_obj["users"]
-            )
-        )
-    else:
-        background = BackgroundSpec(
-            count=int(bg_obj["count"]),
-            center=_geo_from_json(bg_obj["center"]),
-            radius_m=float(bg_obj["radius_m"]),
-        )
-    a = obj["attack"]
-    vantage = a.get("vantage_points")
-    attack = AttackSpec(
-        kind=a["kind"],
-        epsilon_m=float(a.get("epsilon_m", 20.0)),
-        cell_size_m=float(a.get("cell_size_m", 5.0)),
-        vantage_points=tuple(_geo_from_json(p) for p in vantage) if vantage else None,
-        max_moves=int(a.get("max_moves", 80)),
-        max_queries=int(a.get("max_queries", 40)),
-        locations=int(a.get("locations", 3000)),
-        queries_per_location=int(a.get("queries_per_location", 30)),
-        max_distance_m=float(a.get("max_distance_m", 3000.0)),
-    )
-    victim = obj["victim"]
-    return Scenario(
-        name=obj["name"],
-        policy=policy_from_json(obj["policy"]),
-        seed=int(obj["seed"]),
-        victim=GeoPoint(float(victim["lat"]), float(victim["lon"])),
-        victim_show_distance=bool(victim["show_distance"]),
-        background=background,
-        attack=attack,
-        max_entries=obj.get("max_entries"),
-    )
+    """Inverse of scenario_to_json; strict (see the module docstring)."""
+    victim, doc = _take(obj, "victim", "$")
+    doc["victim_show_distance"], doc["victim"] = _take(victim, "show_distance", "$.victim")
+    background = _take(doc, "background", "$")[0]
+    if isinstance(background, dict) and "users" in background:
+        users, rest = _take(background, "users", "$.background")
+        users = from_json(tuple[_UserJson, ...], users, "$.background.users")
+        rest["users"] = [[u.id, {"lat": u.lat, "lon": u.lon}, u.show_distance] for u in users]
+        doc["background"] = rest
+    return from_json(Scenario, doc)
 
 
 def with_seed(scenario: Scenario, seed: int) -> Scenario:

@@ -12,10 +12,9 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Mapping
 
 from .geodesy import GeoPoint, Projection, haversine_distance, project
-from .obfuscation import ObfuscationPattern, obfuscate_distance, pattern_from_json, pattern_to_json
+from .obfuscation import ObfuscationPattern, obfuscate_distance
 
 
 class DuplicateId(ValueError):
@@ -110,7 +109,6 @@ class World:
         self.favorites: dict[str, list[str]] = {}
         self.query_log: list[QueryRecord] = []
         self.projection: Projection | None = None
-        self._frozen = False
         self._tick = 0
         master = random.Random(seed)
         self._drop_rng = random.Random(master.getrandbits(64))
@@ -122,8 +120,6 @@ class World:
         if user_id in self.users:
             raise DuplicateId(f"user id already present: {user_id}")
         self.users[user_id] = SimUser(user_id, location, show_distance)
-        if not self._frozen:
-            self.projection = self._centroid_projection()
 
     def move_user(self, user_id: str, location: GeoPoint) -> None:
         self._require(user_id).location = location
@@ -134,16 +130,12 @@ class World:
         except KeyError:
             raise UnknownUser(f"no such user: {user_id}") from None
 
-    def _centroid_projection(self) -> Projection:
-        lat = sum(u.location.lat for u in self.users.values()) / len(self.users)
-        lon = sum(u.location.lon for u in self.users.values()) / len(self.users)
-        return Projection.at(GeoPoint(lat, lon))
-
     def _freeze(self) -> None:
-        if not self._frozen:
-            if self.projection is None:
-                raise UnknownUser("world has no users")
-            self._frozen = True
+        # every caller has looked up a user first, so users is not empty
+        if self.projection is None:
+            lat = sum(u.location.lat for u in self.users.values()) / len(self.users)
+            lon = sum(u.location.lon for u in self.users.values()) / len(self.users)
+            self.projection = Projection.at(GeoPoint(lat, lon))
 
     def _log(self, kind: QueryKind, observer: str, subject: str | None) -> None:
         self._tick += 1
@@ -220,52 +212,3 @@ class World:
             else:
                 shown = None
         return ScreenEntry(user=subject.id, shown_distance=shown)
-
-    # -- serialization ----------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Scenario snapshot (users, policy, seed, favorites); see the harness
-        module for the schema. RNG stream state is not captured: restoring a
-        snapshot starts fresh streams for the same seed."""
-        return {
-            "seed": self.seed,
-            "max_entries": self.max_entries,
-            "policy": policy_to_json(self.policy),
-            "users": [
-                {
-                    "id": u.id,
-                    "lat": u.location.lat,
-                    "lon": u.location.lon,
-                    "show_distance": u.show_distance,
-                }
-                for _, u in sorted(self.users.items())
-            ],
-            "favorites": {owner: list(ids) for owner, ids in sorted(self.favorites.items()) if ids},
-        }
-
-
-def policy_to_json(policy: DisclosurePolicy) -> dict:
-    return {
-        "mode": policy.mode.value,
-        "drop_probability": policy.drop_probability,
-        "pattern": pattern_to_json(policy.pattern) if policy.pattern else None,
-    }
-
-
-def policy_from_json(obj: Mapping) -> DisclosurePolicy:
-    pattern = obj.get("pattern")
-    return DisclosurePolicy(
-        mode=PolicyMode(obj["mode"]),
-        pattern=pattern_from_json(pattern) if pattern else None,
-        drop_probability=float(obj.get("drop_probability", 0.0)),
-    )
-
-
-def world_from_snapshot(obj: Mapping) -> World:
-    world = World(policy_from_json(obj["policy"]), int(obj["seed"]), obj.get("max_entries"))
-    for u in obj["users"]:
-        world.add_user(u["id"], GeoPoint(u["lat"], u["lon"]), bool(u["show_distance"]))
-    for owner, ids in obj.get("favorites", {}).items():
-        for target in ids:
-            world.add_favorite(owner, target)
-    return world

@@ -63,14 +63,6 @@ HORNET_DEFAULT = ObfuscationPattern()
 _PATTERN_FIELDS = ("floor_value", "near_cutoff", "mid_cutoff", "mid_band", "mid_step", "far_unit")
 
 
-def pattern_to_json(pattern: ObfuscationPattern) -> dict:
-    return {name: getattr(pattern, name) for name in _PATTERN_FIELDS}
-
-
-def pattern_from_json(obj: Mapping) -> ObfuscationPattern:
-    return ObfuscationPattern(**{name: float(obj[name]) for name in _PATTERN_FIELDS})
-
-
 @dataclass(frozen=True)
 class ObfuscationSample:
     """One observed pair: true distance measured by the observer, shown distance."""
@@ -142,7 +134,8 @@ def _on_grid(value: float, unit: float) -> bool:
 
 
 def invert_reading(shown: float, pattern: ObfuscationPattern) -> tuple[float, float] | None:
-    """Maximal half-open interval [lo, hi) of true distances that can emit ``shown``.
+    """Smallest half-open interval [lo, hi) holding every true distance that
+    can emit ``shown``; when the preimage has gaps, the interval spans them.
 
     Returns None when no true distance can produce the reading under the
     pattern (an impossible reading is a signal, not an error).
@@ -170,15 +163,13 @@ def invert_reading(shown: float, pattern: ObfuscationPattern) -> tuple[float, fl
         k_max = math.floor(shown / p.mid_band + 1e-9)
         for k in range(k_min, k_max + 1):
             base = k * p.mid_band
-            if base <= 0.0:
-                continue
             lo = max(base - p.mid_band / 2.0, p.near_cutoff)
             hi = min(base + p.mid_band / 2.0, p.mid_cutoff)
             if lo < hi:
                 pieces.append((lo, hi))
 
     # far band: shown = m * far_unit for d in [m*u - u/2, m*u + u/2), d >= mid_cutoff
-    if shown > 0.0 and _on_grid(shown, p.far_unit):
+    if _on_grid(shown, p.far_unit):
         lo = max(shown - p.far_unit / 2.0, p.mid_cutoff)
         hi = shown + p.far_unit / 2.0
         if lo < hi:
@@ -186,16 +177,7 @@ def invert_reading(shown: float, pattern: ObfuscationPattern) -> tuple[float, fl
 
     if not pieces:
         return None
-    pieces.sort()
-    merged = [pieces[0]]
-    for lo, hi in pieces[1:]:
-        c_lo, c_hi = merged[-1]
-        if lo <= c_hi:
-            merged[-1] = (c_lo, max(c_hi, hi))
-        else:
-            merged.append((lo, hi))
-    # disjoint components only arise for degenerate patterns; keep the widest
-    return max(merged, key=lambda iv: iv[1] - iv[0])
+    return (min(lo for lo, _ in pieces), max(hi for _, hi in pieces))
 
 
 EXACT = "exact"
@@ -232,11 +214,6 @@ class InferredPattern:
         if not self.all_exact():
             raise ValueError("cannot build a pattern from ambiguous fields")
         return ObfuscationPattern(**{name: getattr(self, name) for name in _PATTERN_FIELDS})
-
-    def to_json(self) -> dict:
-        out = {name: getattr(self, name) for name in _PATTERN_FIELDS}
-        out["confidence"] = dict(self.confidence)
-        return out
 
 
 def infer_pattern(samples: Iterable[ObfuscationSample]) -> InferredPattern:

@@ -57,6 +57,46 @@ def test_preset_dumps_match_pinned_format():
         assert scenario_from_json(dumps[name]) == preset(name), name
 
 
+def _edited_dump(edit):
+    doc = json.loads(json.dumps(scenario_to_json(preset("grindr-hidden"))))
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["attack"].update(epsilon=5), "$.attack: unknown key 'epsilon'"),
+        (lambda d: d.update(max_entries="7"), "$.max_entries: expected integer, got string"),
+        (lambda d: d.update(seed=True), "$.seed: expected integer, got boolean"),
+        (lambda d: d.pop("victim"), "$: missing key 'victim'"),
+        (lambda d: d["policy"].update(mode="nope"), "$.policy.mode: expected one of"),
+        (lambda d: d["attack"]["vantage_points"].pop(), "$.attack: vantage_points must hold exactly 3 points"),
+        (lambda d: d["policy"].update(accuracy_setting="exact"), "$.policy: unknown key 'accuracy_setting'"),
+        (lambda d: d["background"].update(users=[{"id": "u", "lat": 35.0, "lon": 135.0}]),
+         "$.background.users[0]: missing key 'show_distance'"),
+    ],
+    ids=["typo", "string-int", "bool-int", "no-victim", "bad-enum", "two-vantages", "stale-key", "user-shape"],
+)
+def test_scenario_loading_is_strict(edit, message):
+    with pytest.raises(ValueError) as err:
+        scenario_from_json(_edited_dump(edit))
+    assert str(err.value).startswith(message)
+
+
+def test_scenario_keys_left_out_take_the_dataclass_defaults():
+    doc = _edited_dump(lambda d: (d.update(attack={"kind": "colluding"}), d.pop("max_entries")))
+    sc = scenario_from_json(doc)
+    assert sc.attack == AttackSpec(kind="colluding") and sc.max_entries is None
+
+
+def test_cli_bad_scenario_file_exits_1_naming_the_key(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_edited_dump(lambda d: d["attack"].update(epsilon=5))))
+    assert main(["run", "--scenario", str(path)]) == 1
+    assert "$.attack: unknown key 'epsilon'" in capsys.readouterr().err
+
+
 def test_attack_spec_validation():
     with pytest.raises(ValueError):
         AttackSpec(kind="nope")
@@ -72,10 +112,10 @@ def test_build_world_generates_background_deterministically():
     sc = preset("grindr-hidden")
     w1, ids1, v1 = build_world(sc, seed=9)
     w2, ids2, v2 = build_world(sc, seed=9)
-    assert w1.snapshot() == w2.snapshot()
+    assert (w1.users, w1.favorites) == (w2.users, w2.favorites)
     assert ids1 == ids2 and v1 == v2
     w3, _, _ = build_world(sc, seed=10)
-    assert w3.snapshot() != w1.snapshot()
+    assert w3.users != w1.users
     assert sum(1 for uid in w1.users if uid.startswith("bg-")) == 50
 
 

@@ -2,8 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from geoleak.jsonio import from_json, to_json
 from geoleak.obfuscation import (
     AMBIGUOUS,
     EXACT,
@@ -16,8 +19,6 @@ from geoleak.obfuscation import (
     invert_reading,
     obfuscate_distance,
     obfuscation_envelope,
-    pattern_from_json,
-    pattern_to_json,
 )
 
 
@@ -44,7 +45,7 @@ def test_pattern_validation(kwargs):
 
 def test_pattern_json_round_trip():
     p = ObfuscationPattern(floor_value=50.0, near_cutoff=200.0, mid_cutoff=2000.0, mid_band=200.0, mid_step=20.0, far_unit=500.0)
-    assert pattern_from_json(pattern_to_json(p)) == p
+    assert from_json(ObfuscationPattern, to_json(p)) == p
 
 
 def test_negative_distance_rejected():
@@ -190,6 +191,35 @@ def test_invert_reading_fixed_points(shown, expected):
     assert invert_reading(shown, HORNET_DEFAULT) == expected
 
 
+def test_invert_reading_spans_a_gapped_preimage():
+    # 250 comes from the banded base 200 ([150, 200)) and from far rounding
+    # ([245, 255)); the answer must hold both pieces
+    p = ObfuscationPattern(80, 100, 200, 100, 10, 10)
+    assert obfuscate_distance(250.0, p, random.Random(0)) == 250.0
+    assert invert_reading(250.0, p) == (150.0, 255.0)
+
+
+@st.composite
+def _patterns(draw):
+    floor = draw(st.integers(1, 400))
+    near = draw(st.integers(floor + 1, floor + 400))
+    mid = draw(st.integers(near, near + 2000))
+    step = draw(st.integers(1, 50))
+    band = step * draw(st.integers(1, 20))
+    far = draw(st.integers(1, 2000))
+    return ObfuscationPattern(float(floor), float(near), float(mid), float(band), float(step), float(far))
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(_patterns(), st.floats(0.0, 5000.0), st.randoms(use_true_random=False))
+def test_every_reading_inverts_to_an_interval_holding_the_truth(p, d, rng):
+    shown = obfuscate_distance(d, p, rng)
+    interval = invert_reading(shown, p)
+    assert interval is not None and interval[0] <= d < interval[1]
+    lo, hi = obfuscation_envelope(d, p)
+    assert lo <= shown <= hi
+
+
 def test_forward_inverse_consistency():
     rng = random.Random(8)
     for _ in range(5_000):
@@ -247,7 +277,7 @@ def test_insufficient_samples():
 
 def test_inferred_pattern_json_has_all_fields():
     samples = _scatter(300, 3, 60.0, seed=13)
-    doc = infer_pattern(samples).to_json()
+    doc = to_json(infer_pattern(samples))
     assert set(doc) == {
         "floor_value", "near_cutoff", "mid_cutoff", "mid_band", "mid_step", "far_unit", "confidence",
     }
