@@ -25,7 +25,7 @@ class OutOfProjectionRange(ValueError):
     """Point lies outside the small-area validity window of a projection."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeoPoint:
     """WGS84 coordinate pair in degrees."""
 
@@ -89,6 +89,7 @@ def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
     d_phi = math.radians(b.lat - a.lat)
     d_lam = math.radians(b.lon - a.lon)
     h = math.sin(d_phi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(d_lam / 2.0) ** 2
+    h = min(h, 1.0)  # rounding can push h past 1 for near-antipodal points
     return 2.0 * EARTH_RADIUS_M * math.atan2(math.sqrt(h), math.sqrt(1.0 - h))
 
 

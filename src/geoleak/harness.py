@@ -58,7 +58,7 @@ from .attack import (
 )
 from .geodesy import GeoPoint, LocalPoint, Projection, haversine_distance, unproject
 from .jsonio import from_json, to_json
-from .lbs_sim import DisclosurePolicy, World
+from .lbs_sim import DisclosurePolicy, World, check_max_entries
 from .obfuscation import (
     HORNET_DEFAULT,
     InsufficientSamples,
@@ -136,8 +136,10 @@ class AttackSpec:
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}; expected one of {ATTACK_KINDS}")
-        if self.epsilon_m <= 0.0 or self.cell_size_m <= 0.0:
-            raise ValueError("epsilon_m and cell_size_m must be positive")
+        for name in ("epsilon_m", "cell_size_m", "max_distance_m"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.vantage_points is not None and len(self.vantage_points) != 3:
             raise ValueError("vantage_points must hold exactly 3 points")
 
@@ -152,6 +154,9 @@ class Scenario:
     background: BackgroundSpec
     attack: AttackSpec
     max_entries: int | None = None
+
+    def __post_init__(self):
+        check_max_entries(self.max_entries)
 
 
 @dataclass(frozen=True)

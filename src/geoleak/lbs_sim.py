@@ -10,11 +10,35 @@ ordered.
 from __future__ import annotations
 
 import enum
+import math
 import random
+from array import array
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import compress
+from operator import attrgetter, itemgetter
 
-from .geodesy import GeoPoint, Projection, haversine_distance, project
+import numpy as np
+
+from .geodesy import EARTH_RADIUS_M, GeoPoint, Projection, haversine_distance, project
 from .obfuscation import ObfuscationPattern, obfuscate_distance
+
+
+# How far past a bound a user's vectorized distance must lie before it is
+# ruled out of a truncated screen. numpy's and math's float64 trigonometry
+# differ by a few ulps, which moves the haversine term h by well under 1e-14
+# and the distance by at most pi * R * sqrt(1e-14), about 2 m; any margin over
+# twice that keeps the filter exact.
+_APPROX_SLACK_M = 10.0
+
+
+def check_max_entries(max_entries: int | None) -> None:
+    """Reject a screen length that is not None or a positive integer."""
+    if max_entries is not None and (
+        isinstance(max_entries, bool) or not isinstance(max_entries, int) or max_entries < 1
+    ):
+        raise ValueError(f"max_entries must be a positive integer or null, got {max_entries!r}")
 
 
 class DuplicateId(ValueError):
@@ -50,7 +74,7 @@ class DisclosurePolicy:
             raise ValueError("pattern must be present exactly when mode is OBFUSCATED")
 
 
-@dataclass
+@dataclass(slots=True)
 class SimUser:
     id: str
     location: GeoPoint
@@ -69,6 +93,51 @@ class QueryRecord:
     kind: QueryKind
     subject: str | None
     tick: int
+
+
+_KINDS = tuple(QueryKind)
+_KIND_CODES = {kind: code for code, kind in enumerate(_KINDS)}
+
+
+class QueryLog(Sequence[QueryRecord]):
+    """A world's queries, oldest first, as QueryRecords (a slice is a list);
+    a record's tick is its position plus one.
+
+    A long-lived world keeps every query, so the log is kept in columns and
+    records are built when read: a kind byte per query, the observer once per
+    run of queries by the same account, and subjects only where there is one.
+    A screen, a favorites view and a profile view by one account take about
+    27 bytes.
+    """
+
+    def __init__(self) -> None:
+        self._kinds = bytearray()
+        self._run_starts = array("I")  # position of each run's first query
+        self._run_observers: list[str] = []
+        self._subject_positions = array("I")
+        self._subjects: list[str] = []
+
+    def append(self, observer: str, kind: QueryKind, subject: str | None) -> None:
+        at = len(self._kinds)
+        if not self._run_observers or self._run_observers[-1] != observer:
+            self._run_starts.append(at)
+            self._run_observers.append(observer)
+        if subject is not None:
+            self._subject_positions.append(at)
+            self._subjects.append(subject)
+        self._kinds.append(_KIND_CODES[kind])
+
+    def __len__(self) -> int:
+        return len(self._kinds)
+
+    def __getitem__(self, index):
+        at = range(len(self._kinds))[index]
+        if isinstance(at, range):
+            return [self[i] for i in at]
+        observer = self._run_observers[bisect_right(self._run_starts, at) - 1]
+        i = bisect_left(self._subject_positions, at)
+        subject = self._subjects[i] if i < len(self._subjects) and self._subject_positions[i] == at else None
+        return QueryRecord(observer, _KINDS[self._kinds[at]], subject, at + 1)
 
 
 @dataclass(frozen=True)
@@ -102,17 +171,23 @@ class World:
     """
 
     def __init__(self, policy: DisclosurePolicy, seed: int, max_entries: int | None = None):
+        check_max_entries(max_entries)
         self.policy = policy
         self.seed = seed
         self.max_entries = max_entries
         self.users: dict[str, SimUser] = {}
         self.favorites: dict[str, list[str]] = {}
-        self.query_log: list[QueryRecord] = []
+        self.query_log = QueryLog()
         self.projection: Projection | None = None
-        self._tick = 0
         master = random.Random(seed)
         self._drop_rng = random.Random(master.getrandbits(64))
         self._obf_rng = random.Random(master.getrandbits(64))
+        # read-side caches, dropped by add_user: the users sorted by id, and
+        # for truncated screens their positions in that order (a (lat, lon) x
+        # users array, kept current by move_user) and show flags
+        self._order: list[SimUser] | None = None
+        self._coords: np.ndarray | None = None
+        self._shows: np.ndarray | None = None
 
     # -- registry -------------------------------------------------------
 
@@ -120,9 +195,13 @@ class World:
         if user_id in self.users:
             raise DuplicateId(f"user id already present: {user_id}")
         self.users[user_id] = SimUser(user_id, location, show_distance)
+        self._order = self._coords = None
 
     def move_user(self, user_id: str, location: GeoPoint) -> None:
         self._require(user_id).location = location
+        if self._coords is not None:
+            column = bisect_left(self._order, user_id, key=attrgetter("id"))
+            self._coords[:, column] = (location.lat, location.lon)
 
     def _require(self, user_id: str) -> SimUser:
         try:
@@ -137,9 +216,13 @@ class World:
             lon = sum(u.location.lon for u in self.users.values()) / len(self.users)
             self.projection = Projection.at(GeoPoint(lat, lon))
 
+    def _id_order(self) -> list[SimUser]:
+        if self._order is None:
+            self._order = [self.users[uid] for uid in sorted(self.users)]
+        return self._order
+
     def _log(self, kind: QueryKind, observer: str, subject: str | None) -> None:
-        self._tick += 1
-        self.query_log.append(QueryRecord(observer, kind, subject, self._tick))
+        self.query_log.append(observer, kind, subject)
 
     # -- queries ---------------------------------------------------------
 
@@ -150,30 +233,29 @@ class World:
         drop_probability, with fresh draws on every query. Survivors are
         sorted ascending by true distance (ties by id) regardless of their
         show_distance flag; the flag and policy only govern shown_distance.
+        Survivors past max_entries are not shown, but take their obfuscation
+        draws as if they were.
         """
         obs = self._require(observer)
         self._freeze()
         project(obs.location, self.projection)  # raises OutOfProjectionRange
         self._log(QueryKind.NEARBY_SCREEN, observer, None)
+        order = self._id_order()
         p = self.policy.drop_probability
-        kept = []
-        for uid in sorted(self.users):
-            if uid == observer:
-                continue
-            if self._drop_rng.random() >= p:
-                kept.append(self.users[uid])
-        entries = self._rank_and_render(obs, kept)
-        if self.max_entries is not None:
-            entries = entries[: self.max_entries]
-        return QueryResponse(tuple(entries))
+        draw = self._drop_rng.random
+        kept = [u is not obs and draw() >= p for u in order]
+        subjects = list(compress(order, kept))
+        if self.max_entries is not None and len(subjects) > self.max_entries:
+            subjects = self._candidates(obs, kept)
+        return QueryResponse(self._rank_and_render(obs, subjects, self.max_entries))
 
     def query_favorites(self, observer: str) -> QueryResponse:
         """Distance-sorted view of exactly the observer's favorites; never dropped."""
         obs = self._require(observer)
         self._freeze()
         self._log(QueryKind.FAVORITES, observer, None)
-        targets = [self.users[uid] for uid in self.favorites.get(observer, [])]
-        return QueryResponse(tuple(self._rank_and_render(obs, targets)))
+        targets = [self.users[uid] for uid in sorted(self.favorites.get(observer, ()))]
+        return QueryResponse(self._rank_and_render(obs, targets))
 
     def view_profile(self, observer: str, subject: str) -> ScreenEntry:
         """Single-user profile view; never dropped, fresh obfuscation draw per view."""
@@ -181,7 +263,7 @@ class World:
         subj = self._require(subject)
         self._freeze()
         self._log(QueryKind.PROFILE_VIEW, observer, subject)
-        return self._render(obs, subj, haversine_distance(obs.location, subj.location))
+        return ScreenEntry(subj.id, self._shown(subj, haversine_distance(obs.location, subj.location)))
 
     def add_favorite(self, owner: str, target: str) -> None:
         self._require(owner)
@@ -192,23 +274,56 @@ class World:
         if target not in lst:
             lst.append(target)
 
-    def _rank_and_render(self, obs: SimUser, subjects: list[SimUser]) -> list[ScreenEntry]:
-        ranked = sorted(
-            ((haversine_distance(obs.location, u.location), u) for u in subjects),
-            key=lambda pair: (pair[0], pair[1].id),
-        )
-        return [self._render(obs, u, d) for d, u in ranked]
+    def _candidates(self, obs: SimUser, kept: list[bool]) -> list[SimUser]:
+        """The kept users (kept[i] for the i-th in id order) that a truncated
+        screen can show or that draw from the obfuscation stream, in id order.
 
-    def _render(self, obs: SimUser, subject: SimUser, true_d: float) -> ScreenEntry:
+        A user is ruled out only when both hold: its vectorized distance is
+        more than _APPROX_SLACK_M past the max_entries-th smallest one, so at
+        least max_entries kept users are truly closer; and it cannot draw,
+        being hidden, under a policy that is not OBFUSCATED, or at least
+        mid_cutoff away, where obfuscate_distance draws nothing. NaN is never
+        ruled out. The vectorized distances only rule users out; every
+        distance that is sorted or shown comes from haversine_distance.
+        """
+        k = self.max_entries
+        order = self._id_order()
+        if self._coords is None:
+            self._coords = np.array([[u.location.lat for u in order], [u.location.lon for u in order]])
+            self._shows = np.array([u.show_distance for u in order])
+        rows = np.flatnonzero(kept)
+        lat, lon = self._coords[:, rows]
+        here = obs.location
+        h = (
+            np.sin(np.radians(lat - here.lat) / 2.0) ** 2
+            + math.cos(math.radians(here.lat)) * np.cos(np.radians(lat)) * np.sin(np.radians(lon - here.lon) / 2.0) ** 2
+        )
+        h = np.minimum(h, 1.0)
+        approx = 2.0 * EARTH_RADIUS_M * np.arctan2(np.sqrt(h), np.sqrt(1.0 - h))
+        ruled_out = approx > np.partition(approx, k - 1)[k - 1] + _APPROX_SLACK_M
+        if self.policy.mode is PolicyMode.OBFUSCATED:
+            ruled_out &= ~self._shows[rows] | (approx >= self.policy.pattern.mid_cutoff + _APPROX_SLACK_M)
+        return [order[i] for i in rows[~ruled_out].tolist()]
+
+    def _rank_and_render(
+        self, obs: SimUser, subjects: list[SimUser], limit: int | None = None
+    ) -> tuple[ScreenEntry, ...]:
+        """Rank subjects, given in id order, by true distance; entries for the first limit.
+
+        The sort is stable, so equal distances stay in id order. Every ranked
+        subject takes its obfuscation draw, in ranked order.
+        """
+        here = obs.location
+        ranked = sorted([(haversine_distance(here, u.location), u) for u in subjects], key=itemgetter(0))
+        shown = [self._shown(u, d) for d, u in ranked]
+        return tuple(ScreenEntry(u.id, s) for (_, u), s in zip(ranked[:limit], shown))
+
+    def _shown(self, subject: SimUser, true_d: float) -> float | None:
         mode = self.policy.mode
-        shown: float | None
         if mode is PolicyMode.EXACT_DISTANCE:
-            shown = true_d
-        elif mode is PolicyMode.HIDDEN_RESPECTS_FLAG:
-            shown = true_d if subject.show_distance else None
-        else:
-            if subject.show_distance:
-                shown = obfuscate_distance(true_d, self.policy.pattern, self._obf_rng)
-            else:
-                shown = None
-        return ScreenEntry(user=subject.id, shown_distance=shown)
+            return true_d
+        if not subject.show_distance:
+            return None
+        if mode is PolicyMode.HIDDEN_RESPECTS_FLAG:
+            return true_d
+        return obfuscate_distance(true_d, self.policy.pattern, self._obf_rng)

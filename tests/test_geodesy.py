@@ -52,6 +52,15 @@ def test_one_degree_arc_on_the_equator():
     assert d == pytest.approx(111194.9, abs=0.1)
 
 
+def test_near_antipodal_points_are_half_a_circumference_apart():
+    # the haversine term rounds to just above 1 for this pair; unclamped,
+    # sqrt(1 - h) raised "math domain error"
+    a = GeoPoint(70.70245639678407, 58.701657571999135)
+    b = GeoPoint(-70.7024563523864, -121.29834242800086)
+    assert haversine_distance(a, b) == pytest.approx(math.pi * EARTH_RADIUS_M, abs=1.0)
+    assert haversine_distance(b, a) == haversine_distance(a, b)
+
+
 @pytest.mark.parametrize("lat, lon", [(91.0, 0.0), (-90.5, 0.0), (0.0, 180.5), (math.nan, 0.0), (0.0, math.inf)])
 def test_geopoint_rejects_bad_coordinates(lat, lon):
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -75,8 +76,15 @@ def _edited_dump(edit):
         (lambda d: d["policy"].update(accuracy_setting="exact"), "$.policy: unknown key 'accuracy_setting'"),
         (lambda d: d["background"].update(users=[{"id": "u", "lat": 35.0, "lon": 135.0}]),
          "$.background.users[0]: missing key 'show_distance'"),
+        (lambda d: d["attack"].update(epsilon_m=math.nan), "$.attack: epsilon_m must be finite and positive, got nan"),
+        (lambda d: d["attack"].update(max_distance_m=math.inf), "$.attack: max_distance_m must be finite and positive, got inf"),
+        (lambda d: d.update(max_entries=-2), "$: max_entries must be a positive integer or null, got -2"),
+        (lambda d: d.update(max_entries=0), "$: max_entries must be a positive integer or null, got 0"),
     ],
-    ids=["typo", "string-int", "bool-int", "no-victim", "bad-enum", "two-vantages", "stale-key", "user-shape"],
+    ids=[
+        "typo", "string-int", "bool-int", "no-victim", "bad-enum", "two-vantages", "stale-key", "user-shape",
+        "nan-epsilon", "inf-max-distance", "negative-max-entries", "zero-max-entries",
+    ],
 )
 def test_scenario_loading_is_strict(edit, message):
     with pytest.raises(ValueError) as err:
@@ -97,6 +105,21 @@ def test_cli_bad_scenario_file_exits_1_naming_the_key(tmp_path, capsys):
     assert "$.attack: unknown key 'epsilon'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["attack"].update(epsilon_m=math.nan), "$.attack: epsilon_m must be finite"),
+        (lambda d: d.update(max_entries=-2), "$: max_entries must be a positive integer"),
+    ],
+    ids=["nan-epsilon", "negative-max-entries"],
+)
+def test_cli_bad_number_in_scenario_file_exits_1(tmp_path, capsys, edit, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_edited_dump(edit)))  # NaN is written as the bare token NaN
+    assert main(["run", "--scenario", str(path)]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_attack_spec_validation():
     with pytest.raises(ValueError):
         AttackSpec(kind="nope")
@@ -104,6 +127,10 @@ def test_attack_spec_validation():
         AttackSpec(kind="colluding", epsilon_m=0.0)
     with pytest.raises(ValueError):
         AttackSpec(kind="colluding", vantage_points=(LAB,))
+    for name in ("epsilon_m", "cell_size_m", "max_distance_m"):
+        for bad in (math.nan, -5.0):
+            with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+                AttackSpec(kind="colluding", **{name: bad})
     with pytest.raises(ValueError):
         BackgroundSpec(count=10)  # generator without a center
 

@@ -2,19 +2,33 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geoleak.fixtures import DEMACHIYANAGI_STATION, HEIAN_SHRINE, SCIENCE_FRONTIER_LAB
-from geoleak.geodesy import GeoPoint, LocalPoint, OutOfProjectionRange, Projection, haversine_distance, unproject
+from geoleak.geodesy import (
+    GeoPoint,
+    LocalPoint,
+    OutOfProjectionRange,
+    Projection,
+    haversine_distance,
+    project,
+    unproject,
+)
 from geoleak.lbs_sim import (
     DisclosurePolicy,
     DuplicateId,
     PolicyMode,
     QueryKind,
+    QueryLog,
+    QueryRecord,
+    QueryResponse,
+    ScreenEntry,
     SelfFavorite,
     UnknownUser,
     World,
 )
-from geoleak.obfuscation import HORNET_DEFAULT, obfuscation_envelope
+from geoleak.obfuscation import HORNET_DEFAULT, ObfuscationPattern, obfuscate_distance, obfuscation_envelope
 
 LAB_TO_STATION_M = 845.4599899296676
 
@@ -266,3 +280,188 @@ def test_max_entries_truncates_the_screen():
         world.add_user(f"u{i}", _offset(SCIENCE_FRONTIER_LAB, east, 0.0), True)
     resp = world.query_nearby("obs")
     assert [e.user for e in resp.entries] == ["u0", "u1"]
+
+
+@pytest.mark.parametrize("bad", [0, -2, True, 2.5, "7"])
+def test_max_entries_must_be_a_positive_integer(bad):
+    with pytest.raises(ValueError, match="max_entries must be a positive integer"):
+        World(EXACT, 1, max_entries=bad)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from(QueryKind), st.sampled_from([None, "a", "x"]))))
+def test_query_log_returns_what_was_appended(queries):
+    log = QueryLog()
+    for query in queries:
+        log.append(*query)
+    expected = [QueryRecord(observer, kind, subject, i + 1) for i, (observer, kind, subject) in enumerate(queries)]
+    assert len(log) == len(expected) and log[:] == expected
+    assert [log[i] for i in range(-len(expected), 0)] == expected
+    for beyond in (len(expected), -len(expected) - 1):
+        with pytest.raises(IndexError):
+            log[beyond]
+
+
+class _ReferenceWorld(World):
+    """The screen code before it ranked only the users that can be shown or
+    draw: every kept user is ranked by (distance, id) and rendered, and the
+    screen is truncated afterwards."""
+
+    def query_nearby(self, observer):
+        obs = self._require(observer)
+        self._freeze()
+        project(obs.location, self.projection)
+        self._log(QueryKind.NEARBY_SCREEN, observer, None)
+        p = self.policy.drop_probability
+        kept = []
+        for uid in sorted(self.users):
+            if uid == observer:
+                continue
+            if self._drop_rng.random() >= p:
+                kept.append(self.users[uid])
+        entries = self._rank_and_render(obs, kept)
+        if self.max_entries is not None:
+            entries = entries[: self.max_entries]
+        return QueryResponse(tuple(entries))
+
+    def query_favorites(self, observer):
+        obs = self._require(observer)
+        self._freeze()
+        self._log(QueryKind.FAVORITES, observer, None)
+        targets = [self.users[uid] for uid in self.favorites.get(observer, [])]
+        return QueryResponse(tuple(self._rank_and_render(obs, targets)))
+
+    def _rank_and_render(self, obs, subjects):
+        ranked = sorted(
+            ((haversine_distance(obs.location, u.location), u) for u in subjects),
+            key=lambda pair: (pair[0], pair[1].id),
+        )
+        return [self._render(u, d) for d, u in ranked]
+
+    def _render(self, subject, true_d):
+        mode = self.policy.mode
+        if mode is PolicyMode.EXACT_DISTANCE:
+            shown = true_d
+        elif mode is PolicyMode.HIDDEN_RESPECTS_FLAG:
+            shown = true_d if subject.show_distance else None
+        elif subject.show_distance:
+            shown = obfuscate_distance(true_d, self.policy.pattern, self._obf_rng)
+        else:
+            shown = None
+        return ScreenEntry(user=subject.id, shown_distance=shown)
+
+
+# a pattern whose bands fall inside the test worlds' 1.5 km radius
+_SMALL_PATTERN = ObfuscationPattern(20.0, 60.0, 400.0, 50.0, 10.0, 100.0)
+_ANTIPODE = GeoPoint(-SCIENCE_FRONTIER_LAB.lat, SCIENCE_FRONTIER_LAB.lon - 180.0)
+
+
+def _near(rng: random.Random, spots: list[GeoPoint]) -> GeoPoint:
+    """Within 1.5 km of the lab: half the time one of a few shared spots, so
+    that distances tie, else anywhere, so that some lie just inside a band."""
+    if rng.random() < 0.5:
+        return rng.choice(spots)
+    return _offset(SCIENCE_FRONTIER_LAB, rng.uniform(-1500.0, 1500.0), rng.uniform(-1500.0, 1500.0))
+
+
+def _place(rng: random.Random, spots: list[GeoPoint]) -> GeoPoint:
+    """Mostly near the lab; sometimes anywhere on the globe, or within a
+    metre of the antipode."""
+    kind = rng.random()
+    if kind < 0.05:
+        return GeoPoint(rng.uniform(-89.0, 89.0), rng.uniform(-179.0, 179.0))
+    if kind < 0.1:
+        return GeoPoint(_ANTIPODE.lat + rng.uniform(-1e-5, 1e-5), _ANTIPODE.lon + rng.uniform(-1e-5, 1e-5))
+    return _near(rng, spots)
+
+
+def _outcome(world, method, *args):
+    try:
+        return getattr(world, method)(*args)
+    except OutOfProjectionRange:
+        return OutOfProjectionRange
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    users=st.integers(2, 300),
+    mode=st.sampled_from(PolicyMode),
+    pattern=st.sampled_from([HORNET_DEFAULT, _SMALL_PATTERN]),
+    drop=st.sampled_from([0.0, 0.3, 0.9, 1.0]),
+    max_entries=st.none() | st.integers(1, 50),
+    seed=st.integers(0, 2**32 - 1),
+    ops=st.lists(st.tuples(st.sampled_from(["add", "move", "nearby", "favorites"]), st.integers(0, 2**32 - 1)), max_size=40),
+)
+def test_screens_and_rng_streams_match_the_reference(users, mode, pattern, drop, max_entries, seed, ops):
+    policy = DisclosurePolicy(mode, pattern if mode is PolicyMode.OBFUSCATED else None, drop)
+    world, ref = World(policy, seed, max_entries), _ReferenceWorld(policy, seed, max_entries)
+    rng = random.Random(seed)
+    spots = [_offset(SCIENCE_FRONTIER_LAB, 50.0 * rng.randint(-30, 30), 50.0 * rng.randint(-30, 30)) for _ in range(12)]
+    ids = [f"u{i:03d}" for i in rng.sample(range(1000), users)]
+    for uid in ids:
+        # the first query anchors the projection, so the initial crowd stays near the lab
+        point, show = _near(rng, spots), rng.random() < 0.7
+        world.add_user(uid, point, show)
+        ref.add_user(uid, point, show)
+    owners = rng.sample(ids, min(users, 5))
+    for owner in owners:
+        for target in rng.sample(ids, min(users, 8)):
+            if target != owner:
+                world.add_favorite(owner, target)
+                ref.add_favorite(owner, target)
+    for op, arg in [("nearby", 0), *ops]:
+        pick = random.Random(arg)
+        if op == "add":
+            call = ("add_user", f"new{len(world.users)}", _place(pick, spots), pick.random() < 0.7)
+        elif op == "move":
+            call = ("move_user", pick.choice(ids), _place(pick, spots))
+        elif op == "nearby":
+            call = ("query_nearby", pick.choice(sorted(world.users)))
+        else:
+            call = ("query_favorites", pick.choice(owners))
+        assert _outcome(world, *call) == _outcome(ref, *call)
+        assert world._drop_rng.getstate() == ref._drop_rng.getstate()
+        assert world._obf_rng.getstate() == ref._obf_rng.getstate()
+
+
+def test_a_user_moved_close_tops_a_truncated_screen():
+    world = World(EXACT, 6, max_entries=3)
+    world.add_user("obs", SCIENCE_FRONTIER_LAB, True)
+    for i in range(10):
+        world.add_user(f"u{i}", _offset(SCIENCE_FRONTIER_LAB, 100.0 * (i + 1), 2000.0), True)
+    assert [e.user for e in world.query_nearby("obs").entries] == ["u0", "u1", "u2"]
+    world.move_user("u7", _offset(SCIENCE_FRONTIER_LAB, 10.0, 0.0))
+    world.move_user("u0", _offset(SCIENCE_FRONTIER_LAB, 0.0, 5000.0))
+    assert [e.user for e in world.query_nearby("obs").entries] == ["u7", "u1", "u2"]
+
+
+def test_truncated_screen_keeps_the_draws_just_inside_mid_cutoff():
+    policy = DisclosurePolicy(PolicyMode.OBFUSCATED, HORNET_DEFAULT, drop_probability=0.2)
+    world, ref = World(policy, 4, max_entries=5), _ReferenceWorld(policy, 4, max_entries=5)
+    rng = random.Random(4)
+    crowd = [(f"c{i:02d}", rng.uniform(-60.0, 60.0), rng.uniform(-60.0, 60.0)) for i in range(20)]
+    edge = [(f"e{i}", d, 0.0) for i, d in enumerate((990.0, 996.0, 999.0, 999.9, 1000.1, 1004.0, 1012.0))]
+    for w in (world, ref):
+        w.add_user("obs", SCIENCE_FRONTIER_LAB, True)
+        for uid, east, north in crowd + edge:
+            w.add_user(uid, _offset(SCIENCE_FRONTIER_LAB, east, north), True)
+    for _ in range(30):
+        assert world.query_nearby("obs") == ref.query_nearby("obs")
+        assert world._obf_rng.getstate() == ref._obf_rng.getstate()
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(
+    floor=st.integers(1, 400),
+    near=st.integers(1, 400),
+    mid=st.integers(0, 2000),
+    share=st.floats(0.0, 1.0, exclude_max=True),
+    beyond=st.floats(0.0, 1e7),
+    rng=st.randoms(use_true_random=False),
+)
+def test_obfuscation_draws_nothing_below_the_floor_or_past_mid_cutoff(floor, near, mid, share, beyond, rng):
+    pattern = ObfuscationPattern(float(floor), float(floor + near), float(floor + near + mid), 10.0, 10.0, 1000.0)
+    before = rng.getstate()
+    assert obfuscate_distance(pattern.floor_value * share, pattern, rng) == pattern.floor_value
+    obfuscate_distance(pattern.mid_cutoff + beyond, pattern, rng)
+    assert rng.getstate() == before
