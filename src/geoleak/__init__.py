@@ -44,8 +44,6 @@ from .lbs_sim import (
     DisclosurePolicy,
     DuplicateId,
     PolicyMode,
-    QueryKind,
-    QueryRecord,
     QueryResponse,
     ScreenEntry,
     SelfFavorite,

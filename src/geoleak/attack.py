@@ -12,12 +12,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Collection, Mapping, Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
 from .geodesy import GeoPoint, LocalPoint, Projection, haversine_distance, project, unproject
-from .lbs_sim import DisclosurePolicy, PolicyMode, QueryKind, QueryRecord, QueryResponse, ScreenEntry, World
+from .lbs_sim import PolicyMode, QueryResponse, ScreenEntry, World
 from .obfuscation import invert_reading
 
 log = logging.getLogger(__name__)
@@ -312,18 +312,19 @@ def attack_report_to_geojson_features(report: AttackReport) -> list[dict]:
     return features
 
 
-def query_counts(records: Sequence[QueryRecord], attacker_ids: Collection[str], victim_id: str) -> tuple[int, int]:
-    """Queries the attacker's accounts made among `records`, and how many of
-    them were views of the victim's profile."""
-    mine = [r for r in records if r.observer in attacker_ids]
-    return len(mine), sum(1 for r in mine if r.kind is QueryKind.PROFILE_VIEW and r.subject == victim_id)
+def query_counts(world: World, attacker_ids: Collection[str], victim_id: str) -> tuple[int, int]:
+    """The world's totals so far: queries by the attacker's accounts, and
+    views of the victim's profile."""
+    return sum(world.queries[uid] for uid in attacker_ids), world.profile_views[victim_id]
 
 
 class _Session:
     """One attack run's only way to touch the world: moves the attacker's own
-    accounts and remembers where it put them, runs queries within the budget
-    when options are given, and builds the report, whose counts come from the
-    run's slice of the query log. Its projection is centred on the vantages."""
+    accounts and keeps their trajectories (the last point is where an account
+    is now), runs queries within the budget when options are given, and builds
+    the report. Its counts are the world's query_counts less those at the
+    session's start, so a reused world gives each run its full budget. Its
+    projection is centred on the vantages."""
 
     def __init__(
         self,
@@ -348,12 +349,9 @@ class _Session:
         self.victim_id = victim_id
         self.options = options
         self.proj = Projection.at(_geo_centroid(vantages))
-        self.log_start = len(world.query_log)
+        self.counts_at_start = query_counts(world, self.attacker_ids, victim_id)
         self.moves = 0
         self.victim_seen = False
-        self.own_positions: dict[str, GeoPoint] = {
-            uid: world.users[uid].location for uid in attacker_ids
-        }
         self.trajectories: dict[str, list[GeoPoint]] = {
             uid: [world.users[uid].location] for uid in attacker_ids
         }
@@ -363,11 +361,10 @@ class _Session:
             self.give_up("move budget exhausted")
         self.world.move_user(uid, where)
         self.moves += 1
-        self.own_positions[uid] = where
         self.trajectories[uid].append(where)
 
     def observe(self, observer: str, favorites: bool = False) -> QueryResponse:
-        if self.options is not None and len(self.world.query_log) - self.log_start >= self.options.max_queries:
+        if self.options is not None and self.counts()[0] >= self.options.max_queries:
             self.give_up("query budget exhausted")
         resp = self.world.query_favorites(observer) if favorites else self.world.query_nearby(observer)
         if resp.index_of(self.victim_id) is not None:
@@ -378,7 +375,12 @@ class _Session:
         return self.world.view_profile(observer, self.victim_id)
 
     def side_distance(self, vantage: GeoPoint, uid: str) -> float:
-        return haversine_distance(vantage, self.own_positions[uid])
+        return haversine_distance(vantage, self.trajectories[uid][-1])
+
+    def counts(self) -> tuple[int, int]:
+        """This run's queries by the attacker's accounts and views of the victim's profile."""
+        now = query_counts(self.world, self.attacker_ids, self.victim_id)
+        return now[0] - self.counts_at_start[0], now[1] - self.counts_at_start[1]
 
     def give_up(self, why: str) -> None:
         if not self.victim_seen and not self.options.use_favorites:
@@ -386,9 +388,7 @@ class _Session:
         raise NonConvergence(why)
 
     def report(self, estimate: GeoPoint, region_area: float, **details) -> AttackReport:
-        queries, victim_profile_queries = query_counts(
-            self.world.query_log[self.log_start :], self.attacker_ids, self.victim_id
-        )
+        queries, victim_profile_queries = self.counts()
         return AttackReport(
             estimate=estimate,
             region_area=region_area,
@@ -407,20 +407,15 @@ def _geo_centroid(points: Sequence[GeoPoint]) -> GeoPoint:
     )
 
 
-def _flank_bounds(
-    resp: QueryResponse,
-    victim_index: int,
-    vantage: GeoPoint,
-    own_positions: Mapping[str, GeoPoint],
-    policy: DisclosurePolicy,
-) -> tuple[float, float]:
+def _flank_bounds(session: _Session, resp: QueryResponse, victim_index: int, vantage: GeoPoint) -> tuple[float, float]:
     """Lower/upper bound on the vantage-to-victim distance from the entries
     flanking the victim. Hidden flankers the attacker does not control yield
     no bound (0 / inf)."""
+    policy = session.world.policy
 
     def bound(entry, upper: bool) -> float | None:
-        if entry.user in own_positions:
-            return haversine_distance(vantage, own_positions[entry.user])
+        if entry.user in session.trajectories:
+            return session.side_distance(vantage, entry.user)
         if entry.shown_distance is None:
             return None
         if policy.mode is PolicyMode.OBFUSCATED:
@@ -547,7 +542,7 @@ def colluding_trilateration(
             vi = resp.index_of(victim_id)
             if vi is not None:
                 break
-        lo, hi = _flank_bounds(resp, vi, vantage, session.own_positions, world.policy)
+        lo, hi = _flank_bounds(session, resp, vi, vantage)
         if lo > 0.0 or math.isfinite(hi):
             record(SandwichObservation(vantage, lo, hi))
 
@@ -632,7 +627,7 @@ def passive_sandwich_survey(
         vi = resp.index_of(victim_id)
         if vi is None:
             continue
-        lo, hi = _flank_bounds(resp, vi, vantage, session.own_positions, world.policy)
+        lo, hi = _flank_bounds(session, resp, vi, vantage)
         if lo > 0.0 or math.isfinite(hi):
             constraints.append(annulus_from_sandwich(SandwichObservation(vantage, lo, hi), session.proj))
     if not session.victim_seen:

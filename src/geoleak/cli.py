@@ -12,6 +12,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .harness import (
@@ -20,7 +21,6 @@ from .harness import (
     run_suite,
     save_samples_csv,
     scenario_from_json,
-    with_seed,
 )
 from .jsonio import from_json, to_json
 from .obfuscation import HORNET_DEFAULT, InsufficientSamples, ObfuscationPattern, infer_pattern
@@ -104,7 +104,7 @@ def _load_pattern(spec: str):
 def _cmd_run(args) -> int:
     scenario = _load_scenario(args.scenario)
     if args.seed is not None:
-        scenario = with_seed(scenario, args.seed)
+        scenario = replace(scenario, seed=args.seed)
     rows, summaries = run_suite([scenario], args.reps, out_dir=args.out)
     for r in rows:
         err = "-" if r.localization_error is None else f"{r.localization_error:.2f} m"

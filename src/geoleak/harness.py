@@ -39,7 +39,7 @@ import logging
 import math
 import random
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -185,9 +185,9 @@ class SuiteSummary:
 def build_world(scenario: Scenario, seed: int) -> tuple[World, tuple[str, ...], tuple[GeoPoint, ...]]:
     """Instantiate the scenario's world for one seed.
 
-    Returns the world, the attacker-controlled account ids, and the effective
-    vantage points (explicit ones, or the default triangle scaled to the
-    victim-plus-background population).
+    Returns the world, which has served no query yet, the attacker-controlled
+    account ids, and the effective vantage points (explicit ones, or the
+    default triangle scaled to the victim-plus-background population).
     """
     world = World(scenario.policy, seed, scenario.max_entries)
     world.add_user(VICTIM_ID, scenario.victim, scenario.victim_show_distance)
@@ -266,7 +266,6 @@ def run_scenario(scenario: Scenario, out_dir: Path | None = None, seed: int | No
 
     world, ids, vantages = build_world(scenario, seed)
     _, driver = _LOCATORS[scenario.attack.kind]
-    log_start = len(world.query_log)
     outcome = "success"
     report: AttackReport | None = None
     try:
@@ -278,7 +277,7 @@ def run_scenario(scenario: Scenario, out_dir: Path | None = None, seed: int | No
     except EmptyRegion:
         outcome = "empty_region"
 
-    queries, profile_queries = query_counts(world.query_log[log_start:], ids, VICTIM_ID)
+    queries, profile_queries = query_counts(world, ids, VICTIM_ID)
     row = MetricsRow(
         scenario=scenario.name,
         seed=seed,
@@ -511,7 +510,3 @@ def scenario_from_json(obj: Mapping) -> Scenario:
         rest["users"] = [[u.id, {"lat": u.lat, "lon": u.lon}, u.show_distance] for u in users]
         doc["background"] = rest
     return from_json(Scenario, doc)
-
-
-def with_seed(scenario: Scenario, seed: int) -> Scenario:
-    return replace(scenario, seed=seed)

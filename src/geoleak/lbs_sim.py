@@ -12,9 +12,8 @@ from __future__ import annotations
 import enum
 import math
 import random
-from array import array
-from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 from operator import attrgetter, itemgetter
@@ -81,65 +80,6 @@ class SimUser:
     show_distance: bool
 
 
-class QueryKind(enum.Enum):
-    NEARBY_SCREEN = "nearby_screen"
-    FAVORITES = "favorites"
-    PROFILE_VIEW = "profile_view"
-
-
-@dataclass(frozen=True)
-class QueryRecord:
-    observer: str
-    kind: QueryKind
-    subject: str | None
-    tick: int
-
-
-_KINDS = tuple(QueryKind)
-_KIND_CODES = {kind: code for code, kind in enumerate(_KINDS)}
-
-
-class QueryLog(Sequence[QueryRecord]):
-    """A world's queries, oldest first, as QueryRecords (a slice is a list);
-    a record's tick is its position plus one.
-
-    A long-lived world keeps every query, so the log is kept in columns and
-    records are built when read: a kind byte per query, the observer once per
-    run of queries by the same account, and subjects only where there is one.
-    A screen, a favorites view and a profile view by one account take about
-    27 bytes.
-    """
-
-    def __init__(self) -> None:
-        self._kinds = bytearray()
-        self._run_starts = array("I")  # position of each run's first query
-        self._run_observers: list[str] = []
-        self._subject_positions = array("I")
-        self._subjects: list[str] = []
-
-    def append(self, observer: str, kind: QueryKind, subject: str | None) -> None:
-        at = len(self._kinds)
-        if not self._run_observers or self._run_observers[-1] != observer:
-            self._run_starts.append(at)
-            self._run_observers.append(observer)
-        if subject is not None:
-            self._subject_positions.append(at)
-            self._subjects.append(subject)
-        self._kinds.append(_KIND_CODES[kind])
-
-    def __len__(self) -> int:
-        return len(self._kinds)
-
-    def __getitem__(self, index):
-        at = range(len(self._kinds))[index]
-        if isinstance(at, range):
-            return [self[i] for i in at]
-        observer = self._run_observers[bisect_right(self._run_starts, at) - 1]
-        i = bisect_left(self._subject_positions, at)
-        subject = self._subjects[i] if i < len(self._subjects) and self._subject_positions[i] == at else None
-        return QueryRecord(observer, _KINDS[self._kinds[at]], subject, at + 1)
-
-
 @dataclass(frozen=True)
 class ScreenEntry:
     """One row of a distance-sorted screen: what any user of the service sees.
@@ -177,7 +117,9 @@ class World:
         self.max_entries = max_entries
         self.users: dict[str, SimUser] = {}
         self.favorites: dict[str, list[str]] = {}
-        self.query_log = QueryLog()
+        # queries of any kind per account, and views per profile
+        self.queries: Counter[str] = Counter()
+        self.profile_views: Counter[str] = Counter()
         self.projection: Projection | None = None
         master = random.Random(seed)
         self._drop_rng = random.Random(master.getrandbits(64))
@@ -221,9 +163,6 @@ class World:
             self._order = [self.users[uid] for uid in sorted(self.users)]
         return self._order
 
-    def _log(self, kind: QueryKind, observer: str, subject: str | None) -> None:
-        self.query_log.append(observer, kind, subject)
-
     # -- queries ---------------------------------------------------------
 
     def query_nearby(self, observer: str) -> QueryResponse:
@@ -239,7 +178,7 @@ class World:
         obs = self._require(observer)
         self._freeze()
         project(obs.location, self.projection)  # raises OutOfProjectionRange
-        self._log(QueryKind.NEARBY_SCREEN, observer, None)
+        self.queries[observer] += 1
         order = self._id_order()
         p = self.policy.drop_probability
         draw = self._drop_rng.random
@@ -253,7 +192,7 @@ class World:
         """Distance-sorted view of exactly the observer's favorites; never dropped."""
         obs = self._require(observer)
         self._freeze()
-        self._log(QueryKind.FAVORITES, observer, None)
+        self.queries[observer] += 1
         targets = [self.users[uid] for uid in sorted(self.favorites.get(observer, ()))]
         return QueryResponse(self._rank_and_render(obs, targets))
 
@@ -262,7 +201,8 @@ class World:
         obs = self._require(observer)
         subj = self._require(subject)
         self._freeze()
-        self._log(QueryKind.PROFILE_VIEW, observer, subject)
+        self.queries[observer] += 1
+        self.profile_views[subject] += 1
         return ScreenEntry(subj.id, self._shown(subj, haversine_distance(obs.location, subj.location)))
 
     def add_favorite(self, owner: str, target: str) -> None:

@@ -204,9 +204,6 @@ class InferredPattern:
     far_unit: float | None
     confidence: Mapping[str, str]
 
-    def is_exact(self, field: str) -> bool:
-        return self.confidence[field] == EXACT
-
     def all_exact(self) -> bool:
         return all(self.confidence[name] == EXACT for name in _PATTERN_FIELDS)
 

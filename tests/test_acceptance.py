@@ -15,7 +15,7 @@ from geoleak.attack import (
 )
 from geoleak.geodesy import GeoPoint, LocalPoint, Projection, haversine_distance, project, unproject
 from geoleak.harness import VICTIM_ID, build_world, run_scenario
-from geoleak.lbs_sim import DisclosurePolicy, PolicyMode, QueryKind, World
+from geoleak.lbs_sim import DisclosurePolicy, PolicyMode, World
 from geoleak.obfuscation import HORNET_DEFAULT, infer_pattern, obfuscation_envelope
 from geoleak.scenarios import preset
 
@@ -195,9 +195,7 @@ def test_criterion_7_property_suites():
     sc = preset("grindr-hidden")
     world, ids, vantages = build_world(sc, seed=901)
     report = colluding_trilateration(world, ids, vantages, VICTIM_ID, ColludingOptions())
-    zero_contact = report.victim_profile_queries == 0 and not any(
-        r.kind is QueryKind.PROFILE_VIEW for r in world.query_log
-    )
+    zero_contact = report.victim_profile_queries == 0 and not +world.profile_views
 
     # deterministic replay: byte-identical GeoJSON for the same (scenario, seed)
     import tempfile

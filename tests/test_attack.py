@@ -28,8 +28,10 @@ from geoleak.fixtures import (
     SURVEY_TRIANGLE,
 )
 from geoleak.geodesy import GeoPoint, LocalPoint, Projection, haversine_distance, unproject
-from geoleak.lbs_sim import DisclosurePolicy, PolicyMode, QueryKind, World
+from geoleak.harness import VICTIM_ID, build_world
+from geoleak.lbs_sim import DisclosurePolicy, PolicyMode, World
 from geoleak.obfuscation import HORNET_DEFAULT
+from geoleak.scenarios import preset
 
 EXACT = DisclosurePolicy(PolicyMode.EXACT_DISTANCE)
 HIDDEN = DisclosurePolicy(PolicyMode.HIDDEN_RESPECTS_FLAG)
@@ -205,6 +207,24 @@ def test_exact_trilateration_attack_fails_when_hidden():
         exact_trilateration_attack(world, ("attacker",), SURVEY_TRIANGLE, "victim")
 
 
+def test_a_reused_world_counts_and_budgets_each_run_from_its_start():
+    sc = preset("kyoto-exact")
+    world, ids, vantages = build_world(sc, sc.seed)
+    for _ in range(2):
+        report = exact_trilateration_attack(world, ids, vantages, VICTIM_ID)
+        assert (report.queries, report.victim_profile_queries) == (3, 3)
+
+    # 100 earlier screens would exhaust the 40-query budget if they counted
+    def colluding_counts(earlier_screens):
+        world, ids, vantages = build_world(preset("grindr-hidden"), 7)
+        for _ in range(earlier_screens):
+            world.query_nearby(ids[0])
+        report = colluding_trilateration(world, ids, vantages, VICTIM_ID, ColludingOptions(max_queries=40))
+        return report.queries, report.moves
+
+    assert colluding_counts(100) == colluding_counts(0) == (7, 11)
+
+
 # -- colluding trilateration -----------------------------------------------------------
 
 
@@ -230,8 +250,7 @@ def test_colluding_never_touches_the_victim_profile():
     world = _grindr_world(seed=6)
     opts = ColludingOptions()
     colluding_trilateration(world, ("attacker", "colluder-a", "colluder-b"), SURVEY_TRIANGLE, "victim", opts)
-    profile_views = [r for r in world.query_log if r.kind is QueryKind.PROFILE_VIEW]
-    assert profile_views == []
+    assert not +world.profile_views
 
 
 def test_colluding_accepted_steps_within_log2_budget():

@@ -19,9 +19,6 @@ from geoleak.lbs_sim import (
     DisclosurePolicy,
     DuplicateId,
     PolicyMode,
-    QueryKind,
-    QueryLog,
-    QueryRecord,
     QueryResponse,
     ScreenEntry,
     SelfFavorite,
@@ -203,16 +200,14 @@ def test_self_favorite_rejected():
         world.add_favorite("obs", "obs")
 
 
-def test_view_profile_is_logged_and_never_dropped():
+def test_view_profile_is_counted_and_never_dropped():
     policy = DisclosurePolicy(PolicyMode.EXACT_DISTANCE, drop_probability=1.0)
     world = _small_world(policy)
     entry = world.view_profile("obs", "victim")
     assert entry.user == "victim"
     assert entry.shown_distance == pytest.approx(LAB_TO_STATION_M, abs=1e-5)
-    record = world.query_log[-1]
-    assert record.kind is QueryKind.PROFILE_VIEW
-    assert record.subject == "victim"
-    assert record.observer == "obs"
+    assert world.queries == {"obs": 1}
+    assert world.profile_views == {"victim": 1}
 
 
 def test_obfuscated_profile_views_change_between_queries():
@@ -237,16 +232,21 @@ def test_obfuscated_screen_respects_envelope():
             assert lo <= e.shown_distance <= hi
 
 
-def test_query_log_matches_responses_with_increasing_ticks():
+def test_queries_and_profile_views_are_counted_per_user():
     world = _small_world()
+    assert not +world.queries and not +world.profile_views
     world.query_nearby("obs")
     world.add_favorite("obs", "victim")
     world.query_favorites("obs")
     world.view_profile("obs", "n1")
-    kinds = [r.kind for r in world.query_log]
-    assert kinds == [QueryKind.NEARBY_SCREEN, QueryKind.FAVORITES, QueryKind.PROFILE_VIEW]
-    ticks = [r.tick for r in world.query_log]
-    assert ticks == sorted(ticks) and len(set(ticks)) == len(ticks)
+    world.view_profile("n2", "n1")
+    assert world.queries == {"obs": 3, "n2": 1}
+    assert world.profile_views == {"n1": 2}
+    # a screen the service cannot serve is not counted
+    world.move_user("n2", _ANTIPODE)
+    with pytest.raises(OutOfProjectionRange):
+        world.query_nearby("n2")
+    assert world.queries == {"obs": 3, "n2": 1}
 
 
 def _serialize_run(seed):
@@ -288,20 +288,6 @@ def test_max_entries_must_be_a_positive_integer(bad):
         World(EXACT, 1, max_entries=bad)
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
-@given(st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from(QueryKind), st.sampled_from([None, "a", "x"]))))
-def test_query_log_returns_what_was_appended(queries):
-    log = QueryLog()
-    for query in queries:
-        log.append(*query)
-    expected = [QueryRecord(observer, kind, subject, i + 1) for i, (observer, kind, subject) in enumerate(queries)]
-    assert len(log) == len(expected) and log[:] == expected
-    assert [log[i] for i in range(-len(expected), 0)] == expected
-    for beyond in (len(expected), -len(expected) - 1):
-        with pytest.raises(IndexError):
-            log[beyond]
-
-
 class _ReferenceWorld(World):
     """The screen code before it ranked only the users that can be shown or
     draw: every kept user is ranked by (distance, id) and rendered, and the
@@ -311,7 +297,7 @@ class _ReferenceWorld(World):
         obs = self._require(observer)
         self._freeze()
         project(obs.location, self.projection)
-        self._log(QueryKind.NEARBY_SCREEN, observer, None)
+        self.queries[observer] += 1
         p = self.policy.drop_probability
         kept = []
         for uid in sorted(self.users):
@@ -327,7 +313,7 @@ class _ReferenceWorld(World):
     def query_favorites(self, observer):
         obs = self._require(observer)
         self._freeze()
-        self._log(QueryKind.FAVORITES, observer, None)
+        self.queries[observer] += 1
         targets = [self.users[uid] for uid in self.favorites.get(observer, [])]
         return QueryResponse(tuple(self._rank_and_render(obs, targets)))
 
@@ -422,6 +408,7 @@ def test_screens_and_rng_streams_match_the_reference(users, mode, pattern, drop,
         assert _outcome(world, *call) == _outcome(ref, *call)
         assert world._drop_rng.getstate() == ref._drop_rng.getstate()
         assert world._obf_rng.getstate() == ref._obf_rng.getstate()
+        assert world.queries == ref.queries and world.profile_views == ref.profile_views
 
 
 def test_a_user_moved_close_tops_a_truncated_screen():
