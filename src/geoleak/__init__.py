@@ -7,13 +7,9 @@ from .attack import (
     CandidateRegion,
     ColludingOptions,
     CollinearAdversaries,
-    DistanceObservation,
     EmptyRegion,
     NonConvergence,
-    SandwichObservation,
-    TrilaterationFix,
     VictimNeverVisible,
-    annulus_from_sandwich,
     colluding_trilateration,
     exact_trilateration_attack,
     intersect_constraints,

@@ -1,10 +1,17 @@
 """Attacker toolkit: circle-system solving, annulus constraints, grid regions,
 and the adaptive colluder-driven localization loop.
 
-Drivers operate purely through the service's query surface plus the attacker's
-own knowledge: entry order, entry ids, shown distances, and the positions the
-attacker chose for accounts under his control ("side-channel" distances).
-Responses carry no true distance, so a driver has none to read.
+Every reading becomes an AnnulusConstraint, a ring around the vantage it was
+taken from that holds the victim: an exact distance is a ring of zero width, a
+bracket between two flanking users a ring between their distances.
+
+Drivers read the service's query surface plus the attacker's own knowledge:
+entry order, entry ids, shown distances, and the positions the attacker chose
+for accounts under their control ("side-channel" distances). Responses carry no
+true distance, so a driver has none to read. One exception: to invert an
+obfuscated flanker's reading, `_flank_bounds` reads the server's true policy
+(`world.policy`), so the attacker gets the obfuscation pattern for free rather
+than inferring it first (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -40,41 +47,21 @@ class NonConvergence(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DistanceObservation:
-    """An exact distance reading taken at one adversary position."""
-
-    adversary_position: GeoPoint
-    distance: float
-
-    def __post_init__(self):
-        if self.distance < 0.0:
-            raise ValueError("observation needs a distance >= 0")
-
-
-@dataclass(frozen=True)
-class SandwichObservation:
-    """Bracketing distances seen from one adversary position: the entries just
-    before and just after the victim on a distance-sorted screen."""
-
-    adversary_position: GeoPoint
-    an1: float
-    an2: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.an1 <= self.an2:
-            raise ValueError(f"need 0 <= an1 <= an2, got ({self.an1}, {self.an2})")
-
-
-@dataclass(frozen=True)
 class AnnulusConstraint:
-    """Closed ring r_lo <= |q - center| <= r_hi in the projection plane.
+    """Closed ring r_lo <= |q - center| <= r_hi in the projection plane: one
+    reading taken from the vantage at center.
 
-    r_lo = 0 degenerates to a disc; r_hi = inf to the complement of a disc.
+    r_lo = r_hi is an exact distance; r_lo = 0 degenerates to a disc; r_hi =
+    inf to the complement of a disc.
     """
 
     center: LocalPoint
     r_lo: float
     r_hi: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.r_lo <= self.r_hi:
+            raise ValueError(f"need 0 <= r_lo <= r_hi, got ({self.r_lo}, {self.r_hi})")
 
     @property
     def bounded(self) -> bool:
@@ -85,20 +72,10 @@ class AnnulusConstraint:
         return self.r_lo <= d <= self.r_hi
 
 
-def annulus_from_sandwich(s: SandwichObservation, proj: Projection) -> AnnulusConstraint:
-    return AnnulusConstraint(project(s.adversary_position, proj), s.an1, s.an2)
-
-
 # -- exact trilateration ---------------------------------------------------
 
 # degenerate-geometry guard; callers should keep anchors well spread
 _MIN_TRIANGLE_AREA_M2 = 1.0
-
-
-@dataclass(frozen=True)
-class TrilaterationFix:
-    point: GeoPoint
-    residual: float
 
 
 def solve_circle_system(anchors: Sequence[tuple[float, float]], dists: Sequence[float]) -> tuple[float, float]:
@@ -124,20 +101,21 @@ def solve_circle_system(anchors: Sequence[tuple[float, float]], dists: Sequence[
     return (b1 * a22 - b2 * a12) / det, (a11 * b2 - a21 * b1) / det
 
 
-def trilaterate(observations: Sequence[DistanceObservation], proj: Projection) -> TrilaterationFix:
-    """Locate the point at the given exact distances from three positions.
+def trilaterate(rings: Sequence[AnnulusConstraint], proj: Projection) -> tuple[GeoPoint, float]:
+    """Locate the point on three zero-width rings (exact distances).
 
     Returns the solved point plus the residual max_i | |p - A_i| - D_i |,
     which is ~0 for consistent readings and grows with noise.
     """
-    if len(observations) != 3:
-        raise ValueError(f"need exactly 3 observations, got {len(observations)}")
-    pts = [project(o.adversary_position, proj) for o in observations]
-    anchors = [(p.x, p.y) for p in pts]
-    dists = [o.distance for o in observations]
+    if len(rings) != 3:
+        raise ValueError(f"need exactly 3 rings, got {len(rings)}")
+    if any(r.r_lo != r.r_hi for r in rings):
+        raise ValueError("trilateration needs zero-width rings (r_lo == r_hi)")
+    anchors = [(r.center.x, r.center.y) for r in rings]
+    dists = [r.r_lo for r in rings]
     x, y = solve_circle_system(anchors, dists)
     residual = max(abs(math.hypot(x - ax, y - ay) - d) for (ax, ay), d in zip(anchors, dists))
-    return TrilaterationFix(point=unproject(LocalPoint(x, y), proj), residual=residual)
+    return unproject(LocalPoint(x, y), proj), residual
 
 
 # -- candidate regions ------------------------------------------------------
@@ -195,23 +173,9 @@ class CandidateRegion:
         for j, i in zip(*np.nonzero(self.occupied)):
             x0, y0 = (self.i0 + int(i)) * c, (self.j0 + int(j)) * c
             corners = [(x0, y0), (x0 + c, y0), (x0 + c, y0 + c), (x0, y0 + c), (x0, y0)]
-            rings.append([_lonlat(unproject(LocalPoint(x, y), self.projection)) for x, y in corners])
+            points = (unproject(LocalPoint(x, y), self.projection) for x, y in corners)
+            rings.append([(p.lon, p.lat) for p in points])
         return rings
-
-    def to_geojson_feature(self) -> dict:
-        return {
-            "type": "Feature",
-            "geometry": {"type": "MultiPolygon", "coordinates": [[ring] for ring in self.cell_rings()]},
-            "properties": {
-                "role": "region",
-                "cell_size_m": self.cell_size,
-                "area_m2": self.area(),
-            },
-        }
-
-
-def _lonlat(p: GeoPoint) -> tuple[float, float]:
-    return (p.lon, p.lat)
 
 
 def intersect_constraints(
@@ -274,7 +238,6 @@ class AttackReport:
     """Outcome of one attack run, holding only what the attacker knows."""
 
     estimate: GeoPoint
-    region_area: float
     moves: int
     queries: int
     victim_profile_queries: int
@@ -283,33 +246,11 @@ class AttackReport:
     trajectories: dict[str, list[GeoPoint]] = field(default_factory=dict)
     accepted_steps: tuple[int, ...] = ()
     initial_separations: tuple[float, ...] = ()
-    observations: tuple[SandwichObservation, ...] = ()
+    observations: tuple[AnnulusConstraint, ...] = ()
 
-
-def attack_report_to_geojson_features(report: AttackReport) -> list[dict]:
-    features = []
-    if report.region is not None:
-        features.append(report.region.to_geojson_feature())
-    for uid, path in sorted(report.trajectories.items()):
-        if len(path) >= 2:
-            features.append(
-                {
-                    "type": "Feature",
-                    "geometry": {
-                        "type": "LineString",
-                        "coordinates": [_lonlat(p) for p in path],
-                    },
-                    "properties": {"role": "trajectory", "user": uid},
-                }
-            )
-    features.append(
-        {
-            "type": "Feature",
-            "geometry": {"type": "Point", "coordinates": _lonlat(report.estimate)},
-            "properties": {"role": "estimate"},
-        }
-    )
-    return features
+    @property
+    def region_area(self) -> float:
+        return self.region.area() if self.region is not None else 0.0
 
 
 def query_counts(world: World, attacker_ids: Collection[str], victim_id: str) -> tuple[int, int]:
@@ -387,11 +328,10 @@ class _Session:
             raise VictimNeverVisible(f"{why}; victim never appeared in any response")
         raise NonConvergence(why)
 
-    def report(self, estimate: GeoPoint, region_area: float, **details) -> AttackReport:
+    def report(self, estimate: GeoPoint, **details) -> AttackReport:
         queries, victim_profile_queries = self.counts()
         return AttackReport(
             estimate=estimate,
-            region_area=region_area,
             moves=self.moves,
             queries=queries,
             victim_profile_queries=victim_profile_queries,
@@ -410,7 +350,8 @@ def _geo_centroid(points: Sequence[GeoPoint]) -> GeoPoint:
 def _flank_bounds(session: _Session, resp: QueryResponse, victim_index: int, vantage: GeoPoint) -> tuple[float, float]:
     """Lower/upper bound on the vantage-to-victim distance from the entries
     flanking the victim. Hidden flankers the attacker does not control yield
-    no bound (0 / inf)."""
+    no bound (0 / inf). An obfuscated reading is inverted with the server's
+    true pattern, read from the world rather than inferred (ROADMAP item 2)."""
     policy = session.world.policy
 
     def bound(entry, upper: bool) -> float | None:
@@ -509,15 +450,12 @@ def colluding_trilateration(
     coarse_cell = max(opts.cell_size, opts.epsilon)
 
     annuli: list[AnnulusConstraint] = []
-    sandwiches: list[SandwichObservation] = []
     accepted_steps: list[int] = []
     initial_separations: list[float] = []
 
-    def record(obs: SandwichObservation) -> None:
-        if sandwiches and sandwiches[-1] == obs:
-            return
-        sandwiches.append(obs)
-        annuli.append(annulus_from_sandwich(obs, proj))
+    def record(ring: AnnulusConstraint) -> None:
+        if not annuli or annuli[-1] != ring:
+            annuli.append(ring)
 
     if opts.use_favorites:
         world.add_favorite(observer, inner_id)
@@ -544,7 +482,7 @@ def colluding_trilateration(
                 break
         lo, hi = _flank_bounds(session, resp, vi, vantage)
         if lo > 0.0 or math.isfinite(hi):
-            record(SandwichObservation(vantage, lo, hi))
+            record(AnnulusConstraint(v_local, lo, hi))
 
         accepted = 0
         s0: float | None = None
@@ -556,7 +494,7 @@ def colluding_trilateration(
                 if s0 is None:
                     s0 = hi - lo
                 if hi - lo <= opts.epsilon:
-                    record(SandwichObservation(vantage, lo, hi))
+                    record(AnnulusConstraint(v_local, lo, hi))
                     break
             top = hi if math.isfinite(hi) else expand
             width = top - lo
@@ -579,7 +517,7 @@ def colluding_trilateration(
                 else:
                     accepted += 1
                 lo, hi = r_inner, r_outer
-                record(SandwichObservation(vantage, r_inner, r_outer))
+                record(AnnulusConstraint(v_local, r_inner, r_outer))
             elif vi < ii:
                 hi = min(hi, r_inner)
             else:  # vi > oi: victim farther than both colluders
@@ -595,11 +533,10 @@ def colluding_trilateration(
     region = intersect_constraints(annuli, opts.cell_size, proj)
     return session.report(
         region.centroid(),
-        region.area(),
         region=region,
         accepted_steps=tuple(accepted_steps),
         initial_separations=tuple(initial_separations),
-        observations=tuple(sandwiches),
+        observations=tuple(annuli),
     )
 
 
@@ -629,12 +566,12 @@ def passive_sandwich_survey(
             continue
         lo, hi = _flank_bounds(session, resp, vi, vantage)
         if lo > 0.0 or math.isfinite(hi):
-            constraints.append(annulus_from_sandwich(SandwichObservation(vantage, lo, hi), session.proj))
+            constraints.append(AnnulusConstraint(project(vantage, session.proj), lo, hi))
     if not session.victim_seen:
         raise VictimNeverVisible("victim absent from every vantage response")
     region = intersect_constraints(constraints, cell_size, session.proj)
     del session.trajectories[observer][0]  # where the account started is not part of the survey
-    return session.report(region.centroid(), region.area(), region=region)
+    return session.report(region.centroid(), region=region)
 
 
 def exact_trilateration_attack(
@@ -649,12 +586,12 @@ def exact_trilateration_attack(
     services yield a noisy residual rather than a fix)."""
     session = _Session(world, attacker_ids, vantages, victim_id)
     (observer,) = attacker_ids
-    observations = []
+    rings = []
     for vantage in vantages:
         session.move(observer, vantage)
-        entry = session.view_profile(observer)
-        if entry.shown_distance is None:
+        d = session.view_profile(observer).shown_distance
+        if d is None:
             raise VictimNeverVisible("victim's distance is hidden from profile views")
-        observations.append(DistanceObservation(vantage, entry.shown_distance))
-    fix = trilaterate(observations, session.proj)
-    return session.report(fix.point, 0.0, residual=fix.residual)
+        rings.append(AnnulusConstraint(project(vantage, session.proj), d, d))
+    estimate, residual = trilaterate(rings, session.proj)
+    return session.report(estimate, residual=residual)

@@ -49,7 +49,6 @@ from .attack import (
     EmptyRegion,
     NonConvergence,
     VictimNeverVisible,
-    attack_report_to_geojson_features,
     colluding_trilateration,
     default_vantage_points,
     exact_trilateration_attack,
@@ -227,6 +226,8 @@ def emit_scatter(
     """Sample the obfuscation at uniform-random true distances in (0, max]."""
     if n_locations < 1 or queries_per_location < 1:
         raise ValueError("need at least one location and one query per location")
+    if not (math.isfinite(max_distance) and max_distance > 0.0):
+        raise ValueError(f"max_distance must be finite and positive, got {max_distance}")
     rng = random.Random(seed)
     samples = []
     for _ in range(n_locations):
@@ -419,6 +420,10 @@ def write_suite_csv(path: Path, rows: Sequence[MetricsRow], summaries: Sequence[
 # -- GeoJSON ---------------------------------------------------------------------
 
 
+def _feature(geometry: str, coordinates: list, **properties) -> dict:
+    return {"type": "Feature", "geometry": {"type": geometry, "coordinates": coordinates}, "properties": properties}
+
+
 def scenario_geojson(
     scenario: Scenario,
     vantages: Sequence[GeoPoint],
@@ -426,24 +431,22 @@ def scenario_geojson(
     row: MetricsRow,
 ) -> dict:
     """The run's FeatureCollection; its metrics block is the run's MetricsRow."""
-    features = [
-        {
-            "type": "Feature",
-            "geometry": {"type": "Point", "coordinates": [scenario.victim.lon, scenario.victim.lat]},
-            "properties": {"role": "victim"},
-        }
-    ]
-    for i, v in enumerate(vantages):
-        features.append(
-            {
-                "type": "Feature",
-                "geometry": {"type": "Point", "coordinates": [v.lon, v.lat]},
-                "properties": {"role": "vantage", "index": i},
-            }
-        )
+    features = [_feature("Point", [scenario.victim.lon, scenario.victim.lat], role="victim")]
+    features += [_feature("Point", [v.lon, v.lat], role="vantage", index=i) for i, v in enumerate(vantages)]
     metrics: dict = {"outcome": row.outcome}
     if report is not None:
-        features.extend(attack_report_to_geojson_features(report))
+        region = report.region
+        if region is not None:
+            rings = [[ring] for ring in region.cell_rings()]
+            features.append(
+                _feature("MultiPolygon", rings, role="region", cell_size_m=region.cell_size, area_m2=region.area())
+            )
+        features += [
+            _feature("LineString", [[p.lon, p.lat] for p in path], role="trajectory", user=uid)
+            for uid, path in sorted(report.trajectories.items())
+            if len(path) >= 2
+        ]
+        features.append(_feature("Point", [report.estimate.lon, report.estimate.lat], role="estimate"))
         metrics.update(
             {
                 "localization_error_m": row.localization_error,

@@ -25,6 +25,9 @@ class InsufficientSamples(ValueError):
     """Too few samples to attempt pattern inference."""
 
 
+_PATTERN_FIELDS = ("floor_value", "near_cutoff", "mid_cutoff", "mid_band", "mid_step", "far_unit")
+
+
 @dataclass(frozen=True)
 class ObfuscationPattern:
     """Piecewise display-distance policy.
@@ -50,6 +53,10 @@ class ObfuscationPattern:
     far_unit: float = 1000.0
 
     def __post_init__(self):
+        for name in _PATTERN_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 < self.floor_value < self.near_cutoff <= self.mid_cutoff:
             raise ValueError("require 0 < floor_value < near_cutoff <= mid_cutoff")
         if self.mid_step <= 0.0 or self.far_unit <= 0.0:
@@ -59,8 +66,6 @@ class ObfuscationPattern:
 
 
 HORNET_DEFAULT = ObfuscationPattern()
-
-_PATTERN_FIELDS = ("floor_value", "near_cutoff", "mid_cutoff", "mid_band", "mid_step", "far_unit")
 
 
 @dataclass(frozen=True)

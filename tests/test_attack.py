@@ -5,14 +5,12 @@ import pytest
 
 from geoleak.attack import (
     AnnulusConstraint,
+    AttackReport,
     ColludingOptions,
     CollinearAdversaries,
-    DistanceObservation,
     EmptyRegion,
     NonConvergence,
-    SandwichObservation,
     VictimNeverVisible,
-    annulus_from_sandwich,
     colluding_trilateration,
     default_vantage_points,
     exact_trilateration_attack,
@@ -27,8 +25,8 @@ from geoleak.fixtures import (
     SCIENCE_FRONTIER_LAB,
     SURVEY_TRIANGLE,
 )
-from geoleak.geodesy import GeoPoint, LocalPoint, Projection, haversine_distance, unproject
-from geoleak.harness import VICTIM_ID, build_world
+from geoleak.geodesy import GeoPoint, LocalPoint, Projection, haversine_distance, project, unproject
+from geoleak.harness import VICTIM_ID, MetricsRow, build_world, scenario_geojson
 from geoleak.lbs_sim import DisclosurePolicy, PolicyMode, World
 from geoleak.obfuscation import HORNET_DEFAULT
 from geoleak.scenarios import preset
@@ -68,39 +66,41 @@ def test_collinear_anchors_rejected():
         solve_circle_system([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], [1.0, 1.0, 1.0])
 
 
+def _exact_ring(p, d, proj):
+    return AnnulusConstraint(project(p, proj), d, d)
+
+
 def test_trilaterate_recovers_fixture_victim():
     proj = Projection.at(LAB)
-    obs = [
-        DistanceObservation(p, haversine_distance(p, LAB))
-        for p in SURVEY_TRIANGLE
-    ]
-    fix = trilaterate(obs, proj)
-    assert haversine_distance(fix.point, LAB) < 1.0
-    assert fix.residual < 0.1
+    rings = [_exact_ring(p, haversine_distance(p, LAB), proj) for p in SURVEY_TRIANGLE]
+    point, residual = trilaterate(rings, proj)
+    assert haversine_distance(point, LAB) < 1.0
+    assert residual < 0.1
 
 
 def test_trilaterate_reports_residual_for_noisy_distances():
     proj = Projection.at(LAB)
-    obs = [
-        DistanceObservation(p, haversine_distance(p, LAB) + noise)
+    rings = [
+        _exact_ring(p, haversine_distance(p, LAB) + noise, proj)
         for p, noise in zip(SURVEY_TRIANGLE, (40.0, -25.0, 10.0))
     ]
-    fix = trilaterate(obs, proj)
-    assert fix.residual > 5.0
+    _, residual = trilaterate(rings, proj)
+    assert residual > 5.0
 
 
 def test_trilaterate_validates_input():
     proj = Projection.at(LAB)
-    ob = DistanceObservation(LAB, 10.0)
-    with pytest.raises(ValueError):
-        trilaterate([ob, ob], proj)
+    rings = [_exact_ring(p, 10.0, proj) for p in SURVEY_TRIANGLE]
+    with pytest.raises(ValueError, match="exactly 3 rings"):
+        trilaterate(rings[:2], proj)
+    with pytest.raises(ValueError, match="zero-width"):
+        trilaterate([*rings[:2], AnnulusConstraint(rings[2].center, 5.0, 10.0)], proj)
 
 
 def test_observation_validation():
-    with pytest.raises(ValueError):
-        DistanceObservation(LAB, -5.0)
-    with pytest.raises(ValueError):
-        SandwichObservation(LAB, 300.0, 200.0)
+    for r_lo, r_hi in ((-5.0, -5.0), (300.0, 200.0), (math.nan, 10.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="need 0 <= r_lo <= r_hi"):
+            AnnulusConstraint(LocalPoint(0.0, 0.0), r_lo, r_hi)
 
 
 # -- constraints and regions -------------------------------------------------------
@@ -108,7 +108,7 @@ def test_observation_validation():
 
 def test_annulus_membership():
     proj = Projection.at(LAB)
-    ann = annulus_from_sandwich(SandwichObservation(LAB, 100.0, 200.0), proj)
+    ann = AnnulusConstraint(project(LAB, proj), 100.0, 200.0)
     center = ann.center
     assert ann.contains_local(LocalPoint(center.x + 150.0, center.y))
     assert not ann.contains_local(LocalPoint(center.x + 50.0, center.y))
@@ -117,9 +117,9 @@ def test_annulus_membership():
 
 def test_disc_and_unbounded_special_cases():
     proj = Projection.at(LAB)
-    disc = annulus_from_sandwich(SandwichObservation(LAB, 0.0, 500.0), proj)
+    disc = AnnulusConstraint(project(LAB, proj), 0.0, 500.0)
     assert disc.bounded and disc.contains_local(LocalPoint(disc.center.x, disc.center.y))
-    outside = annulus_from_sandwich(SandwichObservation(LAB, 500.0, math.inf), proj)
+    outside = AnnulusConstraint(project(LAB, proj), 500.0, math.inf)
     assert not outside.bounded
     assert outside.contains_local(LocalPoint(outside.center.x + 900.0, outside.center.y))
 
@@ -179,7 +179,11 @@ def test_region_area_monotone_in_constraints():
 def test_region_geojson_feature_shape():
     proj = Projection.at(LAB)
     region = intersect_constraints([AnnulusConstraint(LocalPoint(0.0, 0.0), 0.0, 30.0)], 10.0, proj)
-    feature = region.to_geojson_feature()
+    report = AttackReport(region.centroid(), moves=0, queries=0, victim_profile_queries=0, region=region)
+    row = MetricsRow("kyoto-exact", 1, "success", 0.0, report.region_area, 0, 0, 0)
+    doc = scenario_geojson(preset("kyoto-exact"), SURVEY_TRIANGLE, report, row)
+    (feature,) = [f for f in doc["features"] if f["properties"]["role"] == "region"]
+    assert feature["properties"] == {"role": "region", "cell_size_m": 10.0, "area_m2": region.area()}
     assert feature["geometry"]["type"] == "MultiPolygon"
     assert len(feature["geometry"]["coordinates"]) == region.cell_count()
     ring = feature["geometry"]["coordinates"][0][0]
@@ -270,19 +274,16 @@ def test_colluding_bisection_shrinks_separation_monotonically():
     report = colluding_trilateration(world, ("attacker", "colluder-a", "colluder-b"), SURVEY_TRIANGLE, "victim", opts)
     assert len(report.initial_separations) == 3
     for vantage in SURVEY_TRIANGLE:
-        widths = [
-            o.an2 - o.an1
-            for o in report.observations
-            if o.adversary_position == vantage and math.isfinite(o.an2)
-        ]
+        center = project(vantage, report.region.projection)
+        rings = [o for o in report.observations if o.center == center]
+        widths = [o.r_hi - o.r_lo for o in rings if math.isfinite(o.r_hi)]
         assert widths
         assert all(b < a for a, b in zip(widths, widths[1:]))
         assert widths[-1] <= opts.epsilon
         # every recorded bracket truly contains the victim's distance
         av = haversine_distance(vantage, LAB)
-        for o in report.observations:
-            if o.adversary_position == vantage:
-                assert o.an1 <= av <= o.an2
+        for o in rings:
+            assert o.r_lo <= av <= o.r_hi
 
 
 def test_colluding_is_deterministic():

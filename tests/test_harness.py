@@ -64,6 +64,16 @@ def _edited_dump(edit):
     return doc
 
 
+def _hornet_favorites_pattern(**fields):
+    """An edit that swaps in the hornet-favorites dump with these pattern fields."""
+
+    def edit(doc):
+        doc.update(json.loads(json.dumps(scenario_to_json(preset("hornet-favorites")))))
+        doc["policy"]["pattern"].update(fields)
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -80,10 +90,11 @@ def _edited_dump(edit):
         (lambda d: d["attack"].update(max_distance_m=math.inf), "$.attack: max_distance_m must be finite and positive, got inf"),
         (lambda d: d.update(max_entries=-2), "$: max_entries must be a positive integer or null, got -2"),
         (lambda d: d.update(max_entries=0), "$: max_entries must be a positive integer or null, got 0"),
+        (_hornet_favorites_pattern(far_unit=math.inf, mid_cutoff=300), "$.policy.pattern: far_unit must be finite"),
     ],
     ids=[
         "typo", "string-int", "bool-int", "no-victim", "bad-enum", "two-vantages", "stale-key", "user-shape",
-        "nan-epsilon", "inf-max-distance", "negative-max-entries", "zero-max-entries",
+        "nan-epsilon", "inf-max-distance", "negative-max-entries", "zero-max-entries", "inf-pattern-field",
     ],
 )
 def test_scenario_loading_is_strict(edit, message):
@@ -303,6 +314,14 @@ def test_cli_scatter_then_infer(tmp_path, capsys):
     assert doc["mid_band"] == 100.0
     assert doc["mid_step"] == 10.0
     assert doc["far_unit"] == 1000.0
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-5", "0"])
+def test_cli_scatter_rejects_a_bad_max_distance(tmp_path, capsys, value):
+    out_csv = tmp_path / "s.csv"
+    assert main(["scatter", "--max-dist", value, "--locations", "10", "--out", str(out_csv)]) == 1
+    assert "max_distance must be finite and positive" in capsys.readouterr().err
+    assert not out_csv.exists()
 
 
 def test_cli_usage_error_exits_1():
