@@ -8,10 +8,12 @@ bracket between two flanking users a ring between their distances.
 Drivers read the service's query surface plus the attacker's own knowledge:
 entry order, entry ids, shown distances, and the positions the attacker chose
 for accounts under their control ("side-channel" distances). Responses carry no
-true distance, so a driver has none to read. One exception: to invert an
-obfuscated flanker's reading, `_flank_bounds` reads the server's true policy
-(`world.policy`), so the attacker gets the obfuscation pattern for free rather
-than inferring it first (ROADMAP item 2).
+true distance, so a driver has none to read. Drivers touch the world only
+through `_Session`, which keeps it private; a test walks this module's syntax
+tree to hold them to that. One leak remains: `_Session.pattern`, the pattern
+used to invert an obfuscated flanker's reading, is the server's true pattern,
+so the attacker gets it for free rather than inferring it first (ROADMAP
+item 2).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Collection, Sequence
 import numpy as np
 
 from .geodesy import GeoPoint, LocalPoint, Projection, haversine_distance, project, unproject
-from .lbs_sim import PolicyMode, QueryResponse, ScreenEntry, World
+from .lbs_sim import QueryResponse, ScreenEntry, World
 from .obfuscation import invert_reading
 
 log = logging.getLogger(__name__)
@@ -241,7 +243,6 @@ class AttackReport:
     moves: int
     queries: int
     victim_profile_queries: int
-    residual: float | None = None
     region: CandidateRegion | None = None
     trajectories: dict[str, list[GeoPoint]] = field(default_factory=dict)
     accepted_steps: tuple[int, ...] = ()
@@ -262,10 +263,11 @@ def query_counts(world: World, attacker_ids: Collection[str], victim_id: str) ->
 class _Session:
     """One attack run's only way to touch the world: moves the attacker's own
     accounts and keeps their trajectories (the last point is where an account
-    is now), runs queries within the budget when options are given, and builds
-    the report. Its counts are the world's query_counts less those at the
-    session's start, so a reused world gives each run its full budget. Its
-    projection is centred on the vantages."""
+    is now), favorites users for the first account, runs queries within the
+    budget when options are given, and builds the report. Its counts are the
+    world's query_counts less those at the session's start, so a reused world
+    gives each run its full budget. Its projection is centred on the
+    vantages."""
 
     def __init__(
         self,
@@ -285,7 +287,10 @@ class _Session:
                 raise ValueError(f"no such user: {uid}")
         if len(vantages) != 3:
             raise ValueError("need exactly 3 vantage points")
-        self.world = world
+        self._world = world
+        # the one place the attacker reads the server's truth: the pattern
+        # belief is the true one, not one inferred from a scatter (ROADMAP item 2)
+        self.pattern = world.policy.pattern
         self.attacker_ids = tuple(attacker_ids)
         self.victim_id = victim_id
         self.options = options
@@ -300,27 +305,39 @@ class _Session:
     def move(self, uid: str, where: GeoPoint) -> None:
         if self.options is not None and self.moves >= self.options.max_moves:
             self.give_up("move budget exhausted")
-        self.world.move_user(uid, where)
+        self._world.move_user(uid, where)
         self.moves += 1
         self.trajectories[uid].append(where)
 
     def observe(self, observer: str, favorites: bool = False) -> QueryResponse:
         if self.options is not None and self.counts()[0] >= self.options.max_queries:
             self.give_up("query budget exhausted")
-        resp = self.world.query_favorites(observer) if favorites else self.world.query_nearby(observer)
+        resp = self._world.query_favorites(observer) if favorites else self._world.query_nearby(observer)
         if resp.index_of(self.victim_id) is not None:
             self.victim_seen = True
         return resp
 
+    def sight(self, favorites: bool, *uids: str) -> tuple[QueryResponse, tuple[int, ...]]:
+        """Re-query from the first account until every uid is on its screen,
+        burning budget on each miss; returns the screen and the uids' ranks."""
+        while True:
+            resp = self.observe(self.attacker_ids[0], favorites)
+            ranks = tuple(resp.index_of(uid) for uid in uids)
+            if None not in ranks:
+                return resp, ranks
+
+    def favorite(self, uid: str) -> None:
+        self._world.add_favorite(self.attacker_ids[0], uid)
+
     def view_profile(self, observer: str) -> ScreenEntry:
-        return self.world.view_profile(observer, self.victim_id)
+        return self._world.view_profile(observer, self.victim_id)
 
     def side_distance(self, vantage: GeoPoint, uid: str) -> float:
         return haversine_distance(vantage, self.trajectories[uid][-1])
 
     def counts(self) -> tuple[int, int]:
         """This run's queries by the attacker's accounts and views of the victim's profile."""
-        now = query_counts(self.world, self.attacker_ids, self.victim_id)
+        now = query_counts(self._world, self.attacker_ids, self.victim_id)
         return now[0] - self.counts_at_start[0], now[1] - self.counts_at_start[1]
 
     def give_up(self, why: str) -> None:
@@ -350,21 +367,20 @@ def _geo_centroid(points: Sequence[GeoPoint]) -> GeoPoint:
 def _flank_bounds(session: _Session, resp: QueryResponse, victim_index: int, vantage: GeoPoint) -> tuple[float, float]:
     """Lower/upper bound on the vantage-to-victim distance from the entries
     flanking the victim. Hidden flankers the attacker does not control yield
-    no bound (0 / inf). An obfuscated reading is inverted with the server's
-    true pattern, read from the world rather than inferred (ROADMAP item 2)."""
-    policy = session.world.policy
+    no bound (0 / inf). A reading is inverted with the session's pattern
+    belief when there is one, and taken as the true distance otherwise."""
 
     def bound(entry, upper: bool) -> float | None:
         if entry.user in session.trajectories:
             return session.side_distance(vantage, entry.user)
         if entry.shown_distance is None:
             return None
-        if policy.mode is PolicyMode.OBFUSCATED:
-            interval = invert_reading(entry.shown_distance, policy.pattern)
-            if interval is None:
-                return None
-            return interval[1] if upper else interval[0]
-        return entry.shown_distance
+        if session.pattern is None:
+            return entry.shown_distance
+        interval = invert_reading(entry.shown_distance, session.pattern)
+        if interval is None:
+            return None
+        return interval[1] if upper else interval[0]
 
     lo, hi = 0.0, math.inf
     if victim_index > 0:
@@ -458,16 +474,13 @@ def colluding_trilateration(
             annuli.append(ring)
 
     if opts.use_favorites:
-        world.add_favorite(observer, inner_id)
-        world.add_favorite(observer, outer_id)
+        session.favorite(inner_id)
+        session.favorite(outer_id)
         # anchor the victim on first public sighting; afterwards the favorites
         # view is immune to dropping
         session.move(observer, vantages[0])
-        while True:
-            resp = session.observe(observer, favorites=False)
-            if resp.index_of(victim_id) is not None:
-                world.add_favorite(observer, victim_id)
-                break
+        session.sight(False, victim_id)
+        session.favorite(victim_id)
 
     for vantage in vantages:
         session.move(observer, vantage)
@@ -475,11 +488,7 @@ def colluding_trilateration(
         direction = _direction_from(v_local, annuli, proj, fallback_target, coarse_cell)
 
         # first sighting from this vantage; flankers give the starting bracket
-        while True:
-            resp = session.observe(observer, favorites=opts.use_favorites)
-            vi = resp.index_of(victim_id)
-            if vi is not None:
-                break
+        resp, (vi,) = session.sight(opts.use_favorites, victim_id)
         lo, hi = _flank_bounds(session, resp, vi, vantage)
         if lo > 0.0 or math.isfinite(hi):
             record(AnnulusConstraint(v_local, lo, hi))
@@ -504,13 +513,7 @@ def colluding_trilateration(
             session.move(outer_id, _on_ray(v_local, direction, t_outer, proj))
             r_inner = session.side_distance(vantage, inner_id)
             r_outer = session.side_distance(vantage, outer_id)
-            while True:
-                resp = session.observe(observer, favorites=opts.use_favorites)
-                vi = resp.index_of(victim_id)
-                ii = resp.index_of(inner_id)
-                oi = resp.index_of(outer_id)
-                if vi is not None and ii is not None and oi is not None:
-                    break  # all three visible; otherwise burn budget and re-query
+            _, (vi, ii, oi) = session.sight(opts.use_favorites, victim_id, inner_id, outer_id)
             if ii < vi < oi:
                 if s0 is None:
                     s0 = r_outer - r_inner  # establishment from an unbounded start
@@ -593,5 +596,5 @@ def exact_trilateration_attack(
         if d is None:
             raise VictimNeverVisible("victim's distance is hidden from profile views")
         rings.append(AnnulusConstraint(project(vantage, session.proj), d, d))
-    estimate, residual = trilaterate(rings, session.proj)
-    return session.report(estimate, residual=residual)
+    estimate, _ = trilaterate(rings, session.proj)
+    return session.report(estimate)

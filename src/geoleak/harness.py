@@ -39,7 +39,7 @@ import logging
 import math
 import random
 import statistics
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -114,9 +114,11 @@ class BackgroundSpec:
     radius_m: float = 0.0
 
     def __post_init__(self):
-        if self.users is None:
-            if self.center is None or self.radius_m <= 0.0 or self.count < 0:
-                raise ValueError("generator background needs center, radius_m > 0, count >= 0")
+        if self.users is not None:
+            if (self.count, self.center, self.radius_m) != (0, None, 0.0):
+                raise ValueError("users cannot be given together with count, center or radius_m")
+        elif self.center is None or not (math.isfinite(self.radius_m) and self.radius_m > 0.0) or self.count < 0:
+            raise ValueError("generator background needs center, finite radius_m > 0, count >= 0")
 
 
 @dataclass(frozen=True)
@@ -139,6 +141,10 @@ class AttackSpec:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
+        for name in ("max_moves", "max_queries", "locations", "queries_per_location"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         if self.vantage_points is not None and len(self.vantage_points) != 3:
             raise ValueError("vantage_points must hold exactly 3 points")
 
@@ -389,32 +395,13 @@ _CSV_COLUMNS = [
 
 
 def write_suite_csv(path: Path, rows: Sequence[MetricsRow], summaries: Sequence[SuiteSummary]) -> None:
-    def fmt(v):
-        return "" if v is None else (repr(v) if isinstance(v, float) else v)
-
+    # csv writes None as "" and a float as its repr; MetricsRow's fields are
+    # the result columns in order
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_COLUMNS)
-        for r in rows:
-            writer.writerow(
-                [
-                    "result",
-                    r.scenario,
-                    r.seed,
-                    r.outcome,
-                    fmt(r.localization_error),
-                    fmt(r.region_area),
-                    fmt(r.moves),
-                    r.queries,
-                    r.victim_profile_queries,
-                    "",
-                    "",
-                ]
-            )
-        for s in summaries:
-            writer.writerow(
-                ["summary", s.scenario, "", "", "", "", "", "", "", fmt(s.median_error), fmt(s.success_rate)]
-            )
+        writer.writerows(["result", *astuple(r), "", ""] for r in rows)
+        writer.writerows(["summary", s.scenario, *[""] * 7, s.median_error, s.success_rate] for s in summaries)
 
 
 # -- GeoJSON ---------------------------------------------------------------------

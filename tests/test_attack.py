@@ -1,8 +1,14 @@
+import ast
 import math
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_obfuscation import _patterns
 
+from geoleak import attack
 from geoleak.attack import (
     AnnulusConstraint,
     AttackReport,
@@ -387,3 +393,79 @@ def test_default_vantage_points_scale_with_population():
     center = GeoPoint(sum(p.lat for p in pts) / 3, sum(p.lon for p in pts) / 3)
     dists = [haversine_distance(center, v) for v in vantages]
     assert max(dists) == pytest.approx(max(haversine_distance(center, p) for p in pts), rel=0.05)
+
+
+# -- threat model and soundness ------------------------------------------------------
+
+
+def test_drivers_reach_the_world_only_through_the_session():
+    # outside _Session and query_counts no code reads an attribute of a `world`
+    # name or touches `._world`, and a driver's only use of `world` is to open
+    # its _Session
+    tree = ast.parse(Path(attack.__file__).read_text())
+    opens_a_session = set()
+    for node in tree.body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in ("_Session", "query_counts"):
+            continue
+        session_args = {
+            id(call.args[0])
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "_Session"
+        }
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Attribute):
+                assert sub.attr != "_world", f"line {sub.lineno} touches ._world"
+            if isinstance(sub, ast.Name) and sub.id == "world":
+                assert id(sub) in session_args, f"line {sub.lineno} uses world outside _Session(world, ...)"
+                opens_a_session.add(node.name)
+    assert opens_a_session == {"colluding_trilateration", "passive_sandwich_survey", "exact_trilateration_attack"}
+
+
+_COLLUDERS = ("attacker", "colluder-a", "colluder-b")
+_SOUND_DRIVERS = {
+    "passive": (("attacker",), lambda w, ids, v: passive_sandwich_survey(w, ids, v, "victim")),
+    "colluding": (_COLLUDERS, lambda w, ids, v: colluding_trilateration(w, ids, v, "victim")),
+    "colluding-favorites": (
+        _COLLUDERS,
+        lambda w, ids, v: colluding_trilateration(w, ids, v, "victim", ColludingOptions(use_favorites=True)),
+    ),
+}
+_OFFSETS = st.tuples(st.floats(-2500.0, 2500.0), st.floats(-2500.0, 2500.0))
+
+
+# 150 examples: a driver that takes obfuscated readings at face value survives
+# 60 and 100 of them
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    mode=st.sampled_from(PolicyMode),
+    pattern=_patterns(),
+    drop=st.floats(0.0, 0.5),
+    victim=st.tuples(_OFFSETS, st.booleans()),
+    background=st.lists(st.tuples(_OFFSETS, st.booleans()), max_size=120),
+    vantages=st.lists(_OFFSETS, min_size=3, max_size=3),
+    driver=st.sampled_from(sorted(_SOUND_DRIVERS)),
+    seed=st.integers(0, 2**16),
+)
+def test_a_returned_region_contains_the_victim(mode, pattern, drop, victim, background, vantages, driver, seed):
+    # with the true pattern as the belief, every ring holds the victim, so the
+    # rings never clash (their bounding boxes overlap and their cells meet): the
+    # only empty region is one with no bounded ring, and a returned region
+    # contains the victim
+    world = World(DisclosurePolicy(mode, pattern if mode is PolicyMode.OBFUSCATED else None, drop), seed)
+    (east, north), show = victim
+    truth = _offset(LAB, east, north)
+    world.add_user("victim", truth, show)
+    for i, ((east, north), show) in enumerate(background):
+        world.add_user(f"bg-{i:03d}", _offset(LAB, east, north), show)
+    points = tuple(_offset(LAB, east, north) for east, north in vantages)
+    ids, run = _SOUND_DRIVERS[driver]
+    for uid in ids:
+        world.add_user(uid, points[0], True)
+    try:
+        report = run(world, ids, points)
+    except EmptyRegion as exc:
+        assert str(exc).startswith("no bounded constraint")
+    except (VictimNeverVisible, NonConvergence):
+        pass
+    else:
+        assert report.region.contains(truth)

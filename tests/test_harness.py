@@ -91,10 +91,21 @@ def _hornet_favorites_pattern(**fields):
         (lambda d: d.update(max_entries=-2), "$: max_entries must be a positive integer or null, got -2"),
         (lambda d: d.update(max_entries=0), "$: max_entries must be a positive integer or null, got 0"),
         (_hornet_favorites_pattern(far_unit=math.inf, mid_cutoff=300), "$.policy.pattern: far_unit must be finite"),
+        (lambda d: d["attack"].update(max_moves=-5), "$.attack: max_moves must be at least 1, got -5"),
+        (lambda d: d["attack"].update(max_queries=0), "$.attack: max_queries must be at least 1, got 0"),
+        (lambda d: d["attack"].update(locations=0), "$.attack: locations must be at least 1, got 0"),
+        (lambda d: d["attack"].update(queries_per_location=-1),
+         "$.attack: queries_per_location must be at least 1, got -1"),
+        (lambda d: d["background"].update(radius_m=math.nan),
+         "$.background: generator background needs center, finite radius_m > 0"),
+        (lambda d: d["background"].update(users=[{"id": "u", "lat": 35.0, "lon": 135.0, "show_distance": True}]),
+         "$.background: users cannot be given together with count, center or radius_m"),
     ],
     ids=[
         "typo", "string-int", "bool-int", "no-victim", "bad-enum", "two-vantages", "stale-key", "user-shape",
         "nan-epsilon", "inf-max-distance", "negative-max-entries", "zero-max-entries", "inf-pattern-field",
+        "negative-max-moves", "zero-max-queries", "zero-locations", "negative-queries-per-location",
+        "nan-radius", "users-and-generator",
     ],
 )
 def test_scenario_loading_is_strict(edit, message):
@@ -121,8 +132,9 @@ def test_cli_bad_scenario_file_exits_1_naming_the_key(tmp_path, capsys):
     [
         (lambda d: d["attack"].update(epsilon_m=math.nan), "$.attack: epsilon_m must be finite"),
         (lambda d: d.update(max_entries=-2), "$: max_entries must be a positive integer"),
+        (lambda d: d["attack"].update(max_moves=-5), "$.attack: max_moves must be at least 1"),
     ],
-    ids=["nan-epsilon", "negative-max-entries"],
+    ids=["nan-epsilon", "negative-max-entries", "negative-max-moves"],
 )
 def test_cli_bad_number_in_scenario_file_exits_1(tmp_path, capsys, edit, message):
     path = tmp_path / "bad.json"
