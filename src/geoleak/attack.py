@@ -180,16 +180,38 @@ class CandidateRegion:
         return rings
 
 
+def _require_finite_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def _ring_meets(c: AnnulusConstraint, x0: np.ndarray, y0: np.ndarray, cell_size: float) -> np.ndarray:
+    """Which cells, given by their lower-left corners (x0, y0), have a square
+    that can meet ring c: the distance range from the square to the center
+    overlaps [r_lo, r_hi]. Works elementwise, so any two shapes that broadcast
+    give every cell the same float64 result."""
+    dx_min = np.maximum(np.maximum(x0 - c.center.x, c.center.x - (x0 + cell_size)), 0.0)
+    dy_min = np.maximum(np.maximum(y0 - c.center.y, c.center.y - (y0 + cell_size)), 0.0)
+    dx_max = np.maximum(np.abs(c.center.x - x0), np.abs(c.center.x - (x0 + cell_size)))
+    dy_max = np.maximum(np.abs(c.center.y - y0), np.abs(c.center.y - (y0 + cell_size)))
+    return (np.hypot(dx_min, dy_min) <= c.r_hi) & (np.hypot(dx_max, dy_max) >= c.r_lo)
+
+
 def intersect_constraints(
     constraints: Sequence[AnnulusConstraint], cell_size: float, proj: Projection
 ) -> CandidateRegion:
     """Rasterize the intersection of annulus constraints onto the plane.
 
+    Rings are tested narrowest first (by r_hi - r_lo): the first over the
+    whole grid, each later one only on the cells still live. A cell's test
+    and the resulting region do not depend on that order, only the time does.
+
     Raises:
+        ValueError: cell_size is not finite and positive, or too small for
+            the constraints' extent.
         EmptyRegion: no bounded constraint, or the intersection is empty.
     """
-    if cell_size <= 0.0:
-        raise ValueError("cell_size must be positive")
+    _require_finite_positive("cell_size", cell_size)
     bounded = [c for c in constraints if c.bounded]
     if not bounded:
         raise EmptyRegion("no bounded constraint; cannot rasterize an unbounded region")
@@ -203,20 +225,22 @@ def intersect_constraints(
     j0, j1 = math.floor(y_lo / cell_size), math.ceil(y_hi / cell_size)
     if (i1 - i0) * (j1 - j0) > _MAX_GRID_CELLS:
         raise ValueError("cell_size too small for the constraint extent")
-    xw = np.arange(i0, i1, dtype=float)[None, :] * cell_size
-    ys = np.arange(j0, j1, dtype=float)[:, None] * cell_size
-    occupied = np.ones((j1 - j0, i1 - i0), dtype=bool)
-    for c in constraints:
-        dx_min = np.maximum(np.maximum(xw - c.center.x, c.center.x - (xw + cell_size)), 0.0)
-        dy_min = np.maximum(np.maximum(ys - c.center.y, c.center.y - (ys + cell_size)), 0.0)
-        dx_max = np.maximum(np.abs(c.center.x - xw), np.abs(c.center.x - (xw + cell_size)))
-        dy_max = np.maximum(np.abs(c.center.y - ys), np.abs(c.center.y - (ys + cell_size)))
-        d_min = np.hypot(dx_min, dy_min)
-        d_max = np.hypot(dx_max, dy_max)
-        occupied &= (d_min <= c.r_hi) & (d_max >= c.r_lo)
-    if not occupied.any():
+    xs = np.arange(i0, i1, dtype=float) * cell_size
+    ys = np.arange(j0, j1, dtype=float) * cell_size
+    width = i1 - i0
+    # a ring with r_lo = r_hi = inf has a NaN key; any order gives the same cells
+    first, *rest = sorted(constraints, key=lambda c: c.r_hi - c.r_lo)
+    # broadcast, not gathered: index arrays for the whole grid would raise peak memory
+    live = np.flatnonzero(_ring_meets(first, xs[None, :], ys[:, None], cell_size))
+    for c in rest:
+        live = live[_ring_meets(c, xs[live % width], ys[live // width], cell_size)]
+    if live.size == 0:
         raise EmptyRegion("observations are mutually inconsistent")
-    return CandidateRegion(projection=proj, cell_size=cell_size, i0=i0, j0=j0, occupied=occupied)
+    occupied = np.zeros((j1 - j0) * width, dtype=bool)
+    occupied[live] = True
+    return CandidateRegion(
+        projection=proj, cell_size=cell_size, i0=i0, j0=j0, occupied=occupied.reshape(j1 - j0, width)
+    )
 
 
 # -- attack drivers ----------------------------------------------------------
@@ -233,6 +257,14 @@ class ColludingOptions:
     use_favorites: bool = False
     max_moves: int = 80
     max_queries: int = 40
+
+    def __post_init__(self):
+        _require_finite_positive("epsilon", self.epsilon)
+        _require_finite_positive("cell_size", self.cell_size)
+        for name in ("max_moves", "max_queries"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 @dataclass
@@ -555,9 +587,11 @@ def passive_sandwich_survey(
     account's trajectory is the survey path, the vantage points alone.
 
     Raises:
+        ValueError: cell_size is not finite and positive (before any move).
         VictimNeverVisible: victim absent from all three responses.
         EmptyRegion: no bounded constraint was collected, or constraints clash.
     """
+    _require_finite_positive("cell_size", cell_size)
     session = _Session(world, attacker_ids, vantages, victim_id)
     (observer,) = attacker_ids
     constraints: list[AnnulusConstraint] = []

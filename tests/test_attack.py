@@ -3,6 +3,7 @@ import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -162,6 +163,96 @@ def test_unbounded_only_constraints_raise_empty_region():
     outside = AnnulusConstraint(LocalPoint(0.0, 0.0), 100.0, math.inf)
     with pytest.raises(EmptyRegion):
         intersect_constraints([outside], 5.0, proj)
+
+
+@pytest.mark.parametrize("cell_size", [math.inf, math.nan, 0.0, -5.0])
+def test_cell_size_must_be_finite_and_positive(cell_size):
+    disc = AnnulusConstraint(LocalPoint(0.0, 0.0), 0.0, 100.0)
+    with pytest.raises(ValueError, match="cell_size must be finite and positive"):
+        intersect_constraints([disc], cell_size, Projection.at(LAB))
+
+
+def _reference_raster(constraints, cell_size):
+    """The rasterizer before it tested rings only on live cells: every ring,
+    in the given order, over the whole grid. Returns (i0, j0, occupied)."""
+    bounded = [c for c in constraints if c.bounded]
+    if not bounded:
+        raise EmptyRegion("no bounded constraint")
+    x_lo = max(c.center.x - c.r_hi for c in bounded)
+    x_hi = min(c.center.x + c.r_hi for c in bounded)
+    y_lo = max(c.center.y - c.r_hi for c in bounded)
+    y_hi = min(c.center.y + c.r_hi for c in bounded)
+    if x_lo >= x_hi or y_lo >= y_hi:
+        raise EmptyRegion("constraint bounding boxes do not overlap")
+    i0, i1 = math.floor(x_lo / cell_size), math.ceil(x_hi / cell_size)
+    j0, j1 = math.floor(y_lo / cell_size), math.ceil(y_hi / cell_size)
+    xw = np.arange(i0, i1, dtype=float)[None, :] * cell_size
+    ys = np.arange(j0, j1, dtype=float)[:, None] * cell_size
+    occupied = np.ones((j1 - j0, i1 - i0), dtype=bool)
+    for c in constraints:
+        dx_min = np.maximum(np.maximum(xw - c.center.x, c.center.x - (xw + cell_size)), 0.0)
+        dy_min = np.maximum(np.maximum(ys - c.center.y, c.center.y - (ys + cell_size)), 0.0)
+        dx_max = np.maximum(np.abs(c.center.x - xw), np.abs(c.center.x - (xw + cell_size)))
+        dy_max = np.maximum(np.abs(c.center.y - ys), np.abs(c.center.y - (ys + cell_size)))
+        d_min = np.hypot(dx_min, dy_min)
+        d_max = np.hypot(dx_max, dy_max)
+        occupied &= (d_min <= c.r_hi) & (d_max >= c.r_lo)
+    if not occupied.any():
+        raise EmptyRegion("observations are mutually inconsistent")
+    return i0, j0, occupied
+
+
+@st.composite
+def _ring_sets(draw):
+    cell_size = draw(st.sampled_from((1.0, 2.5, 5.0, 7.3, 20.0, 40.0)))
+    # radii up to 250 cells keep every grid within about 500 cells a side
+    cap = 250.0 * cell_size
+    target = LocalPoint(draw(st.floats(-2000.0, 2000.0)), draw(st.floats(-2000.0, 2000.0)))
+
+    def coordinate(near):  # within reach of the target, so that rings of small cells can meet
+        return draw(st.floats(max(-2000.0, near - cap), min(2000.0, near + cap)))
+
+    rings = []
+    for _ in range(draw(st.integers(1, 8))):
+        center = LocalPoint(coordinate(target.x), coordinate(target.y))
+        # a ring near the target's distance, which it holds if the spread covers the shift
+        middle = math.hypot(target.x - center.x, target.y - center.y) + draw(st.floats(-cap / 10.0, cap / 10.0))
+        spread = st.floats(0.0, cap / 10.0)
+        r_lo, r_hi = (min(max(0.0, r), cap) for r in (middle - draw(spread), middle + draw(spread)))
+        if draw(st.booleans()):  # on whole cells, where a ring can pass exactly through a cell's corner
+            center = LocalPoint(int(center.x / cell_size) * cell_size, int(center.y / cell_size) * cell_size)
+            r_lo, r_hi = (int(r / cell_size) * cell_size for r in (r_lo, r_hi))
+        kind = draw(st.sampled_from(("band", "zero-width", "disc", "outside")))
+        if kind == "zero-width":
+            r_lo = r_hi
+        elif kind == "disc":
+            r_lo = 0.0
+        elif kind == "outside":
+            r_hi = math.inf
+        rings.append(AnnulusConstraint(center, r_lo, r_hi))
+    if draw(st.booleans()):
+        # r_lo = r_hi = inf: no cell meets it, and its width is NaN
+        rings.insert(draw(st.integers(0, len(rings))), AnnulusConstraint(target, math.inf, math.inf))
+    return rings, cell_size
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_ring_sets())
+def test_intersection_matches_the_full_grid_reference(case):
+    rings, cell_size = case
+    try:
+        expected = _reference_raster(rings, cell_size)
+    except EmptyRegion:
+        expected = None
+    try:
+        region = intersect_constraints(rings, cell_size, Projection.at(LAB))
+    except EmptyRegion:
+        assert expected is None
+    else:
+        assert expected is not None
+        i0, j0, occupied = expected
+        assert (region.i0, region.j0, region.occupied.shape) == (i0, j0, occupied.shape)
+        assert region.occupied.tobytes() == occupied.tobytes()
 
 
 def test_region_area_monotone_in_constraints():
@@ -344,6 +435,22 @@ def test_colluding_validates_arguments():
         colluding_trilateration(world, ("attacker", "colluder-a", "victim"), SURVEY_TRIANGLE, "victim")
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("epsilon", math.nan, "epsilon must be finite and positive"),
+        ("epsilon", 0.0, "epsilon must be finite and positive"),
+        ("cell_size", math.inf, "cell_size must be finite and positive"),
+        ("cell_size", -5.0, "cell_size must be finite and positive"),
+        ("max_moves", 0, "max_moves must be at least 1"),
+        ("max_queries", -1, "max_queries must be at least 1"),
+    ],
+)
+def test_colluding_options_are_validated(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        ColludingOptions(**{field: value})
+
+
 # -- passive survey ----------------------------------------------------------------
 
 
@@ -374,6 +481,17 @@ def test_passive_survey_with_no_flankers_raises_empty_region():
     world.add_user("attacker", DEMACHIYANAGI_STATION, True)
     with pytest.raises(EmptyRegion):
         passive_sandwich_survey(world, ("attacker",), SURVEY_TRIANGLE, "victim")
+
+
+@pytest.mark.parametrize("cell_size", [0.0, -5.0, math.nan])
+def test_passive_survey_checks_cell_size_before_moving(cell_size):
+    world = _uniform_world(EXACT, 17, 20, 2000.0)
+    world.add_user("victim", LAB, True)
+    world.add_user("attacker", DEMACHIYANAGI_STATION, True)
+    with pytest.raises(ValueError, match="cell_size must be finite and positive"):
+        passive_sandwich_survey(world, ("attacker",), SURVEY_TRIANGLE, "victim", cell_size)
+    assert world.users["attacker"].location == DEMACHIYANAGI_STATION
+    assert not +world.queries
 
 
 def test_passive_survey_victim_never_visible():
