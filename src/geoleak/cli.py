@@ -16,11 +16,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from .harness import (
+    Scenario,
     emit_scatter,
     load_samples_csv,
     run_suite,
     save_samples_csv,
-    scenario_from_json,
 )
 from .jsonio import from_json, to_json
 from .obfuscation import HORNET_DEFAULT, InsufficientSamples, ObfuscationPattern, infer_pattern
@@ -91,7 +91,7 @@ def _load_scenario(spec: str):
     if spec.startswith("preset:"):
         return preset(spec.removeprefix("preset:"))
     with open(spec) as fh:
-        return scenario_from_json(json.load(fh))
+        return from_json(Scenario, json.load(fh))
 
 
 def _load_pattern(spec: str):

@@ -24,11 +24,12 @@ Scenario JSON schema::
       "max_entries": null
     }
 
-Loading is strict: an unknown key, a missing required key or a value of the
-wrong JSON type (a boolean for a number, a string for an integer) raises
-ValueError naming the key path, e.g. ``$.attack: unknown key 'epsilon'``. A key
-whose dataclass field has a default (every `attack` key but `kind`, say) may be
-left out and takes that default.
+The dataclasses below spell the file: ``jsonio.from_json(Scenario, doc)`` reads
+it and `scenario_to_json` writes it. Loading is strict: an unknown key, a
+missing required key or a value of the wrong JSON type (a boolean for a number,
+a string for an integer) raises ValueError naming the key path, e.g.
+``$.attack: unknown key 'epsilon'``. A key whose dataclass field has a default
+(every `attack` key but `kind`, say) may be left out and takes that default.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import random
 import statistics
 from dataclasses import astuple, dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .attack import (
     AttackReport,
@@ -56,7 +57,7 @@ from .attack import (
     query_counts,
 )
 from .geodesy import GeoPoint, LocalPoint, Projection, haversine_distance, unproject
-from .jsonio import from_json, to_json
+from .jsonio import to_json
 from .lbs_sim import DisclosurePolicy, World, check_max_entries
 from .obfuscation import (
     HORNET_DEFAULT,
@@ -104,11 +105,37 @@ ATTACK_KINDS = (*_LOCATORS, "infer_pattern")
 _BACKGROUND_SALT = 0x6267656E  # decorrelates user placement from the world's own streams
 
 
+class _Located:
+    """A (lat, lon) record as the scenario file spells it, checked as a GeoPoint."""
+
+    def __post_init__(self):
+        GeoPoint(self.lat, self.lon)  # raises ValueError on a bad coordinate
+
+    @property
+    def point(self) -> GeoPoint:
+        return GeoPoint(self.lat, self.lon)
+
+
+@dataclass(frozen=True)
+class VictimSpec(_Located):
+    lat: float
+    lon: float
+    show_distance: bool
+
+
+@dataclass(frozen=True)
+class BackgroundUser(_Located):
+    id: str
+    lat: float
+    lon: float
+    show_distance: bool
+
+
 @dataclass(frozen=True)
 class BackgroundSpec:
     """Either an explicit user list or a uniform-disc generator."""
 
-    users: tuple[tuple[str, GeoPoint, bool], ...] | None = None
+    users: tuple[BackgroundUser, ...] | None = None
     count: int = 0
     center: GeoPoint | None = None
     radius_m: float = 0.0
@@ -154,8 +181,7 @@ class Scenario:
     name: str
     policy: DisclosurePolicy
     seed: int
-    victim: GeoPoint
-    victim_show_distance: bool
+    victim: VictimSpec
     background: BackgroundSpec
     attack: AttackSpec
     max_entries: int | None = None
@@ -195,11 +221,11 @@ def build_world(scenario: Scenario, seed: int) -> tuple[World, tuple[str, ...], 
     default triangle scaled to the victim-plus-background population).
     """
     world = World(scenario.policy, seed, scenario.max_entries)
-    world.add_user(VICTIM_ID, scenario.victim, scenario.victim_show_distance)
+    world.add_user(VICTIM_ID, scenario.victim.point, scenario.victim.show_distance)
     bg = scenario.background
     if bg.users is not None:
-        for uid, point, show in bg.users:
-            world.add_user(uid, point, show)
+        for u in bg.users:
+            world.add_user(u.id, u.point, u.show_distance)
     else:
         rng = random.Random(seed ^ _BACKGROUND_SALT)
         proj = Projection.at(bg.center)
@@ -289,7 +315,7 @@ def run_scenario(scenario: Scenario, out_dir: Path | None = None, seed: int | No
         scenario=scenario.name,
         seed=seed,
         outcome=outcome,
-        localization_error=haversine_distance(report.estimate, scenario.victim) if report else None,
+        localization_error=haversine_distance(report.estimate, scenario.victim.point) if report else None,
         region_area=report.region_area if report else None,
         moves=report.moves if report else None,
         queries=queries,
@@ -297,12 +323,14 @@ def run_scenario(scenario: Scenario, out_dir: Path | None = None, seed: int | No
     )
     log.info("%s seed=%d outcome=%s error=%s queries=%d", scenario.name, seed, outcome, row.localization_error, queries)
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         doc = scenario_geojson(scenario, vantages, report, row)
-        path = out_dir / f"{scenario.name}-{seed}.geojson"
-        path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        _write_json(Path(out_dir) / f"{scenario.name}-{seed}.geojson", doc)
     return row
+
+
+def _write_json(path: Path, doc) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _run_inference(scenario: Scenario, seed: int, out_dir: Path | None) -> MetricsRow:
@@ -328,9 +356,7 @@ def _run_inference(scenario: Scenario, seed: int, out_dir: Path | None) -> Metri
         out_dir.mkdir(parents=True, exist_ok=True)
         save_samples_csv(samples, out_dir / f"{scenario.name}-{seed}-scatter.csv")
         if inferred_json is not None:
-            (out_dir / f"{scenario.name}-{seed}-inferred.json").write_text(
-                json.dumps(inferred_json, sort_keys=True, separators=(",", ":")) + "\n"
-            )
+            _write_json(out_dir / f"{scenario.name}-{seed}-inferred.json", inferred_json)
     return MetricsRow(
         scenario=scenario.name,
         seed=seed,
@@ -455,48 +481,10 @@ def scenario_geojson(
 # -- scenario (de)serialization ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _UserJson:
-    """One explicit background user as a scenario file spells it."""
-
-    id: str
-    lat: float
-    lon: float
-    show_distance: bool
-
-
-def _take(obj, key: str, path: str) -> tuple[object, dict]:
-    """obj[key] and the rest of the JSON object at ``path``; key is required."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: expected object")
-    if key not in obj:
-        raise ValueError(f"{path}: missing key {key!r}")
-    rest = dict(obj)
-    return rest.pop(key), rest
-
-
-# The file spells two things differently from the dataclasses: the victim's
-# show_distance sits inside "victim", and explicit background users are
-# {id, lat, lon, show_distance} objects, not (id, point, flag) triples.
-
-
 def scenario_to_json(s: Scenario) -> dict:
+    """The scenario file's document; its background keeps only the user list or the generator keys."""
     doc = to_json(s)
-    doc["victim"]["show_distance"] = doc.pop("victim_show_distance")
     users = doc["background"].pop("users")
     if users is not None:
-        doc["background"] = {"users": [{"id": uid, **p, "show_distance": show} for uid, p, show in users]}
+        doc["background"] = {"users": users}
     return doc
-
-
-def scenario_from_json(obj: Mapping) -> Scenario:
-    """Inverse of scenario_to_json; strict (see the module docstring)."""
-    victim, doc = _take(obj, "victim", "$")
-    doc["victim_show_distance"], doc["victim"] = _take(victim, "show_distance", "$.victim")
-    background = _take(doc, "background", "$")[0]
-    if isinstance(background, dict) and "users" in background:
-        users, rest = _take(background, "users", "$.background")
-        users = from_json(tuple[_UserJson, ...], users, "$.background.users")
-        rest["users"] = [[u.id, {"lat": u.lat, "lon": u.lon}, u.show_distance] for u in users]
-        doc["background"] = rest
-    return from_json(Scenario, doc)

@@ -48,14 +48,10 @@ def from_json(tp, obj, path: str = "$"):
             return None
         (inner,) = [a for a in args if a is not type(None)]
         return from_json(inner, obj, path)
-    if origin is tuple:
+    if origin is tuple and args[1:] == (Ellipsis,):  # tuple[X, ...]; other tuples reach the TypeError below
         if not isinstance(obj, list):
             raise ValueError(f"{path}: expected array, got {_kind(obj)}")
-        if len(args) == 2 and args[1] is Ellipsis:
-            args = (args[0],) * len(obj)
-        elif len(obj) != len(args):
-            raise ValueError(f"{path}: expected {len(args)} items, got {len(obj)}")
-        return tuple(from_json(a, v, f"{path}[{i}]") for i, (a, v) in enumerate(zip(args, obj)))
+        return tuple(from_json(args[0], v, f"{path}[{i}]") for i, v in enumerate(obj))
     if dataclasses.is_dataclass(tp):
         if not isinstance(obj, dict):
             raise ValueError(f"{path}: expected object, got {_kind(obj)}")
@@ -82,7 +78,10 @@ def from_json(tp, obj, path: str = "$"):
     if tp not in _JSON_TYPE_NAMES:
         raise TypeError(f"{path}: no JSON decoding for type {tp!r}")
     if tp is float and _kind(obj) == "number":
-        return float(obj)
+        try:
+            return float(obj)
+        except OverflowError:
+            raise ValueError(f"{path}: number too large for a float") from None
     if type(obj) is not tp:
         raise ValueError(f"{path}: expected {_JSON_TYPE_NAMES[tp]}, got {_kind(obj)}")
     return obj

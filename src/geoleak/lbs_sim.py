@@ -113,7 +113,6 @@ class World:
     def __init__(self, policy: DisclosurePolicy, seed: int, max_entries: int | None = None):
         check_max_entries(max_entries)
         self.policy = policy
-        self.seed = seed
         self.max_entries = max_entries
         self.users: dict[str, SimUser] = {}
         self.favorites: dict[str, list[str]] = {}

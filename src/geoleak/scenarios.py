@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .fixtures import SCIENCE_FRONTIER_LAB, SURVEY_TRIANGLE
 from .geodesy import GeoPoint, LocalPoint, Projection, unproject
-from .harness import AttackSpec, BackgroundSpec, Scenario
+from .harness import AttackSpec, BackgroundSpec, Scenario, VictimSpec
 from .lbs_sim import DisclosurePolicy, PolicyMode
 from .obfuscation import HORNET_DEFAULT
 
@@ -19,8 +19,7 @@ def kyoto_exact() -> Scenario:
         name="kyoto-exact",
         policy=DisclosurePolicy(PolicyMode.EXACT_DISTANCE),
         seed=1,
-        victim=SCIENCE_FRONTIER_LAB,
-        victim_show_distance=True,
+        victim=VictimSpec(SCIENCE_FRONTIER_LAB.lat, SCIENCE_FRONTIER_LAB.lon, show_distance=True),
         background=BackgroundSpec(users=()),
         attack=AttackSpec(kind="trilateration", vantage_points=SURVEY_TRIANGLE),
     )
@@ -32,8 +31,7 @@ def grindr_hidden() -> Scenario:
         name="grindr-hidden",
         policy=DisclosurePolicy(PolicyMode.HIDDEN_RESPECTS_FLAG),
         seed=7,
-        victim=SCIENCE_FRONTIER_LAB,
-        victim_show_distance=False,
+        victim=VictimSpec(SCIENCE_FRONTIER_LAB.lat, SCIENCE_FRONTIER_LAB.lon, show_distance=False),
         background=BackgroundSpec(count=50, center=SCIENCE_FRONTIER_LAB, radius_m=1500.0),
         attack=AttackSpec(kind="colluding", vantage_points=SURVEY_TRIANGLE),
     )
@@ -53,8 +51,7 @@ def sparse_remote() -> Scenario:
         name="sparse-remote",
         policy=DisclosurePolicy(PolicyMode.EXACT_DISTANCE),
         seed=11,
-        victim=victim,
-        victim_show_distance=True,
+        victim=VictimSpec(victim.lat, victim.lon, show_distance=True),
         background=BackgroundSpec(count=50, center=cluster_center, radius_m=300.0),
         attack=AttackSpec(kind="passive_sandwich", vantage_points=vantages),
     )
@@ -67,8 +64,7 @@ def hornet_no_favorites() -> Scenario:
         name="hornet-no-favorites",
         policy=DisclosurePolicy(PolicyMode.OBFUSCATED, pattern=HORNET_DEFAULT, drop_probability=0.5),
         seed=3,
-        victim=SCIENCE_FRONTIER_LAB,
-        victim_show_distance=False,
+        victim=VictimSpec(SCIENCE_FRONTIER_LAB.lat, SCIENCE_FRONTIER_LAB.lon, show_distance=False),
         background=BackgroundSpec(count=50, center=SCIENCE_FRONTIER_LAB, radius_m=1500.0),
         attack=AttackSpec(kind="colluding", vantage_points=SURVEY_TRIANGLE),
     )
@@ -81,8 +77,7 @@ def hornet_favorites() -> Scenario:
         name="hornet-favorites",
         policy=DisclosurePolicy(PolicyMode.OBFUSCATED, pattern=HORNET_DEFAULT, drop_probability=0.5),
         seed=5,
-        victim=SCIENCE_FRONTIER_LAB,
-        victim_show_distance=False,
+        victim=VictimSpec(SCIENCE_FRONTIER_LAB.lat, SCIENCE_FRONTIER_LAB.lon, show_distance=False),
         background=BackgroundSpec(count=50, center=SCIENCE_FRONTIER_LAB, radius_m=1500.0),
         attack=AttackSpec(kind="colluding_favorites", vantage_points=SURVEY_TRIANGLE),
     )
@@ -95,8 +90,7 @@ def hornet_scatter() -> Scenario:
         name="hornet-scatter",
         policy=DisclosurePolicy(PolicyMode.OBFUSCATED, pattern=HORNET_DEFAULT),
         seed=2016,
-        victim=SCIENCE_FRONTIER_LAB,
-        victim_show_distance=True,
+        victim=VictimSpec(SCIENCE_FRONTIER_LAB.lat, SCIENCE_FRONTIER_LAB.lon, show_distance=True),
         background=BackgroundSpec(users=()),
         attack=AttackSpec(
             kind="infer_pattern", locations=3000, queries_per_location=30, max_distance_m=3000.0

@@ -50,7 +50,7 @@ def test_criterion_2_colluding_locates_hidden_victim():
         start = time.perf_counter()
         report = colluding_trilateration(world, ids, vantages, VICTIM_ID, opts)
         worst_time = max(worst_time, time.perf_counter() - start)
-        err = haversine_distance(report.estimate, sc.victim)
+        err = haversine_distance(report.estimate, sc.victim.point)
         worst_err = max(worst_err, err)
         for accepted, s0 in zip(report.accepted_steps, report.initial_separations):
             budget = max(0, math.ceil(math.log2(max(s0, opts.epsilon) / opts.epsilon)))
@@ -72,7 +72,7 @@ def test_criterion_3_sparse_remote_region_contains_victim():
     for i in range(20):
         world, ids, vantages = build_world(sc, seed=sc.seed + i)
         report = passive_sandwich_survey(world, ids, vantages, VICTIM_ID, cell_size=sc.attack.cell_size_m)
-        contained += report.region.contains(sc.victim)
+        contained += report.region.contains(sc.victim.point)
     _verdict(3, contained == 20, f"remote-victim survey containment {contained}/20 seeds")
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from test_obfuscation import _patterns
 
 from geoleak import attack
@@ -113,22 +114,12 @@ def test_observation_validation():
 # -- constraints and regions -------------------------------------------------------
 
 
-def test_annulus_membership():
-    proj = Projection.at(LAB)
-    ann = AnnulusConstraint(project(LAB, proj), 100.0, 200.0)
-    center = ann.center
-    assert ann.contains_local(LocalPoint(center.x + 150.0, center.y))
-    assert not ann.contains_local(LocalPoint(center.x + 50.0, center.y))
-    assert not ann.contains_local(LocalPoint(center.x + 250.0, center.y))
-
-
 def test_disc_and_unbounded_special_cases():
     proj = Projection.at(LAB)
     disc = AnnulusConstraint(project(LAB, proj), 0.0, 500.0)
-    assert disc.bounded and disc.contains_local(LocalPoint(disc.center.x, disc.center.y))
+    assert disc.bounded
     outside = AnnulusConstraint(project(LAB, proj), 500.0, math.inf)
     assert not outside.bounded
-    assert outside.contains_local(LocalPoint(outside.center.x + 900.0, outside.center.y))
 
 
 def test_single_disc_area_close_to_analytic():
@@ -282,9 +273,51 @@ def test_region_geojson_feature_shape():
     (feature,) = [f for f in doc["features"] if f["properties"]["role"] == "region"]
     assert feature["properties"] == {"role": "region", "cell_size_m": 10.0, "area_m2": region.area()}
     assert feature["geometry"]["type"] == "MultiPolygon"
-    assert len(feature["geometry"]["coordinates"]) == region.cell_count()
+    assert len(feature["geometry"]["coordinates"]) == int(region.occupied.sum())
     ring = feature["geometry"]["coordinates"][0][0]
     assert len(ring) == 5 and ring[0] == ring[-1]
+
+
+def _five_corner_rings(region):
+    """Reference for CandidateRegion.cell_rings: every corner of every cell
+    unprojected on its own, the closing one again."""
+    rings = []
+    c = region.cell_size
+    for j, i in zip(*np.nonzero(region.occupied)):
+        x0, y0 = (region.i0 + int(i)) * c, (region.j0 + int(j)) * c
+        corners = [(x0, y0), (x0 + c, y0), (x0 + c, y0 + c), (x0, y0 + c), (x0, y0)]
+        points = (unproject(LocalPoint(x, y), region.projection) for x, y in corners)
+        rings.append([(p.lon, p.lat) for p in points])
+    return rings
+
+
+def _rings_or_error(rings_of, region):
+    try:
+        return rings_of(region)
+    except ValueError:  # a corner outside the projection window or the globe
+        return ValueError
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    lat=st.floats(-80.0, 80.0),
+    lon=st.floats(-180.0, 180.0),
+    cell_size=st.sampled_from([1.0, 2.5, 5.0, 7.3, 20.0, 40.0]),
+    corner=st.tuples(*[st.one_of(st.floats(-130_000.0, 130_000.0), st.floats(119_700.0, 120_000.0))] * 2),
+    occupied=arrays(bool, st.tuples(st.integers(1, 6), st.integers(1, 6))),
+)
+def test_cell_rings_match_the_five_corner_version(lat, lon, cell_size, corner, occupied):
+    # i0/j0 of either sign, reaching past the 120 km projection window (often
+    # with only the far corners past it) and, near lon +-180, past the
+    # antimeridian, where both versions must raise
+    region = attack.CandidateRegion(
+        projection=Projection.at(GeoPoint(lat, lon)),
+        cell_size=cell_size,
+        i0=math.floor(corner[0] / cell_size),
+        j0=math.floor(corner[1] / cell_size),
+        occupied=occupied,
+    )
+    assert _rings_or_error(attack.CandidateRegion.cell_rings, region) == _rings_or_error(_five_corner_rings, region)
 
 
 # -- the original profile-view attack ------------------------------------------------

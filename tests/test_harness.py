@@ -12,15 +12,16 @@ from geoleak.geodesy import GeoPoint, haversine_distance
 from geoleak.harness import (
     AttackSpec,
     BackgroundSpec,
+    Scenario,
     build_world,
     emit_scatter,
     load_samples_csv,
     run_scenario,
     run_suite,
     save_samples_csv,
-    scenario_from_json,
     scenario_to_json,
 )
+from geoleak.jsonio import from_json
 from geoleak.obfuscation import HORNET_DEFAULT, obfuscation_envelope
 from geoleak.scenarios import PRESETS, preset
 
@@ -31,7 +32,7 @@ def test_presets_serialize_round_trip():
     for name in PRESETS:
         sc = preset(name)
         doc = scenario_to_json(sc)
-        again = scenario_to_json(scenario_from_json(json.loads(json.dumps(doc))))
+        again = scenario_to_json(from_json(Scenario, json.loads(json.dumps(doc))))
         assert again == doc
         assert sc.name == name
 
@@ -55,7 +56,7 @@ def test_preset_dumps_match_pinned_format():
     for name, digest in PRESET_DUMP_DIGESTS.items():
         text = json.dumps(scenario_to_json(preset(name)), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, name
-        assert scenario_from_json(dumps[name]) == preset(name), name
+        assert from_json(Scenario, dumps[name]) == preset(name), name
 
 
 def _edited_dump(edit):
@@ -100,23 +101,26 @@ def _hornet_favorites_pattern(**fields):
          "$.background: generator background needs center, finite radius_m > 0"),
         (lambda d: d["background"].update(users=[{"id": "u", "lat": 35.0, "lon": 135.0, "show_distance": True}]),
          "$.background: users cannot be given together with count, center or radius_m"),
+        (lambda d: d["attack"].update(epsilon_m=10**400), "$.attack.epsilon_m: number too large for a float"),
+        (lambda d: d.update(background={"users": [{"id": "u", "lat": 95.0, "lon": 135.0, "show_distance": True}]}),
+         "$.background.users[0]: latitude out of range"),
     ],
     ids=[
         "typo", "string-int", "bool-int", "no-victim", "bad-enum", "two-vantages", "stale-key", "user-shape",
         "nan-epsilon", "inf-max-distance", "negative-max-entries", "zero-max-entries", "inf-pattern-field",
         "negative-max-moves", "zero-max-queries", "zero-locations", "negative-queries-per-location",
-        "nan-radius", "users-and-generator",
+        "nan-radius", "users-and-generator", "huge-epsilon", "user-latitude",
     ],
 )
 def test_scenario_loading_is_strict(edit, message):
     with pytest.raises(ValueError) as err:
-        scenario_from_json(_edited_dump(edit))
+        from_json(Scenario, _edited_dump(edit))
     assert str(err.value).startswith(message)
 
 
 def test_scenario_keys_left_out_take_the_dataclass_defaults():
     doc = _edited_dump(lambda d: (d.update(attack={"kind": "colluding"}), d.pop("max_entries")))
-    sc = scenario_from_json(doc)
+    sc = from_json(Scenario, doc)
     assert sc.attack == AttackSpec(kind="colluding") and sc.max_entries is None
 
 
@@ -133,8 +137,9 @@ def test_cli_bad_scenario_file_exits_1_naming_the_key(tmp_path, capsys):
         (lambda d: d["attack"].update(epsilon_m=math.nan), "$.attack: epsilon_m must be finite"),
         (lambda d: d.update(max_entries=-2), "$: max_entries must be a positive integer"),
         (lambda d: d["attack"].update(max_moves=-5), "$.attack: max_moves must be at least 1"),
+        (lambda d: d["attack"].update(epsilon_m=10**400), "$.attack.epsilon_m: number too large for a float"),
     ],
-    ids=["nan-epsilon", "negative-max-entries", "negative-max-moves"],
+    ids=["nan-epsilon", "negative-max-entries", "negative-max-moves", "huge-epsilon"],
 )
 def test_cli_bad_number_in_scenario_file_exits_1(tmp_path, capsys, edit, message):
     path = tmp_path / "bad.json"
@@ -212,7 +217,7 @@ def test_metric_consistency_between_csv_and_geojson(tmp_path):
     doc = json.loads((tmp_path / f"{sc.name}-{sc.seed}.geojson").read_text())
     estimate = next(f for f in doc["features"] if f["properties"].get("role") == "estimate")
     lon, lat = estimate["geometry"]["coordinates"]
-    recomputed = haversine_distance(GeoPoint(lat, lon), sc.victim)
+    recomputed = haversine_distance(GeoPoint(lat, lon), sc.victim.point)
     with open(tmp_path / "metrics.csv", newline="") as fh:
         table = [r for r in csv.DictReader(fh)]
     result = next(r for r in table if r["row_type"] == "result")
@@ -264,10 +269,28 @@ def test_inference_scenario_closed_loop(tmp_path):
     assert (tmp_path / f"{sc.name}-{sc.seed}-scatter.csv").exists()
 
 
+def test_explicit_users_reproduce_the_generated_background(tmp_path):
+    sc = preset("grindr-hidden")
+    world, _, _ = build_world(sc, sc.seed)
+    users = [
+        {"id": uid, "lat": u.location.lat, "lon": u.location.lon, "show_distance": u.show_distance}
+        for uid, u in world.users.items()
+        if uid.startswith("bg-")
+    ]
+    assert len(users) == 50
+    doc = json.loads(json.dumps({**scenario_to_json(sc), "background": {"users": users}}))
+    explicit = from_json(Scenario, doc)
+    assert scenario_to_json(explicit) == doc
+    rows = [run_scenario(s, out_dir=tmp_path / d) for s, d in ((sc, "generated"), (explicit, "explicit"))]
+    assert rows[0] == rows[1]
+    name = f"{sc.name}-{sc.seed}.geojson"
+    assert (tmp_path / "generated" / name).read_bytes() == (tmp_path / "explicit" / name).read_bytes()
+
+
 def test_scenario_runs_from_json_file(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario_to_json(preset("kyoto-exact"))))
-    row = run_scenario(scenario_from_json(json.loads(path.read_text())))
+    row = run_scenario(from_json(Scenario, json.loads(path.read_text())))
     assert row.outcome == "success"
 
 
