@@ -399,25 +399,26 @@ def _flank_bounds(session: _Session, resp: QueryResponse, victim_index: int, van
     no bound (0 / inf). A reading is inverted with the session's pattern
     belief when there is one, and taken as the true distance otherwise."""
 
-    def bound(entry, upper: bool) -> float | None:
-        if entry.user in session.trajectories:
-            return session.side_distance(vantage, entry.user)
-        if entry.shown_distance is None:
+    def bound(i: int, upper: bool) -> float | None:
+        uid, shown = resp.users[i], resp.shown[i]
+        if uid in session.trajectories:
+            return session.side_distance(vantage, uid)
+        if shown is None:
             return None
         if session.pattern is None:
-            return entry.shown_distance
-        interval = invert_reading(entry.shown_distance, session.pattern)
+            return shown
+        interval = invert_reading(shown, session.pattern)
         if interval is None:
             return None
         return interval[1] if upper else interval[0]
 
     lo, hi = 0.0, math.inf
     if victim_index > 0:
-        b = bound(resp.entries[victim_index - 1], upper=False)
+        b = bound(victim_index - 1, upper=False)
         if b is not None:
             lo = b
-    if victim_index < len(resp.entries) - 1:
-        b = bound(resp.entries[victim_index + 1], upper=True)
+    if victim_index < len(resp.users) - 1:
+        b = bound(victim_index + 1, upper=True)
         if b is not None:
             hi = b
     return lo, hi

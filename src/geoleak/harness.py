@@ -73,6 +73,7 @@ log = logging.getLogger(__name__)
 VICTIM_ID = "victim"
 _OBSERVER = ("attacker",)
 _COLLUDERS = ("attacker", "colluder-a", "colluder-b")
+_RESERVED_IDS = frozenset((VICTIM_ID, *_COLLUDERS))  # accounts build_world adds itself
 
 
 def _colluding(world: World, ids: tuple[str, ...], vantages: tuple[GeoPoint, ...], a: AttackSpec) -> AttackReport:
@@ -144,6 +145,13 @@ class BackgroundSpec:
         if self.users is not None:
             if (self.count, self.center, self.radius_m) != (0, None, 0.0):
                 raise ValueError("users cannot be given together with count, center or radius_m")
+            seen = set()
+            for i, u in enumerate(self.users):
+                if u.id in _RESERVED_IDS:
+                    raise ValueError(f"users[{i}]: id {u.id!r} is reserved")
+                if u.id in seen:
+                    raise ValueError(f"users[{i}]: id {u.id!r} is already taken by an earlier user")
+                seen.add(u.id)
         elif self.center is None or not (math.isfinite(self.radius_m) and self.radius_m > 0.0) or self.count < 0:
             raise ValueError("generator background needs center, finite radius_m > 0, count >= 0")
 

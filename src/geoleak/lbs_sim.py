@@ -82,11 +82,7 @@ class SimUser:
 
 @dataclass(frozen=True)
 class ScreenEntry:
-    """One row of a distance-sorted screen: what any user of the service sees.
-
-    The entry order, the user id and shown_distance are all it carries; the
-    true distance stays inside the World.
-    """
+    """A screen row or a profile view: a user id and the distance shown for them."""
 
     user: str
     shown_distance: float | None
@@ -94,13 +90,26 @@ class ScreenEntry:
 
 @dataclass(frozen=True)
 class QueryResponse:
-    entries: tuple[ScreenEntry, ...]
+    """A distance-sorted screen, column by column: what any user of the service sees.
+
+    users[i] is the i-th closest user shown and shown[i] the distance shown
+    for them (None where hidden). The order, the ids and the shown distances
+    are all it carries; the true distance stays inside the World.
+    """
+
+    users: tuple[str, ...]
+    shown: tuple[float | None, ...]
+
+    @property
+    def entries(self) -> tuple[ScreenEntry, ...]:
+        """The screen as rows, built on each access."""
+        return tuple(map(ScreenEntry, self.users, self.shown))
 
     def index_of(self, user_id: str) -> int | None:
-        for i, entry in enumerate(self.entries):
-            if entry.user == user_id:
-                return i
-        return None
+        try:
+            return self.users.index(user_id)
+        except ValueError:
+            return None
 
 
 class World:
@@ -108,6 +117,10 @@ class World:
 
     The projection plane is anchored at the centroid of all user positions and
     freezes at the first query; users added or moved later do not shift it.
+
+    A user's location changes only through move_user, which keeps the
+    read-side caches current: the coordinate array (_coords) and the row of
+    distances from the last ranked observer's location (_dists).
     """
 
     def __init__(self, policy: DisclosurePolicy, seed: int, max_entries: int | None = None):
@@ -129,6 +142,11 @@ class World:
         self._order: list[SimUser] | None = None
         self._coords: np.ndarray | None = None
         self._shows: np.ndarray | None = None
+        # haversine_distance(_origin, user.location) per user id, filled as
+        # screens rank users; valid while the observer stands on the same
+        # GeoPoint object, and move_user drops the mover's entry
+        self._origin: GeoPoint | None = None
+        self._dists: dict[str, float] = {}
 
     # -- registry -------------------------------------------------------
 
@@ -140,6 +158,7 @@ class World:
 
     def move_user(self, user_id: str, location: GeoPoint) -> None:
         self._require(user_id).location = location
+        self._dists.pop(user_id, None)
         if self._coords is not None:
             column = bisect_left(self._order, user_id, key=attrgetter("id"))
             self._coords[:, column] = (location.lat, location.lon)
@@ -185,7 +204,7 @@ class World:
         subjects = list(compress(order, kept))
         if self.max_entries is not None and len(subjects) > self.max_entries:
             subjects = self._candidates(obs, kept)
-        return QueryResponse(self._rank_and_render(obs, subjects, self.max_entries))
+        return self._rank_and_render(obs, subjects, self.max_entries)
 
     def query_favorites(self, observer: str) -> QueryResponse:
         """Distance-sorted view of exactly the observer's favorites; never dropped."""
@@ -193,7 +212,7 @@ class World:
         self._freeze()
         self.queries[observer] += 1
         targets = [self.users[uid] for uid in sorted(self.favorites.get(observer, ()))]
-        return QueryResponse(self._rank_and_render(obs, targets))
+        return self._rank_and_render(obs, targets)
 
     def view_profile(self, observer: str, subject: str) -> ScreenEntry:
         """Single-user profile view; never dropped, fresh obfuscation draw per view."""
@@ -202,7 +221,8 @@ class World:
         self._freeze()
         self.queries[observer] += 1
         self.profile_views[subject] += 1
-        return ScreenEntry(subj.id, self._shown(subj, haversine_distance(obs.location, subj.location)))
+        (shown,) = self._shown([(haversine_distance(obs.location, subj.location), subj)])
+        return ScreenEntry(subj.id, shown)
 
     def add_favorite(self, owner: str, target: str) -> None:
         self._require(owner)
@@ -244,25 +264,31 @@ class World:
             ruled_out &= ~self._shows[rows] | (approx >= self.policy.pattern.mid_cutoff + _APPROX_SLACK_M)
         return [order[i] for i in rows[~ruled_out].tolist()]
 
-    def _rank_and_render(
-        self, obs: SimUser, subjects: list[SimUser], limit: int | None = None
-    ) -> tuple[ScreenEntry, ...]:
-        """Rank subjects, given in id order, by true distance; entries for the first limit.
+    def _rank_and_render(self, obs: SimUser, subjects: list[SimUser], limit: int | None = None) -> QueryResponse:
+        """Rank subjects, given in id order, by true distance; a screen of the first limit.
 
         The sort is stable, so equal distances stay in id order. Every ranked
-        subject takes its obfuscation draw, in ranked order.
+        subject takes its obfuscation draw, in ranked order. Distances come
+        from the row kept for the observer's location, which is started over
+        when the observer stands on another GeoPoint object.
         """
         here = obs.location
-        ranked = sorted([(haversine_distance(here, u.location), u) for u in subjects], key=itemgetter(0))
-        shown = [self._shown(u, d) for d, u in ranked]
-        return tuple(ScreenEntry(u.id, s) for (_, u), s in zip(ranked[:limit], shown))
+        if here is not self._origin:
+            self._origin, self._dists = here, {}
+        dists = self._dists
+        for u in subjects:
+            if u.id not in dists:
+                dists[u.id] = haversine_distance(here, u.location)
+        ranked = sorted([(dists[u.id], u) for u in subjects], key=itemgetter(0))
+        shown = self._shown(ranked)
+        return QueryResponse(tuple([u.id for _, u in ranked[:limit]]), tuple(shown[:limit]))
 
-    def _shown(self, subject: SimUser, true_d: float) -> float | None:
+    def _shown(self, ranked: list[tuple[float, SimUser]]) -> list[float | None]:
+        """Shown distances of (true distance, user) pairs, drawn in their order."""
         mode = self.policy.mode
         if mode is PolicyMode.EXACT_DISTANCE:
-            return true_d
-        if not subject.show_distance:
-            return None
+            return [d for d, _ in ranked]
         if mode is PolicyMode.HIDDEN_RESPECTS_FLAG:
-            return true_d
-        return obfuscate_distance(true_d, self.policy.pattern, self._obf_rng)
+            return [d if u.show_distance else None for d, u in ranked]
+        pattern, rng = self.policy.pattern, self._obf_rng
+        return [obfuscate_distance(d, pattern, rng) if u.show_distance else None for d, u in ranked]

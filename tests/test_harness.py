@@ -65,6 +65,10 @@ def _edited_dump(edit):
     return doc
 
 
+def _bg_user(uid):
+    return {"id": uid, "lat": 35.03, "lon": 135.78, "show_distance": True}
+
+
 def _hornet_favorites_pattern(**fields):
     """An edit that swaps in the hornet-favorites dump with these pattern fields."""
 
@@ -104,12 +108,18 @@ def _hornet_favorites_pattern(**fields):
         (lambda d: d["attack"].update(epsilon_m=10**400), "$.attack.epsilon_m: number too large for a float"),
         (lambda d: d.update(background={"users": [{"id": "u", "lat": 95.0, "lon": 135.0, "show_distance": True}]}),
          "$.background.users[0]: latitude out of range"),
+        (lambda d: d.update(background={"users": [_bg_user("u"), _bg_user("w"), _bg_user("u")]}),
+         "$.background: users[2]: id 'u' is already taken by an earlier user"),
+        (lambda d: d.update(background={"users": [_bg_user("attacker")]}), "$.background: users[0]: id 'attacker' is reserved"),
+        (lambda d: d.update(background={"users": [_bg_user("u"), _bg_user("victim")]}),
+         "$.background: users[1]: id 'victim' is reserved"),
     ],
     ids=[
         "typo", "string-int", "bool-int", "no-victim", "bad-enum", "two-vantages", "stale-key", "user-shape",
         "nan-epsilon", "inf-max-distance", "negative-max-entries", "zero-max-entries", "inf-pattern-field",
         "negative-max-moves", "zero-max-queries", "zero-locations", "negative-queries-per-location",
-        "nan-radius", "users-and-generator", "huge-epsilon", "user-latitude",
+        "nan-radius", "users-and-generator", "huge-epsilon", "user-latitude", "duplicate-user-id",
+        "attacker-id", "victim-id",
     ],
 )
 def test_scenario_loading_is_strict(edit, message):
@@ -138,8 +148,10 @@ def test_cli_bad_scenario_file_exits_1_naming_the_key(tmp_path, capsys):
         (lambda d: d.update(max_entries=-2), "$: max_entries must be a positive integer"),
         (lambda d: d["attack"].update(max_moves=-5), "$.attack: max_moves must be at least 1"),
         (lambda d: d["attack"].update(epsilon_m=10**400), "$.attack.epsilon_m: number too large for a float"),
+        (lambda d: d.update(background={"users": [_bg_user("attacker")]}),
+         "$.background: users[0]: id 'attacker' is reserved"),
     ],
-    ids=["nan-epsilon", "negative-max-entries", "negative-max-moves", "huge-epsilon"],
+    ids=["nan-epsilon", "negative-max-entries", "negative-max-moves", "huge-epsilon", "reserved-user-id"],
 )
 def test_cli_bad_number_in_scenario_file_exits_1(tmp_path, capsys, edit, message):
     path = tmp_path / "bad.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geoleak import lbs_sim
 from geoleak.fixtures import DEMACHIYANAGI_STATION, HEIAN_SHRINE, SCIENCE_FRONTIER_LAB
 from geoleak.geodesy import (
     GeoPoint,
@@ -288,10 +290,91 @@ def test_max_entries_must_be_a_positive_integer(bad):
         World(EXACT, 1, max_entries=bad)
 
 
+def test_entries_are_the_rows_of_the_columns():
+    resp = QueryResponse(("a", "b", "c"), (12.5, None, 40.0))
+    assert resp.entries == (ScreenEntry("a", 12.5), ScreenEntry("b", None), ScreenEntry("c", 40.0))
+    assert QueryResponse((), ()).entries == ()
+
+
+def test_index_of_is_the_first_index_or_none():
+    resp = QueryResponse(("a", "b", "a"), (1.0, 2.0, 3.0))
+    assert [resp.index_of(uid) for uid in ("a", "b", "z")] == [0, 1, None]
+
+
+def test_query_response_is_frozen():
+    resp = _small_world().query_nearby("obs")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        resp.users = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        resp.shown = ()
+
+
+def _count_haversine(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append(b)
+        return haversine_distance(a, b)
+
+    monkeypatch.setattr(lbs_sim, "haversine_distance", counted)
+    return calls
+
+
+def _exact_screen(world, observer):
+    here = world.users[observer].location
+    ranked = sorted((haversine_distance(here, u.location), uid) for uid, u in world.users.items() if uid != observer)
+    return [(uid, d) for d, uid in ranked]
+
+
+def test_a_subject_moved_between_screens_of_an_observer_that_stood_still(monkeypatch):
+    world = _small_world()
+    first = world.query_nearby("obs")
+    calls = _count_haversine(monkeypatch)
+    assert world.query_nearby("obs") == first and calls == []
+    world.move_user("n1", _offset(DEMACHIYANAGI_STATION, 0.0, 40.0))
+    resp = world.query_nearby("obs")
+    assert calls == [world.users["n1"].location]
+    assert list(zip(resp.users, resp.shown)) == _exact_screen(world, "obs")
+    assert resp.users[0] == "n1"
+
+
+def test_two_observers_on_one_point_share_the_row(monkeypatch):
+    world = _small_world()
+    spot = _offset(SCIENCE_FRONTIER_LAB, 70.0, -20.0)
+    world.add_user("a", spot, True)
+    world.add_user("b", spot, True)
+    world.query_nearby("a")
+    calls = _count_haversine(monkeypatch)
+    resp = world.query_nearby("b")
+    assert calls == [spot]  # only a, whom a's own screen did not rank
+    assert list(zip(resp.users, resp.shown)) == _exact_screen(world, "b")
+    assert resp.entries[0] == ScreenEntry("a", 0.0)
+
+
+def test_an_observer_moved_away_and_back_sees_fresh_distances():
+    world = _small_world()
+    home = world.users["obs"].location
+    first = world.query_nearby("obs")
+    world.move_user("obs", HEIAN_SHRINE)
+    away = world.query_nearby("obs")
+    assert list(zip(away.users, away.shown)) == _exact_screen(world, "obs")
+    world.move_user("victim", _offset(SCIENCE_FRONTIER_LAB, 0.0, -500.0))
+    world.move_user("obs", GeoPoint(home.lat, home.lon))
+    back = world.query_nearby("obs")
+    assert list(zip(back.users, back.shown)) == _exact_screen(world, "obs")
+    assert back != first
+
+
+def _response(entries):
+    return QueryResponse(tuple(e.user for e in entries), tuple(e.shown_distance for e in entries))
+
+
 class _ReferenceWorld(World):
     """The screen code before it ranked only the users that can be shown or
-    draw: every kept user is ranked by (distance, id) and rendered, and the
-    screen is truncated afterwards."""
+    draw, kept a row of distances or served screens as columns: every kept
+    user's distance is computed afresh, every kept user is ranked by
+    (distance, id) and rendered as a ScreenEntry, and the screen is truncated
+    afterwards."""
 
     def query_nearby(self, observer):
         obs = self._require(observer)
@@ -308,14 +391,22 @@ class _ReferenceWorld(World):
         entries = self._rank_and_render(obs, kept)
         if self.max_entries is not None:
             entries = entries[: self.max_entries]
-        return QueryResponse(tuple(entries))
+        return _response(entries)
 
     def query_favorites(self, observer):
         obs = self._require(observer)
         self._freeze()
         self.queries[observer] += 1
         targets = [self.users[uid] for uid in self.favorites.get(observer, [])]
-        return QueryResponse(tuple(self._rank_and_render(obs, targets)))
+        return _response(self._rank_and_render(obs, targets))
+
+    def view_profile(self, observer, subject):
+        obs = self._require(observer)
+        subj = self._require(subject)
+        self._freeze()
+        self.queries[observer] += 1
+        self.profile_views[subject] += 1
+        return self._render(subj, haversine_distance(obs.location, subj.location))
 
     def _rank_and_render(self, obs, subjects):
         ranked = sorted(
@@ -376,7 +467,14 @@ def _outcome(world, method, *args):
     drop=st.sampled_from([0.0, 0.3, 0.9, 1.0]),
     max_entries=st.none() | st.integers(1, 50),
     seed=st.integers(0, 2**32 - 1),
-    ops=st.lists(st.tuples(st.sampled_from(["add", "move", "nearby", "favorites"]), st.integers(0, 2**32 - 1)), max_size=40),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["add", "move", "nearby", "favorites", "profile", "again", "step"]),
+            st.integers(0, 2**32 - 1),
+        ),
+        min_size=4,
+        max_size=40,
+    ),
 )
 def test_screens_and_rng_streams_match_the_reference(users, mode, pattern, drop, max_entries, seed, ops):
     policy = DisclosurePolicy(mode, pattern if mode is PolicyMode.OBFUSCATED else None, drop)
@@ -395,6 +493,7 @@ def test_screens_and_rng_streams_match_the_reference(users, mode, pattern, drop,
             if target != owner:
                 world.add_favorite(owner, target)
                 ref.add_favorite(owner, target)
+    last = None  # the account that queried last
     for op, arg in [("nearby", 0), *ops]:
         pick = random.Random(arg)
         if op == "add":
@@ -403,8 +502,19 @@ def test_screens_and_rng_streams_match_the_reference(users, mode, pattern, drop,
             call = ("move_user", pick.choice(ids), _place(pick, spots))
         elif op == "nearby":
             call = ("query_nearby", pick.choice(sorted(world.users)))
-        else:
+        elif op == "favorites":
             call = ("query_favorites", pick.choice(owners))
+        elif op == "profile":
+            call = ("view_profile", pick.choice(sorted(world.users)), pick.choice(sorted(world.users)))
+        elif op == "again":
+            call = ("query_nearby", last)
+        else:
+            # the querying account steps somewhere, back onto an equal but
+            # distinct point, or onto the very point it stands on
+            here = world.users[last].location
+            call = ("move_user", last, pick.choice([_place(pick, spots), GeoPoint(here.lat, here.lon), here]))
+        if call[0] != "move_user":
+            last = call[1]
         assert _outcome(world, *call) == _outcome(ref, *call)
         assert world._drop_rng.getstate() == ref._drop_rng.getstate()
         assert world._obf_rng.getstate() == ref._obf_rng.getstate()
