@@ -57,6 +57,7 @@ from .obfuscation import (
     infer_pattern,
     invert_reading,
     obfuscate_distance,
+    obfuscate_distances,
     obfuscation_envelope,
 )
 

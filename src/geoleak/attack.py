@@ -25,7 +25,7 @@ from typing import Collection, Sequence
 
 import numpy as np
 
-from .geodesy import GeoPoint, LocalPoint, Projection, haversine_distance, project, unproject
+from .geodesy import GeoPoint, LocalPoint, Projection, haversine_distance, project, unproject, unproject_arrays
 from .lbs_sim import QueryResponse, ScreenEntry, World
 from .obfuscation import invert_reading
 
@@ -163,18 +163,19 @@ class CandidateRegion:
 
     def cell_rings(self) -> list[list[tuple[float, float]]]:
         """Occupied cells as closed (lon, lat) rings, counter-clockwise."""
-        rings = []
+        js, is_ = np.nonzero(self.occupied)
         c = self.cell_size
-        for j, i in zip(*np.nonzero(self.occupied)):
-            x0, y0 = (self.i0 + int(i)) * c, (self.j0 + int(j)) * c
-            # unproject maps x to lon and y to lat independently, so two
-            # opposite corners give all four with the same floats and range
-            # checks: 2 calls per cell instead of 5. Neighbours share no
-            # corner: (i0 + i) * c + c and (i0 + i + 1) * c may round apart.
-            lo = unproject(LocalPoint(x0, y0), self.projection)
-            hi = unproject(LocalPoint(x0 + c, y0 + c), self.projection)
-            rings.append([(lo.lon, lo.lat), (hi.lon, lo.lat), (hi.lon, hi.lat), (lo.lon, hi.lat), (lo.lon, lo.lat)])
-        return rings
+        x0, y0 = (self.i0 + is_) * c, (self.j0 + js) * c
+        # unproject maps x to lon and y to lat independently, so two opposite
+        # corners give all four with the same floats and range checks.
+        # Neighbours share no corner: (i0 + i) * c + c and (i0 + i + 1) * c
+        # may round apart.
+        lo_lat, lo_lon = unproject_arrays(x0, y0, self.projection)
+        hi_lat, hi_lon = unproject_arrays(x0 + c, y0 + c, self.projection)
+        return [
+            [(w, s), (e, s), (e, n), (w, n), (w, s)]
+            for w, s, e, n in zip(lo_lon.tolist(), lo_lat.tolist(), hi_lon.tolist(), hi_lat.tolist())
+        ]
 
 
 def _require_finite_positive(name: str, value: float) -> None:
@@ -182,16 +183,50 @@ def _require_finite_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
-def _ring_meets(c: AnnulusConstraint, x0: np.ndarray, y0: np.ndarray, cell_size: float) -> np.ndarray:
+def _ring_meets(cx, cy, r_lo, r_hi, x0: np.ndarray, y0: np.ndarray, cell_size: float) -> np.ndarray:
     """Which cells, given by their lower-left corners (x0, y0), have a square
-    that can meet ring c: the distance range from the square to the center
-    overlaps [r_lo, r_hi]. Works elementwise, so any two shapes that broadcast
-    give every cell the same float64 result."""
-    dx_min = np.maximum(np.maximum(x0 - c.center.x, c.center.x - (x0 + cell_size)), 0.0)
-    dy_min = np.maximum(np.maximum(y0 - c.center.y, c.center.y - (y0 + cell_size)), 0.0)
-    dx_max = np.maximum(np.abs(c.center.x - x0), np.abs(c.center.x - (x0 + cell_size)))
-    dy_max = np.maximum(np.abs(c.center.y - y0), np.abs(c.center.y - (y0 + cell_size)))
-    return (np.hypot(dx_min, dy_min) <= c.r_hi) & (np.hypot(dx_max, dy_max) >= c.r_lo)
+    that can meet the ring r_lo <= |q - (cx, cy)| <= r_hi: the distance range
+    from the square to the center overlaps [r_lo, r_hi]. Works elementwise, so
+    any shapes that broadcast (one ring or a column of rings against a row of
+    cells) give every (ring, cell) pair the same float64 result."""
+    dx_min = np.maximum(np.maximum(x0 - cx, cx - (x0 + cell_size)), 0.0)
+    dy_min = np.maximum(np.maximum(y0 - cy, cy - (y0 + cell_size)), 0.0)
+    dx_max = np.maximum(np.abs(cx - x0), np.abs(cx - (x0 + cell_size)))
+    dy_max = np.maximum(np.abs(cy - y0), np.abs(cy - (y0 + cell_size)))
+    return (np.hypot(dx_min, dy_min) <= r_hi) & (np.hypot(dx_max, dy_max) >= r_lo)
+
+
+def _row_spans(c: AnnulusConstraint, xs: np.ndarray, ys: np.ndarray, cell_size: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices, row by row in ascending order, of the cells
+    whose x range meets ring c's band on their row: a superset of the cells
+    _ring_meets keeps for c (see intersect_constraints)."""
+    cx, cy = c.center.x, c.center.y
+    slack = 1e-6 + 1e-6 * c.r_hi
+    dy_min = np.maximum(np.maximum(ys - cy, cy - (ys + cell_size)), 0.0)
+    dy_max = np.maximum(np.abs(cy - ys), np.abs(cy - (ys + cell_size)))
+    rows = np.flatnonzero(dy_min <= c.r_hi)
+    dy_min, dy_max = dy_min[rows], dy_max[rows]
+    # sqrt(r^2 - d^2) as sqrt(r - d) sqrt(r + d): no cancellation and no
+    # overflow. r_hi - dy_min >= 0 on every row kept; r_lo - dy_max is clamped
+    # at 0 on rows the hole does not reach
+    outer = np.sqrt(c.r_hi - dy_min) * np.sqrt(c.r_hi + dy_min) + slack
+    hole = np.sqrt(np.maximum(c.r_lo - dy_max, 0.0)) * np.sqrt(c.r_lo + dy_max) - slack
+    # per row, [cx - outer, cx - hole] and [cx + hole, cx + outer] as half-open
+    # column ranges: the first cell whose right edge reaches the band's start,
+    # up to the last whose left edge reaches its end
+    starts = np.searchsorted(xs + cell_size, np.stack([cx - outer, cx + hole], axis=1))
+    stops = np.searchsorted(xs, np.stack([cx - hole, cx + outer], axis=1), side="right")
+    # where the bands overlap (no hole on the row, or one narrower than the
+    # slack), the second range starts after the first: no cell is listed twice
+    starts[:, 1] = np.maximum(starts[:, 1], stops[:, 0])
+    counts = np.maximum(stops - starts, 0).ravel()
+    # column k of a range is its start plus k's offset from the range's first slot
+    cols = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - starts.ravel(), counts)
+    return np.repeat(np.repeat(rows, 2), counts), cols
+
+
+# (rings x cells) elements tested at once; bounds the stacked test's memory
+_BLOCK = 1 << 18
 
 
 def intersect_constraints(
@@ -199,9 +234,25 @@ def intersect_constraints(
 ) -> CandidateRegion:
     """Rasterize the intersection of annulus constraints onto the plane.
 
-    Rings are tested narrowest first (by r_hi - r_lo): the first over the
-    whole grid, each later one only on the cells still live. A cell's test
-    and the resulting region do not depend on that order, only the time does.
+    Only cells on the row spans of the narrowest bounded ring (by r_hi -
+    r_lo) are candidates, and every ring is tested on them at once, stacked
+    as a (rings x candidates) broadcast of the one cell test in _ring_meets.
+    A cell's test does not depend on the candidates, so the region is the
+    one the full grid would give.
+
+    The spans are a superset of the cells that meet the ring. On a row, a
+    cell meets it when its nearest x distance to the center is at most
+    outer = sqrt(r_hi^2 - dy_min^2) and its farthest is at least hole =
+    sqrt(r_lo^2 - dy_max^2) (0 when r_lo <= dy_max), with dy_min and dy_max
+    the row's nearest and farthest y distance to the center; a row with
+    dy_min > r_hi has no such cell, because hypot never rounds below either
+    argument. So the cells lie in [cx - outer, cx - hole] and
+    [cx + hole, cx + outer]. Both bands are widened by a slack of
+    1e-6 m + 1e-6 r_hi. The largest float error it must cover is at a row
+    tangent to the ring, where a last-place error in the cell test's hypot
+    moves its x edge by up to ~sqrt(2^-51) r_hi ~ 2e-8 r_hi; every other
+    error is a few last places of the coordinates. A slack only adds
+    candidates, which the cell test then rejects.
 
     Raises:
         ValueError: cell_size is not finite and positive, or too small for
@@ -224,20 +275,19 @@ def intersect_constraints(
         raise ValueError("cell_size too small for the constraint extent")
     xs = np.arange(i0, i1, dtype=float) * cell_size
     ys = np.arange(j0, j1, dtype=float) * cell_size
-    width = i1 - i0
-    # a ring with r_lo = r_hi = inf has a NaN key; any order gives the same cells
-    first, *rest = sorted(constraints, key=lambda c: c.r_hi - c.r_lo)
-    # broadcast, not gathered: index arrays for the whole grid would raise peak memory
-    live = np.flatnonzero(_ring_meets(first, xs[None, :], ys[:, None], cell_size))
-    for c in rest:
-        live = live[_ring_meets(c, xs[live % width], ys[live // width], cell_size)]
-    if live.size == 0:
+    rows, cols = _row_spans(min(bounded, key=lambda c: c.r_hi - c.r_lo), xs, ys, cell_size)
+    # one row per ring, to broadcast against a row of candidate cells
+    cx, cy, r_lo, r_hi = np.array([(c.center.x, c.center.y, c.r_lo, c.r_hi) for c in constraints]).T[:, :, None]
+    keep = np.empty(rows.size, dtype=bool)
+    step = max(1, _BLOCK // len(constraints))
+    for k in range(0, rows.size, step):
+        x0, y0 = xs[cols[k : k + step]], ys[rows[k : k + step]]
+        keep[k : k + step] = _ring_meets(cx, cy, r_lo, r_hi, x0, y0, cell_size).all(axis=0)
+    if not keep.any():
         raise EmptyRegion("observations are mutually inconsistent")
-    occupied = np.zeros((j1 - j0) * width, dtype=bool)
-    occupied[live] = True
-    return CandidateRegion(
-        projection=proj, cell_size=cell_size, i0=i0, j0=j0, occupied=occupied.reshape(j1 - j0, width)
-    )
+    occupied = np.zeros((j1 - j0, i1 - i0), dtype=bool)
+    occupied[rows[keep], cols[keep]] = True
+    return CandidateRegion(projection=proj, cell_size=cell_size, i0=i0, j0=j0, occupied=occupied)
 
 
 # -- attack drivers ----------------------------------------------------------

@@ -2,15 +2,20 @@
 
 All distances are meters on a sphere of radius 6,371,000 m. Planar attack
 geometry (circle intersections, annulus rasterization) runs in a local
-equirectangular tangent plane anchored at a per-scenario origin; within a few
-kilometres of a mid-latitude origin the planar metric agrees with the
-great-circle distance to better than 0.1%.
+equirectangular tangent plane anchored at a per-scenario origin. Between any
+two points of a 5 km box centred on the origin, the planar distance differs
+from the great-circle distance by at most 0.1% for origins up to 60°
+latitude: the measured worst cases are 2.7e-4 at 35° and 6.8e-4 at 60°. The
+error grows about as tan(latitude), to 2.2e-3 at 80°, and Projection.at
+accepts origins up to 85°.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 EARTH_RADIUS_M = 6_371_000.0
 METERS_PER_DEGREE_LAT = EARTH_RADIUS_M * math.pi / 180.0
@@ -122,3 +127,24 @@ def unproject(q: LocalPoint, proj: Projection) -> GeoPoint:
         lat=proj.origin.lat + q.y / proj.meters_per_degree_lat,
         lon=proj.origin.lon + q.x / proj.meters_per_degree_lon,
     )
+
+
+def unproject_arrays(x: np.ndarray, y: np.ndarray, proj: Projection) -> tuple[np.ndarray, np.ndarray]:
+    """unproject() over arrays of offsets, in one call: the same floats and
+    the same checks. Returns (lat, lon) arrays.
+
+    Raises:
+        OutOfProjectionRange: an offset beyond UNPROJECT_WINDOW_M on either axis.
+        ValueError: a point that GeoPoint would reject (off the globe or NaN).
+    """
+    far = (np.abs(x) >= UNPROJECT_WINDOW_M) | (np.abs(y) >= UNPROJECT_WINDOW_M)
+    if far.any():
+        k = int(np.argmax(far))
+        raise OutOfProjectionRange(f"local offset ({x[k]}, {y[k]}) beyond plane validity")
+    lat = proj.origin.lat + y / proj.meters_per_degree_lat
+    lon = proj.origin.lon + x / proj.meters_per_degree_lon
+    bad = ~((-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"coordinates ({lat[k]}, {lon[k]}) are off the globe")
+    return lat, lon

@@ -65,7 +65,7 @@ from .obfuscation import (
     ObfuscationPattern,
     ObfuscationSample,
     infer_pattern,
-    obfuscate_distance,
+    obfuscate_distances,
 )
 
 log = logging.getLogger(__name__)
@@ -272,8 +272,7 @@ def emit_scatter(
     samples = []
     for _ in range(n_locations):
         d = max_distance * (1.0 - rng.random())
-        for _ in range(queries_per_location):
-            samples.append(ObfuscationSample(d, obfuscate_distance(d, pattern, rng)))
+        samples += [ObfuscationSample(d, s) for s in obfuscate_distances([d] * queries_per_location, pattern, rng)]
     return samples
 
 

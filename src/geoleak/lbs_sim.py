@@ -21,7 +21,7 @@ from operator import attrgetter, itemgetter
 import numpy as np
 
 from .geodesy import EARTH_RADIUS_M, GeoPoint, Projection, haversine_distance, project
-from .obfuscation import ObfuscationPattern, obfuscate_distance
+from .obfuscation import ObfuscationPattern, obfuscate_distances
 
 
 # How far past a bound a user's vectorized distance must lie before it is
@@ -241,7 +241,7 @@ class World:
         more than _APPROX_SLACK_M past the max_entries-th smallest one, so at
         least max_entries kept users are truly closer; and it cannot draw,
         being hidden, under a policy that is not OBFUSCATED, or at least
-        mid_cutoff away, where obfuscate_distance draws nothing. NaN is never
+        mid_cutoff away, where obfuscate_distances draws nothing. NaN is never
         ruled out. The vectorized distances only rule users out; every
         distance that is sorted or shown comes from haversine_distance.
         """
@@ -290,5 +290,5 @@ class World:
             return [d for d, _ in ranked]
         if mode is PolicyMode.HIDDEN_RESPECTS_FLAG:
             return [d if u.show_distance else None for d, u in ranked]
-        pattern, rng = self.policy.pattern, self._obf_rng
-        return [obfuscate_distance(d, pattern, rng) if u.show_distance else None for d, u in ranked]
+        draws = iter(obfuscate_distances([d for d, u in ranked if u.show_distance], self.policy.pattern, self._obf_rng))
+        return [next(draws) if u.show_distance else None for _, u in ranked]

@@ -5,8 +5,9 @@ bands; the inverse direction recovers, from a displayed value, the interval of
 true distances that could have produced it, and `infer_pattern` reconstructs
 the band parameters from observed (true, shown) sample pairs alone.
 
-Pattern values are immutable; `obfuscate_distance` takes an explicit RNG so
-there is no hidden global state.
+Pattern values are immutable; `obfuscate_distances` (and its one-element
+form `obfuscate_distance`) takes an explicit RNG so there is no hidden global
+state.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 
 class NegativeDistance(ValueError):
@@ -91,25 +92,44 @@ def _band_levels(pattern: ObfuscationPattern) -> int:
 
 
 def obfuscate_distance(d: float, pattern: ObfuscationPattern, rng: random.Random) -> float:
-    """Draw the displayed distance for a true distance ``d``.
-
-    A fresh draw is taken on every call, so repeated queries at the same true
-    distance see changing values in the randomized bands.
+    """Draw the displayed distance for a true distance ``d``: the one-element
+    case of obfuscate_distances.
 
     Raises:
         NegativeDistance: d < 0.
     """
-    if d < 0.0:
-        raise NegativeDistance(f"true distance must be >= 0, got {d}")
+    return obfuscate_distances((d,), pattern, rng)[0]
+
+
+def obfuscate_distances(ds: Sequence[float], pattern: ObfuscationPattern, rng: random.Random) -> list[float]:
+    """Draw the displayed distance for each true distance in ``ds``, in order.
+
+    A fresh draw is taken for each distance in a randomized band, so repeated
+    queries at the same true distance see changing values there. A band of n
+    levels above its base draws rng.randrange(n + 1), the stream that
+    rng.randint(0, n) takes.
+
+    Raises:
+        NegativeDistance: some d < 0; checked before any draw.
+    """
+    for d in ds:
+        if d < 0.0:
+            raise NegativeDistance(f"true distance must be >= 0, got {d}")
     p = pattern
-    if d < p.floor_value:
-        return p.floor_value
-    if d < p.near_cutoff:
-        return p.floor_value + rng.randint(0, _band_levels(p)) * p.mid_step
-    if d < p.mid_cutoff:
-        base = _round_half_up(d, p.mid_band)
-        return base + rng.randint(0, int(p.mid_band // p.mid_step)) * p.mid_step
-    return _round_half_up(d, p.far_unit)
+    floor, near, mid, band, step, far = p.floor_value, p.near_cutoff, p.mid_cutoff, p.mid_band, p.mid_step, p.far_unit
+    near_levels, mid_levels = _band_levels(p) + 1, int(band // step) + 1
+    draw = rng.randrange
+    shown = []
+    for d in ds:
+        if d < floor:
+            shown.append(floor)
+        elif d < near:
+            shown.append(floor + draw(near_levels) * step)
+        elif d < mid:
+            shown.append(_round_half_up(d, band) + draw(mid_levels) * step)
+        else:
+            shown.append(_round_half_up(d, far))
+    return shown
 
 
 def obfuscation_envelope(d: float, pattern: ObfuscationPattern) -> tuple[float, float]:

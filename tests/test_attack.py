@@ -193,11 +193,22 @@ def _reference_raster(constraints, cell_size):
     return i0, j0, occupied
 
 
+def _row_distances(center, cell_size, row):
+    """(dy_min, dy_max) of grid row `row` from center, by the cell test's own
+    float expressions, so that a radius set to one of them is exactly
+    tangent to that row."""
+    y0 = row * cell_size
+    return max(y0 - center.y, center.y - (y0 + cell_size), 0.0), max(abs(center.y - y0), abs(center.y - (y0 + cell_size)))
+
+
 @st.composite
 def _ring_sets(draw):
     cell_size = draw(st.sampled_from((1.0, 2.5, 5.0, 7.3, 20.0, 40.0)))
     # radii up to 250 cells keep every grid within about 500 cells a side
     cap = 250.0 * cell_size
+    # the whole configuration moved by up to 100 km, where coordinates carry
+    # fewer fractional bits
+    shift = LocalPoint(*(draw(st.one_of(st.just(0.0), st.floats(-100_000.0, 100_000.0))) for _ in "xy"))
     target = LocalPoint(draw(st.floats(-2000.0, 2000.0)), draw(st.floats(-2000.0, 2000.0)))
 
     def coordinate(near):  # within reach of the target, so that rings of small cells can meet
@@ -210,9 +221,29 @@ def _ring_sets(draw):
         middle = math.hypot(target.x - center.x, target.y - center.y) + draw(st.floats(-cap / 10.0, cap / 10.0))
         spread = st.floats(0.0, cap / 10.0)
         r_lo, r_hi = (min(max(0.0, r), cap) for r in (middle - draw(spread), middle + draw(spread)))
+        center = LocalPoint(center.x + shift.x, center.y + shift.y)
         if draw(st.booleans()):  # on whole cells, where a ring can pass exactly through a cell's corner
             center = LocalPoint(int(center.x / cell_size) * cell_size, int(center.y / cell_size) * cell_size)
             r_lo, r_hi = (int(r / cell_size) * cell_size for r in (r_lo, r_hi))
+        edge = draw(st.sampled_from(("none", "outer", "hole")))
+        if edge != "none":  # an edge tangent to a row near where it crosses the center's column
+            radius = r_hi if edge == "outer" else r_lo
+            row = math.floor((center.y + draw(st.sampled_from((-1, 1))) * radius) / cell_size) + draw(st.integers(-1, 1))
+            dy_min, dy_max = _row_distances(center, cell_size, row)
+            if edge == "outer":
+                # exactly, or a few last places outside, so that the row can be
+                # on the grid; and the center a hair off a column edge, where
+                # hypot(hair, dy_min) ~ dy_min + hair^2 / (2 dy_min) only just
+                # rounds to at most r_hi
+                r_hi = dy_min
+                for _ in range(draw(st.integers(0, 2))):
+                    r_hi = math.nextafter(r_hi, math.inf)
+                r_lo = min(r_lo, r_hi)
+                reach = math.sqrt(2.0 * dy_min * (r_hi - dy_min + math.ulp(r_hi) / 2.0))
+                hair = draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.9, 1.0)) * reach
+                center = LocalPoint(round(center.x / cell_size) * cell_size + hair, center.y)
+            else:
+                r_lo, r_hi = dy_max, max(r_hi, dy_max)
         kind = draw(st.sampled_from(("band", "zero-width", "disc", "outside")))
         if kind == "zero-width":
             r_lo = r_hi
@@ -223,6 +254,7 @@ def _ring_sets(draw):
         rings.append(AnnulusConstraint(center, r_lo, r_hi))
     if draw(st.booleans()):
         # r_lo = r_hi = inf: no cell meets it, and its width is NaN
+        target = LocalPoint(target.x + shift.x, target.y + shift.y)
         rings.insert(draw(st.integers(0, len(rings))), AnnulusConstraint(target, math.inf, math.inf))
     return rings, cell_size
 

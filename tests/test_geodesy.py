@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from geoleak.fixtures import (
     DEMACHIYANAGI_STATION,
@@ -131,6 +133,27 @@ def test_projection_fidelity_within_5km():
         p = unproject(LocalPoint(r * math.cos(theta), r * math.sin(theta)), proj)
         d = haversine_distance(origin, p)
         assert abs(project(p, proj).norm() - d) / d < 0.001
+
+
+_BOX_EDGE = st.one_of(st.sampled_from((-2500.0, 2500.0)), st.floats(-2500.0, 2500.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    lat=st.one_of(st.sampled_from((-60.0, 60.0)), st.floats(-60.0, 60.0)),
+    lon=st.floats(-179.0, 179.0),
+    a=st.tuples(_BOX_EDGE, _BOX_EDGE),
+    b=st.tuples(_BOX_EDGE, _BOX_EDGE),
+)
+def test_planar_metric_within_a_tenth_of_a_percent_over_a_5km_box_up_to_60_degrees(lat, lon, a, b):
+    # any two points of the 5 km box centred on the origin; the error peaks
+    # for an east-west pair along its north or south edge, at ~tan(lat) * 2.5 km / R
+    proj = Projection.at(GeoPoint(lat, lon))
+    p, q = (unproject(LocalPoint(*offset), proj) for offset in (a, b))
+    d = haversine_distance(p, q)
+    assume(d >= 1.0)
+    pp, pq = project(p, proj), project(q, proj)
+    assert abs(math.hypot(pp.x - pq.x, pp.y - pq.y) - d) <= 1e-3 * d
 
 
 def test_round_trip_within_half_meter():

@@ -17,7 +17,10 @@ from geoleak.obfuscation import (
     ObfuscationSample,
     infer_pattern,
     invert_reading,
+    _band_levels,
+    _round_half_up,
     obfuscate_distance,
+    obfuscate_distances,
     obfuscation_envelope,
 )
 
@@ -218,6 +221,49 @@ def test_every_reading_inverts_to_an_interval_holding_the_truth(p, d, rng):
     assert interval is not None and interval[0] <= d < interval[1]
     lo, hi = obfuscation_envelope(d, p)
     assert lo <= shown <= hi
+
+
+def _one_by_one(d, p, rng):
+    """obfuscate_distance as it was before the batch: one randint per draw."""
+    if d < 0.0:
+        raise NegativeDistance(f"true distance must be >= 0, got {d}")
+    if d < p.floor_value:
+        return p.floor_value
+    if d < p.near_cutoff:
+        return p.floor_value + rng.randint(0, _band_levels(p)) * p.mid_step
+    if d < p.mid_cutoff:
+        base = _round_half_up(d, p.mid_band)
+        return base + rng.randint(0, int(p.mid_band // p.mid_step)) * p.mid_step
+    return _round_half_up(d, p.far_unit)
+
+
+@st.composite
+def _pattern_and_distances(draw):
+    p = draw(_patterns())
+    bands = [  # every band, its edges included; the mid band is empty when near == mid
+        st.floats(0.0, p.floor_value, exclude_max=True),
+        st.floats(p.floor_value, p.near_cutoff, exclude_max=True),
+        st.floats(p.mid_cutoff, p.mid_cutoff + 5000.0),
+    ]
+    if p.near_cutoff < p.mid_cutoff:
+        bands.append(st.floats(p.near_cutoff, p.mid_cutoff, exclude_max=True))
+    return p, draw(st.lists(st.one_of(*bands), max_size=40))
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(_pattern_and_distances(), st.integers(0, 2**32), st.data())
+def test_a_batch_draws_what_one_call_per_distance_drew(case, seed, data):
+    p, ds = case
+    rng, reference = random.Random(seed), random.Random(seed)
+    assert obfuscate_distances(ds, p, rng) == [_one_by_one(d, p, reference) for d in ds]
+    assert rng.getstate() == reference.getstate()
+    # a negative distance anywhere fails the batch before its first draw
+    bad = [*ds]
+    bad.insert(data.draw(st.integers(0, len(ds))), -data.draw(st.floats(5e-324, 1e6)))
+    before = rng.getstate()
+    with pytest.raises(NegativeDistance):
+        obfuscate_distances(bad, p, rng)
+    assert rng.getstate() == before
 
 
 def test_forward_inverse_consistency():
