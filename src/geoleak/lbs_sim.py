@@ -32,6 +32,18 @@ from .obfuscation import ObfuscationPattern, obfuscate_distances
 _APPROX_SLACK_M = 10.0
 
 
+def _coins(rng: random.Random, n: int, p: float) -> np.ndarray:
+    """[rng.random() >= p for _ in range(n)] as a bool array, from one getrandbits call.
+
+    random() builds its float from two consecutive 32-bit Mersenne Twister
+    words a and b as ((a >> 5) * 2**26 + (b >> 6)) / 2**53, exactly in float64.
+    getrandbits(64 * n) returns the same 2n words, least significant first,
+    and leaves the generator where n random() calls would.
+    """
+    words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u4")
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0) >= p
+
+
 def check_max_entries(max_entries: int | None) -> None:
     """Reject a screen length that is not None or a positive integer."""
     if max_entries is not None and (
@@ -192,18 +204,27 @@ class World:
         show_distance flag; the flag and policy only govern shown_distance.
         Survivors past max_entries are not shown, but take their obfuscation
         draws as if they were.
+
+        The drop coins are the drop stream's random() calls, one per other
+        user in id order. A screen that can truncate (more other users than
+        max_entries) draws them in one _coins batch and hands the kept rows to
+        _candidates. An untruncated screen draws them one call at a time: at
+        the ~50 users of a preset world the batch costs more than it saves.
         """
         obs = self._require(observer)
         self._freeze()
         project(obs.location, self.projection)  # raises OutOfProjectionRange
         self.queries[observer] += 1
         order = self._id_order()
-        p = self.policy.drop_probability
-        draw = self._drop_rng.random
-        kept = [u is not obs and draw() >= p for u in order]
-        subjects = list(compress(order, kept))
-        if self.max_entries is not None and len(subjects) > self.max_entries:
-            subjects = self._candidates(obs, kept)
+        p, k = self.policy.drop_probability, self.max_entries
+        if k is None or len(order) - 1 <= k:
+            draw = self._drop_rng.random
+            subjects = list(compress(order, [u is not obs and draw() >= p for u in order]))
+        else:
+            rows = np.flatnonzero(_coins(self._drop_rng, len(order) - 1, p))
+            # the coins skip the observer: shift the rows past its position
+            rows += rows >= bisect_left(order, observer, key=attrgetter("id"))
+            subjects = [order[j] for j in rows.tolist()] if len(rows) <= k else self._candidates(obs, rows)
         return self._rank_and_render(obs, subjects, self.max_entries)
 
     def query_favorites(self, observer: str) -> QueryResponse:
@@ -233,9 +254,10 @@ class World:
         if target not in lst:
             lst.append(target)
 
-    def _candidates(self, obs: SimUser, kept: list[bool]) -> list[SimUser]:
-        """The kept users (kept[i] for the i-th in id order) that a truncated
-        screen can show or that draw from the obfuscation stream, in id order.
+    def _candidates(self, obs: SimUser, rows: np.ndarray) -> list[SimUser]:
+        """The kept users (rows: their ascending positions in id order) that a
+        truncated screen can show or that draw from the obfuscation stream, in
+        id order.
 
         A user is ruled out only when both hold: its vectorized distance is
         more than _APPROX_SLACK_M past the max_entries-th smallest one, so at
@@ -250,7 +272,6 @@ class World:
         if self._coords is None:
             self._coords = np.array([[u.location.lat for u in order], [u.location.lon for u in order]])
             self._shows = np.array([u.show_distance for u in order])
-        rows = np.flatnonzero(kept)
         lat, lon = self._coords[:, rows]
         here = obs.location
         h = (

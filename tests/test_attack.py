@@ -211,15 +211,21 @@ def _ring_sets(draw):
     shift = LocalPoint(*(draw(st.one_of(st.just(0.0), st.floats(-100_000.0, 100_000.0))) for _ in "xy"))
     target = LocalPoint(draw(st.floats(-2000.0, 2000.0)), draw(st.floats(-2000.0, 2000.0)))
 
-    def coordinate(near):  # within reach of the target, so that rings of small cells can meet
-        return draw(st.floats(max(-2000.0, near - cap), min(2000.0, near + cap)))
+    def coordinate(near):  # within 0.9 cap of the target, so that a ring around it stays under cap
+        side = 0.9 * cap / math.sqrt(2.0)
+        return draw(st.floats(max(-2000.0, near - side), min(2000.0, near + side)))
 
     rings = []
     for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("band", "zero-width", "disc", "outside")))
         center = LocalPoint(coordinate(target.x), coordinate(target.y))
-        # a ring near the target's distance, which it holds if the spread covers the shift
-        middle = math.hypot(target.x - center.x, target.y - center.y) + draw(st.floats(-cap / 10.0, cap / 10.0))
-        spread = st.floats(0.0, cap / 10.0)
+        # a ring that holds the target's distance by a margin of at least two
+        # cells, which the moves to whole cells and tangent rows below mostly
+        # keep (a zero-width one passes through it); now and then one is moved
+        # off it by up to cap / 10
+        spread = st.just(0.0) if kind == "zero-width" else st.floats(2.0 * cell_size, cap / 10.0)
+        miss = draw(st.floats(-cap / 10.0, cap / 10.0)) if draw(st.sampled_from([False] * 31 + [True])) else 0.0
+        middle = math.hypot(target.x - center.x, target.y - center.y) + miss
         r_lo, r_hi = (min(max(0.0, r), cap) for r in (middle - draw(spread), middle + draw(spread)))
         center = LocalPoint(center.x + shift.x, center.y + shift.y)
         if draw(st.booleans()):  # on whole cells, where a ring can pass exactly through a cell's corner
@@ -244,7 +250,6 @@ def _ring_sets(draw):
                 center = LocalPoint(round(center.x / cell_size) * cell_size + hair, center.y)
             else:
                 r_lo, r_hi = dy_max, max(r_hi, dy_max)
-        kind = draw(st.sampled_from(("band", "zero-width", "disc", "outside")))
         if kind == "zero-width":
             r_lo = r_hi
         elif kind == "disc":
@@ -252,8 +257,9 @@ def _ring_sets(draw):
         elif kind == "outside":
             r_hi = math.inf
         rings.append(AnnulusConstraint(center, r_lo, r_hi))
-    if draw(st.booleans()):
-        # r_lo = r_hi = inf: no cell meets it, and its width is NaN
+    if draw(st.sampled_from([False] * 7 + [True])):
+        # in about one set in ten, r_lo = r_hi = inf: no cell meets it, and
+        # its width is NaN
         target = LocalPoint(target.x + shift.x, target.y + shift.y)
         rings.insert(draw(st.integers(0, len(rings))), AnnulusConstraint(target, math.inf, math.inf))
     return rings, cell_size

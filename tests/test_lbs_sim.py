@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import random
 
 import pytest
@@ -519,6 +520,68 @@ def test_screens_and_rng_streams_match_the_reference(users, mode, pattern, drop,
         assert world._drop_rng.getstate() == ref._drop_rng.getstate()
         assert world._obf_rng.getstate() == ref._obf_rng.getstate()
         assert world.queries == ref.queries and world.profile_views == ref.profile_views
+
+
+def test_service_scale_screens_match_the_reference():
+    """Screens of 100 out of 2,000 users, which draw their drop coins in one
+    batch: observers at the first, a middle and the last position in id
+    order, with moves in between, and one screen that keeps fewer than 100,
+    see what the reference sees, on the same streams."""
+    policy = DisclosurePolicy(PolicyMode.OBFUSCATED, HORNET_DEFAULT, drop_probability=0.3)
+    world, ref = World(policy, 13, max_entries=100), _ReferenceWorld(policy, 13, max_entries=100)
+    rng = random.Random(13)
+    spots = [_offset(SCIENCE_FRONTIER_LAB, 50.0 * rng.randint(-40, 40), 50.0 * rng.randint(-40, 40)) for _ in range(30)]
+
+    def place():
+        if rng.random() < 0.2:
+            return rng.choice(spots)
+        return _offset(SCIENCE_FRONTIER_LAB, rng.uniform(-3000.0, 3000.0), rng.uniform(-3000.0, 3000.0))
+
+    ids = [f"u{i:04d}" for i in range(2000)]
+    for uid in ids:
+        point, show = place(), rng.random() < 0.7
+        world.add_user(uid, point, show)
+        ref.add_user(uid, point, show)
+
+    def screen(observer):
+        got = world.query_nearby(observer)
+        assert got == ref.query_nearby(observer)
+        assert world._drop_rng.getstate() == ref._drop_rng.getstate()
+        assert world._obf_rng.getstate() == ref._obf_rng.getstate()
+        return got
+
+    for observer in (ids[0], ids[1000], ids[-1]):
+        assert len(screen(observer).users) == 100
+        for uid in [*rng.sample(ids, 25), observer]:
+            point = place()
+            world.move_user(uid, point)
+            ref.move_user(uid, point)
+        assert len(screen(observer).users) == 100
+    # about 60 of 1,999 kept: a screen that could truncate but does not
+    world.policy = ref.policy = dataclasses.replace(policy, drop_probability=0.97)
+    assert 0 < len(screen(ids[1000]).users) < 100
+
+
+_EDGE_PROBABILITIES = (0.0, 1.0, 5e-324, math.nextafter(1.0, 0.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    n=st.integers(0, 700),
+    p=st.sampled_from(_EDGE_PROBABILITIES) | st.floats(0.0, 1.0) | st.none(),
+    tie=st.integers(0, 699),
+)
+def test_a_batch_of_drop_coins_is_the_random_calls_it_replaces(seed, n, p, tie):
+    one_by_one = random.Random(seed)
+    draws = [one_by_one.random() for _ in range(n)]
+    if p is None:  # one of the draws themselves, where >= meets equality
+        p = draws[tie % n] if n else 0.5
+    rng = random.Random(seed)
+    coins = lbs_sim._coins(rng, n, p)
+    assert coins.dtype == bool
+    assert coins.tolist() == [d >= p for d in draws]
+    assert rng.getstate() == one_by_one.getstate()
 
 
 def test_a_user_moved_close_tops_a_truncated_screen():
