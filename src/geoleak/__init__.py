@@ -56,7 +56,6 @@ from .obfuscation import (
     ObfuscationSample,
     infer_pattern,
     invert_reading,
-    obfuscate_distance,
     obfuscate_distances,
     obfuscation_envelope,
 )

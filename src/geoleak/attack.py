@@ -316,12 +316,11 @@ class ColludingOptions:
 
 @dataclass
 class AttackReport:
-    """Outcome of one attack run, holding only what the attacker knows."""
+    """What the attacker concluded from one run. The run's query counts are
+    the world's, read with query_counts."""
 
     estimate: GeoPoint
     moves: int
-    queries: int
-    victim_profile_queries: int
     region: CandidateRegion | None = None
     trajectories: dict[str, list[GeoPoint]] = field(default_factory=dict)
     accepted_steps: tuple[int, ...] = ()
@@ -343,10 +342,10 @@ class _Session:
     """One attack run's only way to touch the world: moves the attacker's own
     accounts and keeps their trajectories (the last point is where an account
     is now), favorites users for the first account, runs queries within the
-    budget when options are given, and builds the report. Its counts are the
-    world's query_counts less those at the session's start, so a reused world
-    gives each run its full budget. Its projection is centred on the
-    vantages."""
+    budget when options are given, and builds the report. Its query budget
+    counts the attacker accounts' queries since the session's start, so a
+    reused world gives each run its full budget. Its projection is centred on
+    the vantages."""
 
     def __init__(
         self,
@@ -374,7 +373,7 @@ class _Session:
         self.victim_id = victim_id
         self.options = options
         self.proj = Projection.at(_geo_centroid(vantages))
-        self.counts_at_start = query_counts(world, self.attacker_ids, victim_id)
+        self.queries_at_start = query_counts(world, self.attacker_ids, victim_id)[0]
         self.moves = 0
         self.victim_seen = False
         self.trajectories: dict[str, list[GeoPoint]] = {
@@ -389,8 +388,10 @@ class _Session:
         self.trajectories[uid].append(where)
 
     def observe(self, observer: str, favorites: bool = False) -> QueryResponse:
-        if self.options is not None and self.counts()[0] >= self.options.max_queries:
-            self.give_up("query budget exhausted")
+        if self.options is not None:
+            used = query_counts(self._world, self.attacker_ids, self.victim_id)[0] - self.queries_at_start
+            if used >= self.options.max_queries:
+                self.give_up("query budget exhausted")
         resp = self._world.query_favorites(observer) if favorites else self._world.query_nearby(observer)
         if resp.index_of(self.victim_id) is not None:
             self.victim_seen = True
@@ -414,26 +415,13 @@ class _Session:
     def side_distance(self, vantage: GeoPoint, uid: str) -> float:
         return haversine_distance(vantage, self.trajectories[uid][-1])
 
-    def counts(self) -> tuple[int, int]:
-        """This run's queries by the attacker's accounts and views of the victim's profile."""
-        now = query_counts(self._world, self.attacker_ids, self.victim_id)
-        return now[0] - self.counts_at_start[0], now[1] - self.counts_at_start[1]
-
     def give_up(self, why: str) -> None:
         if not self.victim_seen and not self.options.use_favorites:
             raise VictimNeverVisible(f"{why}; victim never appeared in any response")
         raise NonConvergence(why)
 
     def report(self, estimate: GeoPoint, **details) -> AttackReport:
-        queries, victim_profile_queries = self.counts()
-        return AttackReport(
-            estimate=estimate,
-            moves=self.moves,
-            queries=queries,
-            victim_profile_queries=victim_profile_queries,
-            trajectories=self.trajectories,
-            **details,
-        )
+        return AttackReport(estimate=estimate, moves=self.moves, trajectories=self.trajectories, **details)
 
 
 def _geo_centroid(points: Sequence[GeoPoint]) -> GeoPoint:

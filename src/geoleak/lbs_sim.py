@@ -15,7 +15,6 @@ import random
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
 from operator import attrgetter, itemgetter
 
 import numpy as np
@@ -219,7 +218,7 @@ class World:
         p, k = self.policy.drop_probability, self.max_entries
         if k is None or len(order) - 1 <= k:
             draw = self._drop_rng.random
-            subjects = list(compress(order, [u is not obs and draw() >= p for u in order]))
+            subjects = [u for u in order if u is not obs and draw() >= p]
         else:
             rows = np.flatnonzero(_coins(self._drop_rng, len(order) - 1, p))
             # the coins skip the observer: shift the rows past its position

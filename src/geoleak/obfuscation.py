@@ -5,9 +5,8 @@ bands; the inverse direction recovers, from a displayed value, the interval of
 true distances that could have produced it, and `infer_pattern` reconstructs
 the band parameters from observed (true, shown) sample pairs alone.
 
-Pattern values are immutable; `obfuscate_distances` (and its one-element
-form `obfuscate_distance`) takes an explicit RNG so there is no hidden global
-state.
+Pattern values are immutable; `obfuscate_distances` takes an explicit RNG so
+there is no hidden global state.
 """
 
 from __future__ import annotations
@@ -91,16 +90,6 @@ def _band_levels(pattern: ObfuscationPattern) -> int:
     return int((pattern.near_cutoff - pattern.floor_value) // pattern.mid_step)
 
 
-def obfuscate_distance(d: float, pattern: ObfuscationPattern, rng: random.Random) -> float:
-    """Draw the displayed distance for a true distance ``d``: the one-element
-    case of obfuscate_distances.
-
-    Raises:
-        NegativeDistance: d < 0.
-    """
-    return obfuscate_distances((d,), pattern, rng)[0]
-
-
 def obfuscate_distances(ds: Sequence[float], pattern: ObfuscationPattern, rng: random.Random) -> list[float]:
     """Draw the displayed distance for each true distance in ``ds``, in order.
 
@@ -134,7 +123,7 @@ def obfuscate_distances(ds: Sequence[float], pattern: ObfuscationPattern, rng: r
 
 def obfuscation_envelope(d: float, pattern: ObfuscationPattern) -> tuple[float, float]:
     """Closed-form output support for a true distance: the [lo, hi] interval
-    containing every value obfuscate_distance(d, ...) can return.
+    containing every value obfuscate_distances draws for d.
 
     Raises:
         NegativeDistance: d < 0.

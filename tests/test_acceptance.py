@@ -55,7 +55,7 @@ def test_criterion_2_colluding_locates_hidden_victim():
         for accepted, s0 in zip(report.accepted_steps, report.initial_separations):
             budget = max(0, math.ceil(math.log2(max(s0, opts.epsilon) / opts.epsilon)))
             budget_ok = budget_ok and accepted <= budget
-        if err <= 25.0 and report.victim_profile_queries == 0:
+        if err <= 25.0 and world.profile_views[VICTIM_ID] == 0:
             successes += 1
     ok = successes >= 19 and budget_ok and worst_time < 10.0
     _verdict(
@@ -194,8 +194,8 @@ def test_criterion_7_property_suites():
     # zero contact: the colluding run never views the victim's profile
     sc = preset("grindr-hidden")
     world, ids, vantages = build_world(sc, seed=901)
-    report = colluding_trilateration(world, ids, vantages, VICTIM_ID, ColludingOptions())
-    zero_contact = report.victim_profile_queries == 0 and not +world.profile_views
+    colluding_trilateration(world, ids, vantages, VICTIM_ID, ColludingOptions())
+    zero_contact = world.profile_views[VICTIM_ID] == 0 and not +world.profile_views
 
     # deterministic replay: byte-identical GeoJSON for the same (scenario, seed)
     import tempfile

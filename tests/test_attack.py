@@ -24,6 +24,7 @@ from geoleak.attack import (
     exact_trilateration_attack,
     intersect_constraints,
     passive_sandwich_survey,
+    query_counts,
     solve_circle_system,
     trilaterate,
 )
@@ -305,7 +306,7 @@ def test_region_area_monotone_in_constraints():
 def test_region_geojson_feature_shape():
     proj = Projection.at(LAB)
     region = intersect_constraints([AnnulusConstraint(LocalPoint(0.0, 0.0), 0.0, 30.0)], 10.0, proj)
-    report = AttackReport(region.centroid(), moves=0, queries=0, victim_profile_queries=0, region=region)
+    report = AttackReport(region.centroid(), moves=0, region=region)
     row = MetricsRow("kyoto-exact", 1, "success", 0.0, report.region_area, 0, 0, 0)
     doc = scenario_geojson(preset("kyoto-exact"), SURVEY_TRIANGLE, report, row)
     (feature,) = [f for f in doc["features"] if f["properties"]["role"] == "region"]
@@ -367,8 +368,8 @@ def test_exact_trilateration_attack_on_fixture_world():
     world.add_user("attacker", DEMACHIYANAGI_STATION, True)
     report = exact_trilateration_attack(world, ("attacker",), SURVEY_TRIANGLE, "victim")
     assert haversine_distance(report.estimate, LAB) < 1.0
-    assert report.victim_profile_queries == 3
-    assert report.moves == 3 and report.queries == 3
+    assert world.profile_views["victim"] == 3
+    assert report.moves == 3 and query_counts(world, ("attacker",), "victim")[0] == 3
 
 
 def test_exact_trilateration_attack_fails_when_hidden():
@@ -383,16 +384,19 @@ def test_a_reused_world_counts_and_budgets_each_run_from_its_start():
     sc = preset("kyoto-exact")
     world, ids, vantages = build_world(sc, sc.seed)
     for _ in range(2):
-        report = exact_trilateration_attack(world, ids, vantages, VICTIM_ID)
-        assert (report.queries, report.victim_profile_queries) == (3, 3)
+        before = query_counts(world, ids, VICTIM_ID)
+        exact_trilateration_attack(world, ids, vantages, VICTIM_ID)
+        after = query_counts(world, ids, VICTIM_ID)
+        assert (after[0] - before[0], after[1] - before[1]) == (3, 3)
 
     # 100 earlier screens would exhaust the 40-query budget if they counted
     def colluding_counts(earlier_screens):
         world, ids, vantages = build_world(preset("grindr-hidden"), 7)
         for _ in range(earlier_screens):
             world.query_nearby(ids[0])
+        before = query_counts(world, ids, VICTIM_ID)[0]
         report = colluding_trilateration(world, ids, vantages, VICTIM_ID, ColludingOptions(max_queries=40))
-        return report.queries, report.moves
+        return query_counts(world, ids, VICTIM_ID)[0] - before, report.moves
 
     assert colluding_counts(100) == colluding_counts(0) == (7, 11)
 
@@ -413,7 +417,7 @@ def test_colluding_locates_hidden_victim():
     opts = ColludingOptions()
     report = colluding_trilateration(world, ("attacker", "colluder-a", "colluder-b"), SURVEY_TRIANGLE, "victim", opts)
     assert haversine_distance(report.estimate, LAB) <= 25.0
-    assert report.victim_profile_queries == 0
+    assert world.profile_views["victim"] == 0
     assert report.region is not None and report.region.contains(LAB)
     assert report.region_area > 0.0
 
@@ -458,8 +462,9 @@ def test_colluding_is_deterministic():
     def run():
         world = _grindr_world(seed=11)
         opts = ColludingOptions()
-        r = colluding_trilateration(world, ("attacker", "colluder-a", "colluder-b"), SURVEY_TRIANGLE, "victim", opts)
-        return (r.estimate, r.moves, r.queries, r.region_area)
+        ids = ("attacker", "colluder-a", "colluder-b")
+        r = colluding_trilateration(world, ids, SURVEY_TRIANGLE, "victim", opts)
+        return (r.estimate, r.moves, query_counts(world, ids, "victim")[0], r.region_area)
 
     assert run() == run()
 
@@ -472,7 +477,7 @@ def test_colluding_with_favorites_beats_dropping():
     opts = ColludingOptions(use_favorites=True)
     report = colluding_trilateration(world, ("attacker", "colluder-a", "colluder-b"), SURVEY_TRIANGLE, "victim", opts)
     assert haversine_distance(report.estimate, LAB) <= 25.0
-    assert report.victim_profile_queries == 0
+    assert world.profile_views["victim"] == 0
     assert "victim" in world.favorites["attacker"]
 
 
@@ -496,6 +501,50 @@ def test_colluding_budget_exhaustion_raises_nonconvergence():
     opts = ColludingOptions(max_queries=4)
     with pytest.raises(NonConvergence):
         colluding_trilateration(world, ("attacker", "colluder-a", "colluder-b"), SURVEY_TRIANGLE, "victim", opts)
+
+
+def _budgeted_colluding_run(monkeypatch, name, **budget):
+    """A preset's colluding run under a budget: the attacker accounts' query
+    total and the moves made when it ended, and whether it raised."""
+    sc = preset(name)
+    world, ids, vantages = build_world(sc, sc.seed)
+    moves = []
+    move_user = world.move_user
+    monkeypatch.setattr(world, "move_user", lambda uid, where: (moves.append(uid), move_user(uid, where)))
+    a = sc.attack
+    opts = ColludingOptions(
+        epsilon=a.epsilon_m, cell_size=a.cell_size_m, use_favorites=a.kind == "colluding_favorites", **budget
+    )
+    try:
+        colluding_trilateration(world, ids, vantages, VICTIM_ID, opts)
+        raised = False
+    except (NonConvergence, VictimNeverVisible):
+        raised = True
+    return query_counts(world, ids, VICTIM_ID)[0], len(moves), raised
+
+
+COLLUDING_PRESETS = ("grindr-hidden", "hornet-favorites", "hornet-no-favorites")
+
+
+@pytest.mark.parametrize("name", COLLUDING_PRESETS)
+@pytest.mark.parametrize("q", [1, 3, 6])
+def test_a_query_budget_stops_at_exactly_its_limit(monkeypatch, name, q):
+    # favorites screens count against the budget like nearby screens
+    queries, _, raised = _budgeted_colluding_run(monkeypatch, name, max_queries=q)
+    assert raised and queries == q
+
+
+@pytest.mark.parametrize("name", COLLUDING_PRESETS)
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_a_move_budget_stops_at_exactly_its_limit(monkeypatch, name, m):
+    _, moves, raised = _budgeted_colluding_run(monkeypatch, name, max_moves=m)
+    assert raised and moves == m
+
+
+def test_a_query_budget_of_exactly_what_a_run_needs_lets_it_finish(monkeypatch):
+    # grindr-hidden at its preset seed locates the victim with its 7th query
+    assert _budgeted_colluding_run(monkeypatch, "grindr-hidden", max_queries=7) == (7, 11, False)
+    assert _budgeted_colluding_run(monkeypatch, "grindr-hidden", max_queries=6) == (6, 11, True)
 
 
 def test_colluding_validates_arguments():

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -413,3 +414,15 @@ def test_every_preset_runs_in_under_ten_seconds():
         start = time.perf_counter()
         run_scenario(preset(name))
         assert time.perf_counter() - start < 10.0, name
+
+
+def test_the_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(code, namespace)
+    world, report = namespace["world"], namespace["report"]
+    assert haversine_distance(report.estimate, world.users["victim"].location) <= 25.0
+    # the colluding run never opens the victim's profile
+    assert capsys.readouterr().out.split()[-1] == "0"

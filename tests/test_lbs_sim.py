@@ -28,7 +28,7 @@ from geoleak.lbs_sim import (
     UnknownUser,
     World,
 )
-from geoleak.obfuscation import HORNET_DEFAULT, ObfuscationPattern, obfuscate_distance, obfuscation_envelope
+from geoleak.obfuscation import HORNET_DEFAULT, ObfuscationPattern, obfuscate_distances, obfuscation_envelope
 
 LAB_TO_STATION_M = 845.4599899296676
 
@@ -423,7 +423,7 @@ class _ReferenceWorld(World):
         elif mode is PolicyMode.HIDDEN_RESPECTS_FLAG:
             shown = true_d if subject.show_distance else None
         elif subject.show_distance:
-            shown = obfuscate_distance(true_d, self.policy.pattern, self._obf_rng)
+            (shown,) = obfuscate_distances([true_d], self.policy.pattern, self._obf_rng)
         else:
             shown = None
         return ScreenEntry(user=subject.id, shown_distance=shown)
@@ -622,6 +622,6 @@ def test_truncated_screen_keeps_the_draws_just_inside_mid_cutoff():
 def test_obfuscation_draws_nothing_below_the_floor_or_past_mid_cutoff(floor, near, mid, share, beyond, rng):
     pattern = ObfuscationPattern(float(floor), float(floor + near), float(floor + near + mid), 10.0, 10.0, 1000.0)
     before = rng.getstate()
-    assert obfuscate_distance(pattern.floor_value * share, pattern, rng) == pattern.floor_value
-    obfuscate_distance(pattern.mid_cutoff + beyond, pattern, rng)
+    assert obfuscate_distances([pattern.floor_value * share], pattern, rng) == [pattern.floor_value]
+    obfuscate_distances([pattern.mid_cutoff + beyond], pattern, rng)
     assert rng.getstate() == before

@@ -19,7 +19,6 @@ from geoleak.obfuscation import (
     invert_reading,
     _band_levels,
     _round_half_up,
-    obfuscate_distance,
     obfuscate_distances,
     obfuscation_envelope,
 )
@@ -54,7 +53,7 @@ def test_pattern_json_round_trip():
 def test_negative_distance_rejected():
     rng = random.Random(0)
     with pytest.raises(NegativeDistance):
-        obfuscate_distance(-1.0, HORNET_DEFAULT, rng)
+        obfuscate_distances([-1.0], HORNET_DEFAULT, rng)
     with pytest.raises(NegativeDistance):
         obfuscation_envelope(-0.5, HORNET_DEFAULT)
 
@@ -62,29 +61,28 @@ def test_negative_distance_rejected():
 def test_short_distances_pin_to_floor():
     rng = random.Random(1)
     for d in (0.0, 10.0, 50.0, 79.999):
-        for _ in range(20):
-            assert obfuscate_distance(d, HORNET_DEFAULT, rng) == 80.0
+        assert obfuscate_distances([d] * 20, HORNET_DEFAULT, rng) == [80.0] * 20
 
 
 def test_fixed_level_band_draws_quantized_levels():
     rng = random.Random(2)
-    seen = {obfuscate_distance(90.0, HORNET_DEFAULT, rng) for _ in range(200)}
+    seen = set(obfuscate_distances([90.0] * 200, HORNET_DEFAULT, rng))
     assert seen == {80.0, 90.0, 100.0}
 
 
 def test_mid_band_outputs_for_321m():
     rng = random.Random(3)
     allowed = {300.0 + 10.0 * k for k in range(11)}
-    seen = {obfuscate_distance(321.0, HORNET_DEFAULT, rng) for _ in range(400)}
+    seen = set(obfuscate_distances([321.0] * 400, HORNET_DEFAULT, rng))
     assert seen == allowed
 
 
 def test_far_rounding_examples():
     rng = random.Random(4)
-    assert obfuscate_distance(1200.0, HORNET_DEFAULT, rng) == 1000.0
-    assert obfuscate_distance(1600.0, HORNET_DEFAULT, rng) == 2000.0
+    assert obfuscate_distances([1200.0], HORNET_DEFAULT, rng) == [1000.0]
+    assert obfuscate_distances([1600.0], HORNET_DEFAULT, rng) == [2000.0]
     # halves round up
-    assert obfuscate_distance(1500.0, HORNET_DEFAULT, rng) == 2000.0
+    assert obfuscate_distances([1500.0], HORNET_DEFAULT, rng) == [2000.0]
 
 
 @pytest.mark.parametrize(
@@ -109,7 +107,7 @@ def test_envelope_soundness_and_band_invariants():
     p = HORNET_DEFAULT
     for _ in range(1_000_000):
         d = rng.random() * 3000.0
-        s = obfuscate_distance(d, p, rng)
+        (s,) = obfuscate_distances([d], p, rng)
         lo, hi = obfuscation_envelope(d, p)
         assert lo <= s <= hi
         if d < 80.0:
@@ -126,8 +124,8 @@ def test_envelope_soundness_and_band_invariants():
 def test_mid_band_uniformity_chi_square():
     rng = random.Random(5)
     counts = {300.0 + 10.0 * k: 0 for k in range(11)}
-    for _ in range(10_000):
-        counts[obfuscate_distance(321.0, HORNET_DEFAULT, rng)] += 1
+    for s in obfuscate_distances([321.0] * 10_000, HORNET_DEFAULT, rng):
+        counts[s] += 1
     result = stats.chisquare(list(counts.values()))
     assert result.pvalue > 0.001
 
@@ -142,7 +140,7 @@ def _sampled_support(shown, lo, hi, draws=60, grid=0.1, seed=99):
     steps = int(round((hi - lo) / grid))
     for k in range(steps + 1):
         d = lo + k * grid
-        if any(obfuscate_distance(d, HORNET_DEFAULT, rng) == shown for _ in range(draws)):
+        if shown in obfuscate_distances([d] * draws, HORNET_DEFAULT, rng):
             supported.append(d)
     return supported
 
@@ -174,7 +172,7 @@ def test_no_other_branch_emits_the_oracle_values():
         d = float(k)
         if interval[0] - 1.0 <= d <= interval[1] + 1.0:
             continue
-        assert not any(obfuscate_distance(d, HORNET_DEFAULT, rng) == 350.0 for _ in range(40))
+        assert 350.0 not in obfuscate_distances([d] * 40, HORNET_DEFAULT, rng)
 
 
 @pytest.mark.parametrize(
@@ -198,7 +196,7 @@ def test_invert_reading_spans_a_gapped_preimage():
     # 250 comes from the banded base 200 ([150, 200)) and from far rounding
     # ([245, 255)); the answer must hold both pieces
     p = ObfuscationPattern(80, 100, 200, 100, 10, 10)
-    assert obfuscate_distance(250.0, p, random.Random(0)) == 250.0
+    assert obfuscate_distances([250.0], p, random.Random(0)) == [250.0]
     assert invert_reading(250.0, p) == (150.0, 255.0)
 
 
@@ -216,7 +214,7 @@ def _patterns(draw):
 @settings(derandomize=True, deadline=None, max_examples=1000)
 @given(_patterns(), st.floats(0.0, 5000.0), st.randoms(use_true_random=False))
 def test_every_reading_inverts_to_an_interval_holding_the_truth(p, d, rng):
-    shown = obfuscate_distance(d, p, rng)
+    (shown,) = obfuscate_distances([d], p, rng)
     interval = invert_reading(shown, p)
     assert interval is not None and interval[0] <= d < interval[1]
     lo, hi = obfuscation_envelope(d, p)
@@ -224,7 +222,7 @@ def test_every_reading_inverts_to_an_interval_holding_the_truth(p, d, rng):
 
 
 def _one_by_one(d, p, rng):
-    """obfuscate_distance as it was before the batch: one randint per draw."""
+    """One distance's draw as it was before the batch: one randint per draw."""
     if d < 0.0:
         raise NegativeDistance(f"true distance must be >= 0, got {d}")
     if d < p.floor_value:
@@ -270,7 +268,7 @@ def test_forward_inverse_consistency():
     rng = random.Random(8)
     for _ in range(5_000):
         d = rng.random() * 3000.0
-        s = obfuscate_distance(d, HORNET_DEFAULT, rng)
+        (s,) = obfuscate_distances([d], HORNET_DEFAULT, rng)
         interval = invert_reading(s, HORNET_DEFAULT)
         assert interval is not None
         assert interval[0] <= d < interval[1]
@@ -284,8 +282,7 @@ def _scatter(n_locations, queries, max_distance, seed, lo=0.0):
     samples = []
     for _ in range(n_locations):
         d = lo + (max_distance - lo) * (1.0 - rng.random())
-        for _ in range(queries):
-            samples.append(ObfuscationSample(d, obfuscate_distance(d, HORNET_DEFAULT, rng)))
+        samples += [ObfuscationSample(d, s) for s in obfuscate_distances([d] * queries, HORNET_DEFAULT, rng)]
     return samples
 
 
