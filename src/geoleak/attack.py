@@ -25,7 +25,7 @@ from typing import Collection, Sequence
 
 import numpy as np
 
-from .geodesy import GeoPoint, LocalPoint, Projection, haversine_distance, project, unproject, unproject_arrays
+from .geodesy import GeoPoint, LocalPoint, Projection, geo_centroid, haversine_distance, project, unproject, unproject_arrays
 from .lbs_sim import QueryResponse, ScreenEntry, World
 from .obfuscation import invert_reading
 
@@ -372,7 +372,7 @@ class _Session:
         self.attacker_ids = tuple(attacker_ids)
         self.victim_id = victim_id
         self.options = options
-        self.proj = Projection.at(_geo_centroid(vantages))
+        self.proj = Projection.at(geo_centroid(vantages))
         self.queries_at_start = query_counts(world, self.attacker_ids, victim_id)[0]
         self.moves = 0
         self.victim_seen = False
@@ -424,13 +424,6 @@ class _Session:
         return AttackReport(estimate=estimate, moves=self.moves, trajectories=self.trajectories, **details)
 
 
-def _geo_centroid(points: Sequence[GeoPoint]) -> GeoPoint:
-    return GeoPoint(
-        sum(p.lat for p in points) / len(points),
-        sum(p.lon for p in points) / len(points),
-    )
-
-
 def _flank_bounds(session: _Session, resp: QueryResponse, victim_index: int, vantage: GeoPoint) -> tuple[float, float]:
     """Lower/upper bound on the vantage-to-victim distance from the entries
     flanking the victim. Hidden flankers the attacker does not control yield
@@ -468,7 +461,7 @@ def default_vantage_points(reference_points: Sequence[GeoPoint]) -> tuple[GeoPoi
     vantage sits at the population's extent from its centroid."""
     from .fixtures import SCIENCE_FRONTIER_LAB, SURVEY_TRIANGLE
 
-    center = _geo_centroid(reference_points)
+    center = geo_centroid(reference_points)
     proj = Projection.at(center)
     extent = max((project(p, proj).norm() for p in reference_points), default=0.0)
     radius = max(500.0, extent)
@@ -530,7 +523,7 @@ def colluding_trilateration(
     session = _Session(world, attacker_ids, vantages, victim_id, accounts=3, options=opts)
     observer, inner_id, outer_id = attacker_ids
     proj = session.proj
-    fallback_target = project(_geo_centroid(vantages), proj)
+    fallback_target = LocalPoint(0.0, 0.0)  # the vantages' centroid, where the plane is anchored
     coarse_cell = max(opts.cell_size, opts.epsilon)
 
     annuli: list[AnnulusConstraint] = []
@@ -614,7 +607,7 @@ def passive_sandwich_survey(
     attacker_ids: Sequence[str],
     vantages: Sequence[GeoPoint],
     victim_id: str,
-    cell_size: float = 5.0,
+    cell_size: float = ColludingOptions.cell_size,
 ) -> AttackReport:
     """Non-adaptive variant: one nearby query per vantage point, bounds taken
     from whatever real users happen to flank the victim. The one attacker

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success outcomes, 2 when an attack run fails (victim never
 visible, non-convergence, empty region), 1 on usage or configuration errors.
-Set GEOLEAK_LOG=error|info|debug for diagnostics.
+Set GEOLEAK_LOG to debug, info, warning, error (the default) or critical, in
+any case, for diagnostics; any other value is a configuration error.
 """
 
 from __future__ import annotations
@@ -15,13 +16,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .harness import (
-    Scenario,
-    emit_scatter,
-    load_samples_csv,
-    run_suite,
-    save_samples_csv,
-)
+from .harness import AttackSpec, Scenario, emit_scatter, load_samples_csv, run_suite, save_samples_csv
 from .jsonio import from_json, to_json
 from .obfuscation import HORNET_DEFAULT, InsufficientSamples, ObfuscationPattern, infer_pattern
 from .scenarios import PRESETS, preset
@@ -29,6 +24,8 @@ from .scenarios import PRESETS, preset
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_ATTACK_FAILED = 2
+
+_LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
 
 
 class _StderrHandler(logging.StreamHandler):
@@ -45,10 +42,14 @@ class _StderrHandler(logging.StreamHandler):
 
 
 def _configure_logging() -> None:
-    """Set the geoleak logger's level from GEOLEAK_LOG and give it one stderr
-    handler; repeated calls add no handler, and the root logger is untouched."""
+    """Set the geoleak logger's level from GEOLEAK_LOG, raising ValueError if it
+    names none of _LOG_LEVELS, and give it one stderr handler; repeated calls
+    add no handler, and the root logger is untouched."""
+    level = os.environ.get("GEOLEAK_LOG", "error")
+    if level.lower() not in _LOG_LEVELS:
+        raise ValueError(f"GEOLEAK_LOG must be one of {', '.join(_LOG_LEVELS)} (any case), got {level!r}")
     logger = logging.getLogger("geoleak")
-    logger.setLevel(getattr(logging, os.environ.get("GEOLEAK_LOG", "error").upper(), logging.ERROR))
+    logger.setLevel(level.upper())
     if not any(isinstance(h, _StderrHandler) for h in logger.handlers):
         logger.addHandler(_StderrHandler())
 
@@ -76,9 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     scatter = sub.add_parser("scatter", help="emit obfuscation samples as CSV")
     scatter.add_argument("--pattern", default="preset:hornet", help="pattern JSON file or preset:hornet")
-    scatter.add_argument("--locations", type=int, default=3000)
-    scatter.add_argument("--queries", type=int, default=30, help="queries per location")
-    scatter.add_argument("--max-dist", type=float, default=3000.0, help="max true distance, meters")
+    scatter.add_argument("--locations", type=int, default=AttackSpec.locations)
+    scatter.add_argument("--queries", type=int, default=AttackSpec.queries_per_location, help="queries per location")
+    scatter.add_argument("--max-dist", type=float, default=AttackSpec.max_distance_m, help="max true distance, meters")
     scatter.add_argument("--seed", type=int, default=0)
     scatter.add_argument("--out", type=Path, required=True, help="output CSV path")
 
@@ -132,9 +133,9 @@ def _cmd_infer(args) -> int:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
-    args = build_parser().parse_args(argv)
     try:
+        _configure_logging()
+        args = build_parser().parse_args(argv)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "scatter":

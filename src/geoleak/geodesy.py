@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -78,6 +79,11 @@ class Projection:
             meters_per_degree_lat=METERS_PER_DEGREE_LAT,
             meters_per_degree_lon=METERS_PER_DEGREE_LAT * math.cos(math.radians(origin.lat)),
         )
+
+
+def geo_centroid(points: Sequence[GeoPoint]) -> GeoPoint:
+    """The mean latitude and mean longitude of a non-empty sequence of points."""
+    return GeoPoint(sum(p.lat for p in points) / len(points), sum(p.lon for p in points) / len(points))
 
 
 def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:

@@ -30,6 +30,10 @@ missing required key or a value of the wrong JSON type (a boolean for a number,
 a string for an integer) raises ValueError naming the key path, e.g.
 ``$.attack: unknown key 'epsilon'``. A key whose dataclass field has a default
 (every `attack` key but `kind`, say) may be left out and takes that default.
+An `infer_pattern` scenario's policy must state the pattern it samples.
+
+`build_world` makes a scenario's world for one seed, and `locate`, the one
+place an `AttackSpec` becomes a driver call, runs its attack on that world.
 """
 
 from __future__ import annotations
@@ -59,14 +63,7 @@ from .attack import (
 from .geodesy import GeoPoint, LocalPoint, Projection, haversine_distance, unproject
 from .jsonio import to_json
 from .lbs_sim import DisclosurePolicy, World, check_max_entries
-from .obfuscation import (
-    HORNET_DEFAULT,
-    InsufficientSamples,
-    ObfuscationPattern,
-    ObfuscationSample,
-    infer_pattern,
-    obfuscate_distances,
-)
+from .obfuscation import InsufficientSamples, ObfuscationPattern, ObfuscationSample, infer_pattern, obfuscate_distances
 
 log = logging.getLogger(__name__)
 
@@ -76,30 +73,12 @@ _COLLUDERS = ("attacker", "colluder-a", "colluder-b")
 _RESERVED_IDS = frozenset((VICTIM_ID, *_COLLUDERS))  # accounts build_world adds itself
 
 
-def _colluding(world: World, ids: tuple[str, ...], vantages: tuple[GeoPoint, ...], a: AttackSpec) -> AttackReport:
-    opts = ColludingOptions(
-        epsilon=a.epsilon_m,
-        cell_size=a.cell_size_m,
-        use_favorites=(a.kind == "colluding_favorites"),
-        max_moves=a.max_moves,
-        max_queries=a.max_queries,
-    )
-    return colluding_trilateration(world, ids, vantages, VICTIM_ID, opts)
-
-
-# locator attack kind -> (attacker-controlled account ids, driver); each
-# driver runs on (world, ids, vantages, attack spec) and returns its report
+# locator attack kind -> the attacker-controlled account ids build_world adds
 _LOCATORS = {
-    "trilateration": (
-        _OBSERVER,
-        lambda world, ids, vantages, a: exact_trilateration_attack(world, ids, vantages, VICTIM_ID),
-    ),
-    "passive_sandwich": (
-        _OBSERVER,
-        lambda world, ids, vantages, a: passive_sandwich_survey(world, ids, vantages, VICTIM_ID, a.cell_size_m),
-    ),
-    "colluding": (_COLLUDERS, _colluding),
-    "colluding_favorites": (_COLLUDERS, _colluding),
+    "trilateration": _OBSERVER,
+    "passive_sandwich": _OBSERVER,
+    "colluding": _COLLUDERS,
+    "colluding_favorites": _COLLUDERS,
 }
 ATTACK_KINDS = (*_LOCATORS, "infer_pattern")
 
@@ -159,11 +138,11 @@ class BackgroundSpec:
 @dataclass(frozen=True)
 class AttackSpec:
     kind: str
-    epsilon_m: float = 20.0
-    cell_size_m: float = 5.0
+    epsilon_m: float = ColludingOptions.epsilon
+    cell_size_m: float = ColludingOptions.cell_size
     vantage_points: tuple[GeoPoint, ...] | None = None
-    max_moves: int = 80
-    max_queries: int = 40
+    max_moves: int = ColludingOptions.max_moves
+    max_queries: int = ColludingOptions.max_queries
     # pattern-inference runs only
     locations: int = 3000
     queries_per_location: int = 30
@@ -196,6 +175,8 @@ class Scenario:
 
     def __post_init__(self):
         check_max_entries(self.max_entries)
+        if self.attack.kind == "infer_pattern" and self.policy.pattern is None:
+            raise ValueError("an infer_pattern attack samples the policy's pattern, and this policy has none")
 
 
 @dataclass(frozen=True)
@@ -247,7 +228,7 @@ def build_world(scenario: Scenario, seed: int) -> tuple[World, tuple[str, ...], 
     else:
         population = [u.location for _, u in sorted(world.users.items())]
         vantages = default_vantage_points(population)
-    ids, _ = _LOCATORS.get(scenario.attack.kind, (_OBSERVER, None))  # infer_pattern has no driver
+    ids = _LOCATORS.get(scenario.attack.kind, _OBSERVER)  # infer_pattern moves no account
     for uid in ids:
         world.add_user(uid, vantages[0], True)
     return world, ids, vantages
@@ -293,6 +274,26 @@ def load_samples_csv(path: Path) -> list[ObfuscationSample]:
 # -- runner ---------------------------------------------------------------------
 
 
+def locate(world: World, ids: Sequence[str], vantages: Sequence[GeoPoint], attack: AttackSpec) -> AttackReport:
+    """Run the spec's driver on a world, account ids and vantages from
+    build_world; raises the driver's declared attack errors, and ValueError
+    for infer_pattern, which locates no one."""
+    if attack.kind == "trilateration":
+        return exact_trilateration_attack(world, ids, vantages, VICTIM_ID)
+    if attack.kind == "passive_sandwich":
+        return passive_sandwich_survey(world, ids, vantages, VICTIM_ID, attack.cell_size_m)
+    if attack.kind == "infer_pattern":
+        raise ValueError("infer_pattern locates no one; run_scenario runs it")
+    opts = ColludingOptions(
+        epsilon=attack.epsilon_m,
+        cell_size=attack.cell_size_m,
+        use_favorites=attack.kind == "colluding_favorites",
+        max_moves=attack.max_moves,
+        max_queries=attack.max_queries,
+    )
+    return colluding_trilateration(world, ids, vantages, VICTIM_ID, opts)
+
+
 def run_scenario(scenario: Scenario, out_dir: Path | None = None, seed: int | None = None) -> MetricsRow:
     """Run one seeded attack experiment; never raises on declared attack errors.
 
@@ -305,11 +306,10 @@ def run_scenario(scenario: Scenario, out_dir: Path | None = None, seed: int | No
         return _run_inference(scenario, seed, out_dir)
 
     world, ids, vantages = build_world(scenario, seed)
-    _, driver = _LOCATORS[scenario.attack.kind]
     outcome = "success"
     report: AttackReport | None = None
     try:
-        report = driver(world, ids, vantages, scenario.attack)
+        report = locate(world, ids, vantages, scenario.attack)
     except VictimNeverVisible:
         outcome = "victim_never_visible"
     except NonConvergence:
@@ -342,7 +342,7 @@ def _write_json(path: Path, doc) -> None:
 
 def _run_inference(scenario: Scenario, seed: int, out_dir: Path | None) -> MetricsRow:
     a = scenario.attack
-    pattern = scenario.policy.pattern if scenario.policy.pattern is not None else HORNET_DEFAULT
+    pattern = scenario.policy.pattern
     samples = emit_scatter(pattern, a.locations, a.queries_per_location, a.max_distance_m, seed)
     truth = to_json(pattern)
     outcome = "non_convergence"

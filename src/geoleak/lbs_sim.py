@@ -19,7 +19,7 @@ from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .geodesy import EARTH_RADIUS_M, GeoPoint, Projection, haversine_distance, project
+from .geodesy import EARTH_RADIUS_M, GeoPoint, Projection, geo_centroid, haversine_distance, project
 from .obfuscation import ObfuscationPattern, obfuscate_distances
 
 
@@ -183,9 +183,7 @@ class World:
     def _freeze(self) -> None:
         # every caller has looked up a user first, so users is not empty
         if self.projection is None:
-            lat = sum(u.location.lat for u in self.users.values()) / len(self.users)
-            lon = sum(u.location.lon for u in self.users.values()) / len(self.users)
-            self.projection = Projection.at(GeoPoint(lat, lon))
+            self.projection = Projection.at(geo_centroid([u.location for u in self.users.values()]))
 
     def _id_order(self) -> list[SimUser]:
         if self._order is None:

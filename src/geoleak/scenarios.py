@@ -92,9 +92,7 @@ def hornet_scatter() -> Scenario:
         seed=2016,
         victim=VictimSpec(SCIENCE_FRONTIER_LAB.lat, SCIENCE_FRONTIER_LAB.lon, show_distance=True),
         background=BackgroundSpec(users=()),
-        attack=AttackSpec(
-            kind="infer_pattern", locations=3000, queries_per_location=30, max_distance_m=3000.0
-        ),
+        attack=AttackSpec(kind="infer_pattern"),
     )
 
 

@@ -6,15 +6,9 @@ import time
 
 from scipy import stats
 
-from geoleak.attack import (
-    AnnulusConstraint,
-    ColludingOptions,
-    colluding_trilateration,
-    intersect_constraints,
-    passive_sandwich_survey,
-)
+from geoleak.attack import AnnulusConstraint, intersect_constraints
 from geoleak.geodesy import GeoPoint, LocalPoint, Projection, haversine_distance, project, unproject
-from geoleak.harness import VICTIM_ID, build_world, run_scenario
+from geoleak.harness import VICTIM_ID, build_world, locate, run_scenario
 from geoleak.lbs_sim import DisclosurePolicy, PolicyMode, World
 from geoleak.obfuscation import HORNET_DEFAULT, infer_pattern, obfuscation_envelope
 from geoleak.scenarios import preset
@@ -41,19 +35,13 @@ def test_criterion_2_colluding_locates_hidden_victim():
     budget_ok = True
     for i in range(20):
         world, ids, vantages = build_world(sc, seed=sc.seed + i)
-        opts = ColludingOptions(
-            epsilon=sc.attack.epsilon_m,
-            cell_size=sc.attack.cell_size_m,
-            max_moves=sc.attack.max_moves,
-            max_queries=sc.attack.max_queries,
-        )
         start = time.perf_counter()
-        report = colluding_trilateration(world, ids, vantages, VICTIM_ID, opts)
+        report = locate(world, ids, vantages, sc.attack)
         worst_time = max(worst_time, time.perf_counter() - start)
         err = haversine_distance(report.estimate, sc.victim.point)
         worst_err = max(worst_err, err)
         for accepted, s0 in zip(report.accepted_steps, report.initial_separations):
-            budget = max(0, math.ceil(math.log2(max(s0, opts.epsilon) / opts.epsilon)))
+            budget = max(0, math.ceil(math.log2(max(s0, sc.attack.epsilon_m) / sc.attack.epsilon_m)))
             budget_ok = budget_ok and accepted <= budget
         if err <= 25.0 and world.profile_views[VICTIM_ID] == 0:
             successes += 1
@@ -71,7 +59,7 @@ def test_criterion_3_sparse_remote_region_contains_victim():
     contained = 0
     for i in range(20):
         world, ids, vantages = build_world(sc, seed=sc.seed + i)
-        report = passive_sandwich_survey(world, ids, vantages, VICTIM_ID, cell_size=sc.attack.cell_size_m)
+        report = locate(world, ids, vantages, sc.attack)
         contained += report.region.contains(sc.victim.point)
     _verdict(3, contained == 20, f"remote-victim survey containment {contained}/20 seeds")
 
@@ -194,7 +182,7 @@ def test_criterion_7_property_suites():
     # zero contact: the colluding run never views the victim's profile
     sc = preset("grindr-hidden")
     world, ids, vantages = build_world(sc, seed=901)
-    colluding_trilateration(world, ids, vantages, VICTIM_ID, ColludingOptions())
+    locate(world, ids, vantages, sc.attack)
     zero_contact = world.profile_views[VICTIM_ID] == 0 and not +world.profile_views
 
     # deterministic replay: byte-identical GeoJSON for the same (scenario, seed)

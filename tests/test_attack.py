@@ -1,6 +1,7 @@
 import ast
 import math
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from geoleak.fixtures import (
     SURVEY_TRIANGLE,
 )
 from geoleak.geodesy import GeoPoint, LocalPoint, Projection, haversine_distance, project, unproject
-from geoleak.harness import VICTIM_ID, MetricsRow, build_world, scenario_geojson
+from geoleak.harness import VICTIM_ID, MetricsRow, build_world, locate, scenario_geojson
 from geoleak.lbs_sim import DisclosurePolicy, PolicyMode, World
 from geoleak.obfuscation import HORNET_DEFAULT
 from geoleak.scenarios import preset
@@ -511,12 +512,8 @@ def _budgeted_colluding_run(monkeypatch, name, **budget):
     moves = []
     move_user = world.move_user
     monkeypatch.setattr(world, "move_user", lambda uid, where: (moves.append(uid), move_user(uid, where)))
-    a = sc.attack
-    opts = ColludingOptions(
-        epsilon=a.epsilon_m, cell_size=a.cell_size_m, use_favorites=a.kind == "colluding_favorites", **budget
-    )
     try:
-        colluding_trilateration(world, ids, vantages, VICTIM_ID, opts)
+        locate(world, ids, vantages, replace(sc.attack, **budget))
         raised = False
     except (NonConvergence, VictimNeverVisible):
         raised = True

@@ -2,7 +2,9 @@ import csv
 import hashlib
 import json
 import math
+import logging
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,12 +13,14 @@ from geoleak.cli import main
 from geoleak.fixtures import SCIENCE_FRONTIER_LAB
 from geoleak.geodesy import GeoPoint, haversine_distance
 from geoleak.harness import (
+    VICTIM_ID,
     AttackSpec,
     BackgroundSpec,
     Scenario,
     build_world,
     emit_scatter,
     load_samples_csv,
+    locate,
     run_scenario,
     run_suite,
     save_samples_csv,
@@ -114,13 +118,15 @@ def _hornet_favorites_pattern(**fields):
         (lambda d: d.update(background={"users": [_bg_user("attacker")]}), "$.background: users[0]: id 'attacker' is reserved"),
         (lambda d: d.update(background={"users": [_bg_user("u"), _bg_user("victim")]}),
          "$.background: users[1]: id 'victim' is reserved"),
+        (lambda d: d["attack"].update(kind="infer_pattern"),
+         "$: an infer_pattern attack samples the policy's pattern, and this policy has none"),
     ],
     ids=[
         "typo", "string-int", "bool-int", "no-victim", "bad-enum", "two-vantages", "stale-key", "user-shape",
         "nan-epsilon", "inf-max-distance", "negative-max-entries", "zero-max-entries", "inf-pattern-field",
         "negative-max-moves", "zero-max-queries", "zero-locations", "negative-queries-per-location",
         "nan-radius", "users-and-generator", "huge-epsilon", "user-latitude", "duplicate-user-id",
-        "attacker-id", "victim-id",
+        "attacker-id", "victim-id", "infer-without-pattern",
     ],
 )
 def test_scenario_loading_is_strict(edit, message):
@@ -185,6 +191,43 @@ def test_build_world_generates_background_deterministically():
     w3, _, _ = build_world(sc, seed=10)
     assert w3.users != w1.users
     assert sum(1 for uid in w1.users if uid.startswith("bg-")) == 50
+
+
+@pytest.mark.parametrize("name", ["sparse-remote", "grindr-hidden", "hornet-favorites"])
+@pytest.mark.parametrize("cell_size", [2.5, 7.0])
+def test_locate_rasterizes_at_the_spec_cell_size(name, cell_size):
+    sc = preset(name)
+    world, ids, vantages = build_world(sc, sc.seed)
+    report = locate(world, ids, vantages, replace(sc.attack, cell_size_m=cell_size))
+    assert report.region.cell_size == cell_size
+    assert report.region.contains(sc.victim.point)
+
+
+@pytest.mark.parametrize("name", ["grindr-hidden", "hornet-favorites"])
+def test_locate_brackets_each_vantage_to_the_spec_epsilon(name):
+    # at the default 20 m, one final bracket of each preset is over 18 m wide
+    sc = preset(name)
+    world, ids, vantages = build_world(sc, sc.seed)
+    report = locate(world, ids, vantages, replace(sc.attack, epsilon_m=8.0))
+    final = {ring.center: ring.r_hi - ring.r_lo for ring in report.observations}
+    assert len(final) == 3 and max(final.values()) <= 8.0
+
+
+@pytest.mark.parametrize(
+    "kind, favorited", [("colluding", None), ("colluding_favorites", ["colluder-a", "colluder-b", VICTIM_ID])]
+)
+def test_locate_favorites_the_victim_only_for_colluding_favorites(kind, favorited):
+    sc = preset("grindr-hidden")
+    world, ids, vantages = build_world(sc, sc.seed)
+    locate(world, ids, vantages, replace(sc.attack, kind=kind))
+    assert world.favorites.get("attacker") == favorited
+
+
+def test_locate_refuses_an_inference_spec():
+    sc = preset("hornet-scatter")
+    world, ids, vantages = build_world(sc, sc.seed)
+    with pytest.raises(ValueError, match="infer_pattern locates no one"):
+        locate(world, ids, vantages, sc.attack)
 
 
 def test_kyoto_exact_scenario_succeeds_within_a_meter():
@@ -388,8 +431,6 @@ def test_cli_missing_file_is_config_error(tmp_path):
 
 
 def test_cli_log_level_env(monkeypatch, capsys):
-    import logging
-
     root, logger = logging.getLogger(), logging.getLogger("geoleak")
     root_handlers, root_level = list(root.handlers), root.level
     level, handlers = logger.level, list(logger.handlers)
@@ -401,10 +442,24 @@ def test_cli_log_level_env(monkeypatch, capsys):
         assert main(["run", "--scenario", "preset:kyoto-exact"]) == 0
         assert logger.handlers == configured
         assert root.handlers == root_handlers and root.level == root_level
+        monkeypatch.setenv("GEOLEAK_LOG", "Warning")  # a level name in any case
+        assert main(["run", "--scenario", "preset:kyoto-exact"]) == 0
+        assert logger.level == logging.WARNING
     finally:
         logger.setLevel(level)
         logger.handlers[:] = handlers
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["bogus", "basic_format", ""])
+def test_cli_rejects_an_unknown_log_level(monkeypatch, capsys, value):
+    monkeypatch.setenv("GEOLEAK_LOG", value)
+    assert main(["run", "--scenario", "preset:kyoto-exact"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"geoleak: error: GEOLEAK_LOG must be one of debug, info, warning, error, critical (any case), got {value!r}\n"
+    )
 
 
 def test_every_preset_runs_in_under_ten_seconds():
@@ -422,7 +477,9 @@ def test_the_readme_library_example_runs(capsys):
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     namespace = {}
     exec(code, namespace)
-    world, report = namespace["world"], namespace["report"]
-    assert haversine_distance(report.estimate, world.users["victim"].location) <= 25.0
-    # the colluding run never opens the victim's profile
-    assert capsys.readouterr().out.split()[-1] == "0"
+    # the hand-built world, then the preset's through build_world and locate
+    for world, report in [(namespace["world"], namespace["report"]), (namespace["sc_world"], namespace["sc_report"])]:
+        assert haversine_distance(report.estimate, world.users["victim"].location) <= 25.0
+    # neither colluding run opens the victim's profile
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and all(line.split()[-1] == "0" for line in lines)
