@@ -21,7 +21,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Collection, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -84,7 +84,7 @@ def solve_circle_system(anchors: Sequence[tuple[float, float]], dists: Sequence[
     point whose pairwise power differences match the readings.
 
     Raises:
-        CollinearAdversaries: anchor triangle area below 100 m^2.
+        CollinearAdversaries: anchor triangle area of at most 1 m^2.
     """
     (x1, y1), (x2, y2), (x3, y3) = anchors
     d1, d2, d3 = dists
@@ -316,11 +316,10 @@ class ColludingOptions:
 
 @dataclass
 class AttackReport:
-    """What the attacker concluded from one run. The run's query counts are
-    the world's, read with query_counts."""
+    """What the attacker concluded from one run. The run's move and query
+    counts are the world's (World.moves, World.queries)."""
 
     estimate: GeoPoint
-    moves: int
     region: CandidateRegion | None = None
     trajectories: dict[str, list[GeoPoint]] = field(default_factory=dict)
     accepted_steps: tuple[int, ...] = ()
@@ -332,20 +331,14 @@ class AttackReport:
         return self.region.area() if self.region is not None else 0.0
 
 
-def query_counts(world: World, attacker_ids: Collection[str], victim_id: str) -> tuple[int, int]:
-    """The world's totals so far: queries by the attacker's accounts, and
-    views of the victim's profile."""
-    return sum(world.queries[uid] for uid in attacker_ids), world.profile_views[victim_id]
-
-
 class _Session:
     """One attack run's only way to touch the world: moves the attacker's own
     accounts and keeps their trajectories (the last point is where an account
     is now), favorites users for the first account, runs queries within the
-    budget when options are given, and builds the report. Its query budget
-    counts the attacker accounts' queries since the session's start, so a
-    reused world gives each run its full budget. Its projection is centred on
-    the vantages."""
+    budget when options are given, and builds the report. Both budgets read
+    only the session's own tallies, the moves it made and the screens it got
+    back, never the world's counters, so a reused world gives each run its
+    full budget. Its projection is centred on the vantages."""
 
     def __init__(
         self,
@@ -373,8 +366,8 @@ class _Session:
         self.victim_id = victim_id
         self.options = options
         self.proj = Projection.at(geo_centroid(vantages))
-        self.queries_at_start = query_counts(world, self.attacker_ids, victim_id)[0]
         self.moves = 0
+        self.queries = 0
         self.victim_seen = False
         self.trajectories: dict[str, list[GeoPoint]] = {
             uid: [world.users[uid].location] for uid in attacker_ids
@@ -388,11 +381,10 @@ class _Session:
         self.trajectories[uid].append(where)
 
     def observe(self, observer: str, favorites: bool = False) -> QueryResponse:
-        if self.options is not None:
-            used = query_counts(self._world, self.attacker_ids, self.victim_id)[0] - self.queries_at_start
-            if used >= self.options.max_queries:
-                self.give_up("query budget exhausted")
+        if self.options is not None and self.queries >= self.options.max_queries:
+            self.give_up("query budget exhausted")
         resp = self._world.query_favorites(observer) if favorites else self._world.query_nearby(observer)
+        self.queries += 1
         if resp.index_of(self.victim_id) is not None:
             self.victim_seen = True
         return resp
@@ -421,7 +413,7 @@ class _Session:
         raise NonConvergence(why)
 
     def report(self, estimate: GeoPoint, **details) -> AttackReport:
-        return AttackReport(estimate=estimate, moves=self.moves, trajectories=self.trajectories, **details)
+        return AttackReport(estimate=estimate, trajectories=self.trajectories, **details)
 
 
 def _flank_bounds(session: _Session, resp: QueryResponse, victim_index: int, vantage: GeoPoint) -> tuple[float, float]:

@@ -58,7 +58,6 @@ from .attack import (
     default_vantage_points,
     exact_trilateration_attack,
     passive_sandwich_survey,
-    query_counts,
 )
 from .geodesy import GeoPoint, LocalPoint, Projection, haversine_distance, unproject
 from .jsonio import to_json
@@ -317,16 +316,19 @@ def run_scenario(scenario: Scenario, out_dir: Path | None = None, seed: int | No
     except EmptyRegion:
         outcome = "empty_region"
 
-    queries, profile_queries = query_counts(world, ids, VICTIM_ID)
+    # the run's counts are the world's; a run that raised still writes no
+    # moves, as perfbench/reference.json pins (ROADMAP item 4)
+    moves = sum(world.moves[uid] for uid in ids)
+    queries = sum(world.queries[uid] for uid in ids)
     row = MetricsRow(
         scenario=scenario.name,
         seed=seed,
         outcome=outcome,
         localization_error=haversine_distance(report.estimate, scenario.victim.point) if report else None,
         region_area=report.region_area if report else None,
-        moves=report.moves if report else None,
+        moves=moves if report else None,
         queries=queries,
-        victim_profile_queries=profile_queries,
+        victim_profile_queries=world.profile_views[VICTIM_ID],
     )
     log.info("%s seed=%d outcome=%s error=%s queries=%d", scenario.name, seed, outcome, row.localization_error, queries)
     if out_dir is not None:

@@ -132,6 +132,9 @@ class World:
     A user's location changes only through move_user, which keeps the
     read-side caches current: the coordinate array (_coords) and the row of
     distances from the last ranked observer's location (_dists).
+
+    It counts what it served: moves and queries of any kind per account
+    (moves, queries), and views per profile (profile_views).
     """
 
     def __init__(self, policy: DisclosurePolicy, seed: int, max_entries: int | None = None):
@@ -140,7 +143,7 @@ class World:
         self.max_entries = max_entries
         self.users: dict[str, SimUser] = {}
         self.favorites: dict[str, list[str]] = {}
-        # queries of any kind per account, and views per profile
+        self.moves: Counter[str] = Counter()
         self.queries: Counter[str] = Counter()
         self.profile_views: Counter[str] = Counter()
         self.projection: Projection | None = None
@@ -169,6 +172,7 @@ class World:
 
     def move_user(self, user_id: str, location: GeoPoint) -> None:
         self._require(user_id).location = location
+        self.moves[user_id] += 1
         self._dists.pop(user_id, None)
         if self._coords is not None:
             column = bisect_left(self._order, user_id, key=attrgetter("id"))

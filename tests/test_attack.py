@@ -25,7 +25,6 @@ from geoleak.attack import (
     exact_trilateration_attack,
     intersect_constraints,
     passive_sandwich_survey,
-    query_counts,
     solve_circle_system,
     trilaterate,
 )
@@ -74,6 +73,11 @@ def test_pythagorean_circle_system():
 def test_collinear_anchors_rejected():
     with pytest.raises(CollinearAdversaries):
         solve_circle_system([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], [1.0, 1.0, 1.0])
+    # the guard is an area of at most 1 m^2: 1 m^2 raises, 2 m^2 solves
+    with pytest.raises(CollinearAdversaries):
+        solve_circle_system([(0.0, 0.0), (1.0, 0.0), (0.0, 2.0)], [1.0, 1.0, 1.0])
+    root2 = math.sqrt(2.0)
+    assert solve_circle_system([(0.0, 0.0), (2.0, 0.0), (0.0, 2.0)], [root2, root2, root2]) == (1.0, 1.0)
 
 
 def _exact_ring(p, d, proj):
@@ -307,7 +311,7 @@ def test_region_area_monotone_in_constraints():
 def test_region_geojson_feature_shape():
     proj = Projection.at(LAB)
     region = intersect_constraints([AnnulusConstraint(LocalPoint(0.0, 0.0), 0.0, 30.0)], 10.0, proj)
-    report = AttackReport(region.centroid(), moves=0, region=region)
+    report = AttackReport(region.centroid(), region=region)
     row = MetricsRow("kyoto-exact", 1, "success", 0.0, report.region_area, 0, 0, 0)
     doc = scenario_geojson(preset("kyoto-exact"), SURVEY_TRIANGLE, report, row)
     (feature,) = [f for f in doc["features"] if f["properties"]["role"] == "region"]
@@ -370,7 +374,7 @@ def test_exact_trilateration_attack_on_fixture_world():
     report = exact_trilateration_attack(world, ("attacker",), SURVEY_TRIANGLE, "victim")
     assert haversine_distance(report.estimate, LAB) < 1.0
     assert world.profile_views["victim"] == 3
-    assert report.moves == 3 and query_counts(world, ("attacker",), "victim")[0] == 3
+    assert world.moves["attacker"] == world.queries["attacker"] == 3
 
 
 def test_exact_trilateration_attack_fails_when_hidden():
@@ -381,25 +385,33 @@ def test_exact_trilateration_attack_fails_when_hidden():
         exact_trilateration_attack(world, ("attacker",), SURVEY_TRIANGLE, "victim")
 
 
+def _counts(world, ids):
+    """The world's (queries, moves) totals over the given accounts."""
+    return sum(world.queries[uid] for uid in ids), sum(world.moves[uid] for uid in ids)
+
+
 def test_a_reused_world_counts_and_budgets_each_run_from_its_start():
     sc = preset("kyoto-exact")
     world, ids, vantages = build_world(sc, sc.seed)
     for _ in range(2):
-        before = query_counts(world, ids, VICTIM_ID)
+        before = (*_counts(world, ids), world.profile_views[VICTIM_ID])
         exact_trilateration_attack(world, ids, vantages, VICTIM_ID)
-        after = query_counts(world, ids, VICTIM_ID)
-        assert (after[0] - before[0], after[1] - before[1]) == (3, 3)
+        after = (*_counts(world, ids), world.profile_views[VICTIM_ID])
+        assert tuple(a - b for a, b in zip(after, before)) == (3, 3, 3)
 
-    # 100 earlier screens would exhaust the 40-query budget if they counted
-    def colluding_counts(earlier_screens):
+    # 100 earlier screens would exhaust the 40-query budget if they counted,
+    # and 100 earlier moves the 80-move budget
+    def colluding_counts(earlier_screens, earlier_moves):
         world, ids, vantages = build_world(preset("grindr-hidden"), 7)
+        for _ in range(earlier_moves):
+            world.move_user(ids[0], vantages[0])
         for _ in range(earlier_screens):
             world.query_nearby(ids[0])
-        before = query_counts(world, ids, VICTIM_ID)[0]
-        report = colluding_trilateration(world, ids, vantages, VICTIM_ID, ColludingOptions(max_queries=40))
-        return query_counts(world, ids, VICTIM_ID)[0] - before, report.moves
+        before = _counts(world, ids)
+        colluding_trilateration(world, ids, vantages, VICTIM_ID, ColludingOptions(max_queries=40))
+        return tuple(a - b for a, b in zip(_counts(world, ids), before))
 
-    assert colluding_counts(100) == colluding_counts(0) == (7, 11)
+    assert colluding_counts(100, 0) == colluding_counts(0, 100) == colluding_counts(0, 0) == (7, 11)
 
 
 # -- colluding trilateration -----------------------------------------------------------
@@ -465,7 +477,7 @@ def test_colluding_is_deterministic():
         opts = ColludingOptions()
         ids = ("attacker", "colluder-a", "colluder-b")
         r = colluding_trilateration(world, ids, SURVEY_TRIANGLE, "victim", opts)
-        return (r.estimate, r.moves, query_counts(world, ids, "victim")[0], r.region_area)
+        return (r.estimate, _counts(world, ids), r.region_area)
 
     assert run() == run()
 
@@ -504,20 +516,17 @@ def test_colluding_budget_exhaustion_raises_nonconvergence():
         colluding_trilateration(world, ("attacker", "colluder-a", "colluder-b"), SURVEY_TRIANGLE, "victim", opts)
 
 
-def _budgeted_colluding_run(monkeypatch, name, **budget):
+def _budgeted_colluding_run(name, **budget):
     """A preset's colluding run under a budget: the attacker accounts' query
-    total and the moves made when it ended, and whether it raised."""
+    and move totals when it ended, and whether it raised."""
     sc = preset(name)
     world, ids, vantages = build_world(sc, sc.seed)
-    moves = []
-    move_user = world.move_user
-    monkeypatch.setattr(world, "move_user", lambda uid, where: (moves.append(uid), move_user(uid, where)))
     try:
         locate(world, ids, vantages, replace(sc.attack, **budget))
         raised = False
     except (NonConvergence, VictimNeverVisible):
         raised = True
-    return query_counts(world, ids, VICTIM_ID)[0], len(moves), raised
+    return *_counts(world, ids), raised
 
 
 COLLUDING_PRESETS = ("grindr-hidden", "hornet-favorites", "hornet-no-favorites")
@@ -525,23 +534,23 @@ COLLUDING_PRESETS = ("grindr-hidden", "hornet-favorites", "hornet-no-favorites")
 
 @pytest.mark.parametrize("name", COLLUDING_PRESETS)
 @pytest.mark.parametrize("q", [1, 3, 6])
-def test_a_query_budget_stops_at_exactly_its_limit(monkeypatch, name, q):
+def test_a_query_budget_stops_at_exactly_its_limit(name, q):
     # favorites screens count against the budget like nearby screens
-    queries, _, raised = _budgeted_colluding_run(monkeypatch, name, max_queries=q)
+    queries, _, raised = _budgeted_colluding_run(name, max_queries=q)
     assert raised and queries == q
 
 
 @pytest.mark.parametrize("name", COLLUDING_PRESETS)
 @pytest.mark.parametrize("m", [1, 2, 5])
-def test_a_move_budget_stops_at_exactly_its_limit(monkeypatch, name, m):
-    _, moves, raised = _budgeted_colluding_run(monkeypatch, name, max_moves=m)
+def test_a_move_budget_stops_at_exactly_its_limit(name, m):
+    _, moves, raised = _budgeted_colluding_run(name, max_moves=m)
     assert raised and moves == m
 
 
-def test_a_query_budget_of_exactly_what_a_run_needs_lets_it_finish(monkeypatch):
+def test_a_query_budget_of_exactly_what_a_run_needs_lets_it_finish():
     # grindr-hidden at its preset seed locates the victim with its 7th query
-    assert _budgeted_colluding_run(monkeypatch, "grindr-hidden", max_queries=7) == (7, 11, False)
-    assert _budgeted_colluding_run(monkeypatch, "grindr-hidden", max_queries=6) == (6, 11, True)
+    assert _budgeted_colluding_run("grindr-hidden", max_queries=7) == (7, 11, False)
+    assert _budgeted_colluding_run("grindr-hidden", max_queries=6) == (6, 11, True)
 
 
 def test_colluding_validates_arguments():
@@ -634,13 +643,12 @@ def test_default_vantage_points_scale_with_population():
 
 
 def test_drivers_reach_the_world_only_through_the_session():
-    # outside _Session and query_counts no code reads an attribute of a `world`
-    # name or touches `._world`, and a driver's only use of `world` is to open
-    # its _Session
+    # outside _Session no code reads an attribute of a `world` name or touches
+    # `._world`, and a driver's only use of `world` is to open its _Session
     tree = ast.parse(Path(attack.__file__).read_text())
     opens_a_session = set()
     for node in tree.body:
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in ("_Session", "query_counts"):
+        if isinstance(node, ast.ClassDef) and node.name == "_Session":
             continue
         session_args = {
             id(call.args[0])
@@ -654,6 +662,12 @@ def test_drivers_reach_the_world_only_through_the_session():
                 assert id(sub) in session_args, f"line {sub.lineno} uses world outside _Session(world, ...)"
                 opens_a_session.add(node.name)
     assert opens_a_session == {"colluding_trilateration", "passive_sandwich_survey", "exact_trilateration_attack"}
+    # the session too never reads the service's counters: its budgets count
+    # what it did itself
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Attribute) and sub.attr in ("queries", "profile_views", "moves"):
+            owner = ast.unparse(sub.value)
+            assert owner not in ("world", "self._world"), f"line {sub.lineno} reads {owner}.{sub.attr}"
 
 
 _COLLUDERS = ("attacker", "colluder-a", "colluder-b")

@@ -250,6 +250,12 @@ def test_queries_and_profile_views_are_counted_per_user():
     with pytest.raises(OutOfProjectionRange):
         world.query_nearby("n2")
     assert world.queries == {"obs": 3, "n2": 1}
+    # moves are counted per account, and a move of an unknown user counts nothing
+    world.move_user("n1", world.users["n2"].location)
+    world.move_user("n2", SCIENCE_FRONTIER_LAB)
+    with pytest.raises(UnknownUser):
+        world.move_user("nobody", SCIENCE_FRONTIER_LAB)
+    assert world.moves == {"n1": 1, "n2": 2}
 
 
 def _serialize_run(seed):
