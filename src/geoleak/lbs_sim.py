@@ -14,20 +14,22 @@ import math
 import random
 from bisect import bisect_left
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 
 import numpy as np
 
 from .geodesy import EARTH_RADIUS_M, GeoPoint, Projection, geo_centroid, haversine_distance, project
-from .obfuscation import ObfuscationPattern, obfuscate_distances
+from .obfuscation import ObfuscationPattern, obfuscate_distances, skip_mid_band_draws
 
 
-# How far past a bound a user's vectorized distance must lie before it is
-# ruled out of a truncated screen. numpy's and math's float64 trigonometry
-# differ by a few ulps, which moves the haversine term h by well under 1e-14
-# and the distance by at most pi * R * sqrt(1e-14), about 2 m; any margin over
-# twice that keeps the filter exact.
+# How far from a bound a user's vectorized distance must lie before a
+# truncated screen trusts which side of it the user is on: past the
+# max_entries-th smallest distance, or below mid_cutoff. numpy's and math's
+# float64 trigonometry differ by a few ulps, which moves the haversine term h
+# by well under 1e-14 and the distance by at most pi * R * sqrt(1e-14), about
+# 2 m; any margin over twice that keeps the split exact.
 _APPROX_SLACK_M = 10.0
 
 
@@ -151,9 +153,10 @@ class World:
         self._drop_rng = random.Random(master.getrandbits(64))
         self._obf_rng = random.Random(master.getrandbits(64))
         # read-side caches, dropped by add_user: the users sorted by id, and
-        # for truncated screens their positions in that order (a (lat, lon) x
-        # users array, kept current by move_user) and show flags
+        # for truncated screens their ids, positions in that order (a (lat,
+        # lon) x users array, kept current by move_user) and show flags
         self._order: list[SimUser] | None = None
+        self._ids: list[str] | None = None
         self._coords: np.ndarray | None = None
         self._shows: np.ndarray | None = None
         # haversine_distance(_origin, user.location) per user id, filled as
@@ -175,8 +178,9 @@ class World:
         self.moves[user_id] += 1
         self._dists.pop(user_id, None)
         if self._coords is not None:
-            column = bisect_left(self._order, user_id, key=attrgetter("id"))
-            self._coords[:, column] = (location.lat, location.lon)
+            column = bisect_left(self._ids, user_id)
+            self._coords[0, column] = location.lat
+            self._coords[1, column] = location.lon
 
     def _require(self, user_id: str) -> SimUser:
         try:
@@ -208,9 +212,12 @@ class World:
 
         The drop coins are the drop stream's random() calls, one per other
         user in id order. A screen that can truncate (more other users than
-        max_entries) draws them in one _coins batch and hands the kept rows to
-        _candidates. An untruncated screen draws them one call at a time: at
-        the ~50 users of a preset world the batch costs more than it saves.
+        max_entries) draws them in one _coins batch. If it keeps more than
+        max_entries, _candidates splits the kept rows into users to rank and
+        users past the cut that only draw in the mid band, which
+        _rank_and_render counts instead of ranking. An untruncated screen
+        draws its coins one call at a time: at the ~50 users of a preset world
+        the batch costs more than it saves.
         """
         obs = self._require(observer)
         self._freeze()
@@ -218,6 +225,7 @@ class World:
         self.queries[observer] += 1
         order = self._id_order()
         p, k = self.policy.drop_probability, self.max_entries
+        counted: list[SimUser] = []
         if k is None or len(order) - 1 <= k:
             draw = self._drop_rng.random
             subjects = [u for u in order if u is not obs and draw() >= p]
@@ -225,8 +233,11 @@ class World:
             rows = np.flatnonzero(_coins(self._drop_rng, len(order) - 1, p))
             # the coins skip the observer: shift the rows past its position
             rows += rows >= bisect_left(order, observer, key=attrgetter("id"))
-            subjects = [order[j] for j in rows.tolist()] if len(rows) <= k else self._candidates(obs, rows)
-        return self._rank_and_render(obs, subjects, self.max_entries)
+            if len(rows) <= k:
+                subjects = [order[j] for j in rows.tolist()]
+            else:
+                subjects, counted = self._candidates(obs, rows)
+        return self._rank_and_render(obs, subjects, k, counted)
 
     def query_favorites(self, observer: str) -> QueryResponse:
         """Distance-sorted view of exactly the observer's favorites; never dropped."""
@@ -255,22 +266,29 @@ class World:
         if target not in lst:
             lst.append(target)
 
-    def _candidates(self, obs: SimUser, rows: np.ndarray) -> list[SimUser]:
-        """The kept users (rows: their ascending positions in id order) that a
-        truncated screen can show or that draw from the obfuscation stream, in
-        id order.
+    def _candidates(self, obs: SimUser, rows: np.ndarray) -> tuple[list[SimUser], list[SimUser]]:
+        """Split the kept users of a truncated screen (rows: their ascending
+        positions in id order) into the ones to rank and the ones to count,
+        each in id order; the rest are ruled out.
 
-        A user is ruled out only when both hold: its vectorized distance is
-        more than _APPROX_SLACK_M past the max_entries-th smallest one, so at
-        least max_entries kept users are truly closer; and it cannot draw,
-        being hidden, under a policy that is not OBFUSCATED, or at least
-        mid_cutoff away, where obfuscate_distances draws nothing. NaN is never
-        ruled out. The vectorized distances only rule users out; every
-        distance that is sorted or shown comes from haversine_distance.
+        A user is ranked if its vectorized distance is NaN or at most
+        _APPROX_SLACK_M past the max_entries-th smallest one, so at least
+        max_entries users are ranked. A user past that is truly farther than
+        max_entries ranked users, so it ranks past the cut. Such a user is
+        counted if it is shown under an OBFUSCATED policy and its vectorized
+        distance is more than _APPROX_SLACK_M below mid_cutoff, so it truly
+        lies below mid_cutoff. It is ranked if it is shown under an OBFUSCATED
+        policy and within _APPROX_SLACK_M of mid_cutoff, where the vectorized
+        distance cannot tell whether it draws. Every other user is ruled out:
+        it ranks past the cut and draws nothing, being hidden, under a policy
+        that is not OBFUSCATED, or at least mid_cutoff away. The vectorized
+        distances only sort users into these groups; every distance that is
+        sorted or shown comes from haversine_distance.
         """
         k = self.max_entries
         order = self._id_order()
         if self._coords is None:
+            self._ids = [u.id for u in order]
             self._coords = np.array([[u.location.lat for u in order], [u.location.lon for u in order]])
             self._shows = np.array([u.show_distance for u in order])
         lat, lon = self._coords[:, rows]
@@ -281,18 +299,47 @@ class World:
         )
         h = np.minimum(h, 1.0)
         approx = 2.0 * EARTH_RADIUS_M * np.arctan2(np.sqrt(h), np.sqrt(1.0 - h))
-        ruled_out = approx > np.partition(approx, k - 1)[k - 1] + _APPROX_SLACK_M
+        past = approx > np.partition(approx, k - 1)[k - 1] + _APPROX_SLACK_M
+        ranked = ~past
+        counted = np.zeros_like(past)
         if self.policy.mode is PolicyMode.OBFUSCATED:
-            ruled_out &= ~self._shows[rows] | (approx >= self.policy.pattern.mid_cutoff + _APPROX_SLACK_M)
-        return [order[i] for i in rows[~ruled_out].tolist()]
+            mid = self.policy.pattern.mid_cutoff
+            drawing = past & self._shows[rows] & (approx < mid + _APPROX_SLACK_M)
+            counted = drawing & (approx < mid - _APPROX_SLACK_M)
+            ranked |= drawing & ~counted
+        return [order[i] for i in rows[ranked].tolist()], [order[i] for i in rows[counted].tolist()]
 
-    def _rank_and_render(self, obs: SimUser, subjects: list[SimUser], limit: int | None = None) -> QueryResponse:
+    def _rank_and_render(
+        self, obs: SimUser, subjects: list[SimUser], limit: int | None = None, counted: Sequence[SimUser] = ()
+    ) -> QueryResponse:
         """Rank subjects, given in id order, by true distance; a screen of the first limit.
 
         The sort is stable, so equal distances stay in id order. Every ranked
-        subject takes its obfuscation draw, in ranked order. Distances come
-        from the row kept for the observer's location, which is started over
-        when the observer stands on another GeoPoint object.
+        subject takes its obfuscation draw, in ranked order.
+
+        counted, from _candidates, are shown users that rank past the first
+        limit subjects and lie below mid_cutoff. If the limit-th ranked
+        subject is at least near_cutoff away, each of them lies in the mid
+        band past the cut: it takes one mid-band draw, and since every draw
+        past the cut comes after the shown ones and every mid-band draw is the
+        same call, their draws are taken by count, after the ranked subjects'
+        ones. Otherwise some may draw in the near band, and they are ranked
+        with the subjects.
+        """
+        ranked = self._ranked(obs, subjects)
+        if counted and ranked[limit - 1][0] < self.policy.pattern.near_cutoff:
+            ranked, counted = self._ranked(obs, sorted([*subjects, *counted], key=attrgetter("id"))), ()
+        shown = self._shown(ranked)
+        if counted:
+            skip_mid_band_draws(len(counted), self.policy.pattern, self._obf_rng)
+        return QueryResponse(tuple([u.id for _, u in ranked[:limit]]), tuple(shown[:limit]))
+
+    def _ranked(self, obs: SimUser, subjects: list[SimUser]) -> list[tuple[float, SimUser]]:
+        """(true distance, user) pairs of subjects, given in id order, sorted
+        stably by distance.
+
+        Distances come from the row kept for the observer's location, which
+        is started over when the observer stands on another GeoPoint object.
         """
         here = obs.location
         if here is not self._origin:
@@ -301,9 +348,7 @@ class World:
         for u in subjects:
             if u.id not in dists:
                 dists[u.id] = haversine_distance(here, u.location)
-        ranked = sorted([(dists[u.id], u) for u in subjects], key=itemgetter(0))
-        shown = self._shown(ranked)
-        return QueryResponse(tuple([u.id for _, u in ranked[:limit]]), tuple(shown[:limit]))
+        return sorted([(dists[u.id], u) for u in subjects], key=itemgetter(0))
 
     def _shown(self, ranked: list[tuple[float, SimUser]]) -> list[float | None]:
         """Shown distances of (true distance, user) pairs, drawn in their order."""

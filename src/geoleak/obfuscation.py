@@ -16,6 +16,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 
 class NegativeDistance(ValueError):
     """Distance inputs must be >= 0."""
@@ -90,6 +92,11 @@ def _band_levels(pattern: ObfuscationPattern) -> int:
     return int((pattern.near_cutoff - pattern.floor_value) // pattern.mid_step)
 
 
+def _mid_levels(pattern: ObfuscationPattern) -> int:
+    # number of additive values in {0, mid_step, ..., mid_band}
+    return int(pattern.mid_band // pattern.mid_step) + 1
+
+
 def obfuscate_distances(ds: Sequence[float], pattern: ObfuscationPattern, rng: random.Random) -> list[float]:
     """Draw the displayed distance for each true distance in ``ds``, in order.
 
@@ -106,7 +113,7 @@ def obfuscate_distances(ds: Sequence[float], pattern: ObfuscationPattern, rng: r
             raise NegativeDistance(f"true distance must be >= 0, got {d}")
     p = pattern
     floor, near, mid, band, step, far = p.floor_value, p.near_cutoff, p.mid_cutoff, p.mid_band, p.mid_step, p.far_unit
-    near_levels, mid_levels = _band_levels(p) + 1, int(band // step) + 1
+    near_levels, mid_levels = _band_levels(p) + 1, _mid_levels(p)
     draw = rng.randrange
     shown = []
     for d in ds:
@@ -119,6 +126,32 @@ def obfuscate_distances(ds: Sequence[float], pattern: ObfuscationPattern, rng: r
         else:
             shown.append(_round_half_up(d, far))
     return shown
+
+
+def skip_mid_band_draws(count: int, pattern: ObfuscationPattern, rng: random.Random) -> None:
+    """Advance rng exactly as obfuscate_distances does for count distances in
+    [near_cutoff, mid_cutoff), without computing the values."""
+    _skip_randrange(rng, _mid_levels(pattern), count)
+
+
+def _skip_randrange(rng: random.Random, n: int, count: int) -> None:
+    """Leave rng where count calls of rng.randrange(n) would.
+
+    For k = n.bit_length() <= 32, randrange(n) takes one 32-bit Mersenne
+    Twister word per try, keeps word >> (32 - k) and tries again while that is
+    >= n. getrandbits(32 * m) returns the next m words, least significant
+    first. A batch of m = count words accepts at most count of them, so it
+    never takes a word past the last draw, and the next batch asks only for
+    the draws still missing.
+    """
+    k = n.bit_length()
+    if k > 32:
+        for _ in range(count):
+            rng.randrange(n)
+        return
+    while count > 0:
+        words = np.frombuffer(rng.getrandbits(32 * count).to_bytes(4 * count, "little"), dtype="<u4")
+        count -= int(np.count_nonzero((words >> (32 - k)) < n))
 
 
 def obfuscation_envelope(d: float, pattern: ObfuscationPattern) -> tuple[float, float]:

@@ -28,7 +28,13 @@ from geoleak.lbs_sim import (
     UnknownUser,
     World,
 )
-from geoleak.obfuscation import HORNET_DEFAULT, ObfuscationPattern, obfuscate_distances, obfuscation_envelope
+from geoleak.obfuscation import (
+    HORNET_DEFAULT,
+    ObfuscationPattern,
+    obfuscate_distances,
+    obfuscation_envelope,
+    skip_mid_band_draws,
+)
 
 LAB_TO_STATION_M = 845.4599899296676
 
@@ -528,13 +534,56 @@ def test_screens_and_rng_streams_match_the_reference(users, mode, pattern, drop,
         assert world.queries == ref.queries and world.profile_views == ref.profile_views
 
 
-def test_service_scale_screens_match_the_reference():
-    """Screens of 100 out of 2,000 users, which draw their drop coins in one
-    batch: observers at the first, a middle and the last position in id
-    order, with moves in between, and one screen that keeps fewer than 100,
-    see what the reference sees, on the same streams."""
-    policy = DisclosurePolicy(PolicyMode.OBFUSCATED, HORNET_DEFAULT, drop_probability=0.3)
+def _watch_screens(monkeypatch):
+    """The locations lbs_sim computes haversine_distance to, and the counts
+    of mid-band draws it skips, as two lists."""
+    calls, skipped = _count_haversine(monkeypatch), []
+
+    def counted(count, pattern, rng):
+        skipped.append(count)
+        skip_mid_band_draws(count, pattern, rng)
+
+    monkeypatch.setattr(lbs_sim, "skip_mid_band_draws", counted)
+    return calls, skipped
+
+
+def _drawing(world, observer, drop_state):
+    """The users whose obfuscation draws a screen of observer takes, given
+    the drop stream's state before it: the kept users that are shown and lie
+    in [floor_value, mid_cutoff)."""
+    coins = random.Random()
+    coins.setstate(drop_state)
+    p, pattern = world.policy.drop_probability, world.policy.pattern
+    here = world.users[observer].location
+    kept = [u for uid, u in sorted(world.users.items()) if uid != observer and coins.random() >= p]
+    return [
+        u
+        for u in kept
+        if u.show_distance and pattern.floor_value <= haversine_distance(here, u.location) < pattern.mid_cutoff
+    ]
+
+
+def _matched_screen(world, ref, observer, calls, skipped):
+    """A screen of observer in world and ref, which must match, with both
+    streams; calls and skipped are emptied first. Returns the screen and the
+    users whose draws it took."""
+    drop_state = world._drop_rng.getstate()
+    calls.clear()
+    skipped.clear()
+    got = world.query_nearby(observer)
+    assert got == ref.query_nearby(observer)
+    assert world._drop_rng.getstate() == ref._drop_rng.getstate()
+    assert world._obf_rng.getstate() == ref._obf_rng.getstate()
+    return got, _drawing(world, observer, drop_state) if world.policy.pattern else []
+
+
+def _service_scale_screens(mode, calls, skipped):
+    """Screens of 100 out of 2,000 users under mode, matched against the
+    reference; returns how many mid-band draws they skipped."""
+    pattern = HORNET_DEFAULT if mode is PolicyMode.OBFUSCATED else None
+    policy = DisclosurePolicy(mode, pattern, drop_probability=0.3)
     world, ref = World(policy, 13, max_entries=100), _ReferenceWorld(policy, 13, max_entries=100)
+    counted = 0
     rng = random.Random(13)
     spots = [_offset(SCIENCE_FRONTIER_LAB, 50.0 * rng.randint(-40, 40), 50.0 * rng.randint(-40, 40)) for _ in range(30)]
 
@@ -550,10 +599,9 @@ def test_service_scale_screens_match_the_reference():
         ref.add_user(uid, point, show)
 
     def screen(observer):
-        got = world.query_nearby(observer)
-        assert got == ref.query_nearby(observer)
-        assert world._drop_rng.getstate() == ref._drop_rng.getstate()
-        assert world._obf_rng.getstate() == ref._obf_rng.getstate()
+        nonlocal counted
+        got, _ = _matched_screen(world, ref, observer, calls, skipped)
+        counted += sum(skipped)
         return got
 
     for observer in (ids[0], ids[1000], ids[-1]):
@@ -566,6 +614,86 @@ def test_service_scale_screens_match_the_reference():
     # about 60 of 1,999 kept: a screen that could truncate but does not
     world.policy = ref.policy = dataclasses.replace(policy, drop_probability=0.97)
     assert 0 < len(screen(ids[1000]).users) < 100
+    return counted
+
+
+def test_service_scale_screens_match_the_reference(monkeypatch):
+    """Screens of 100 out of 2,000 users, which draw their drop coins in one
+    batch: observers at the first, a middle and the last position in id
+    order, with moves in between, and one screen that keeps fewer than 100,
+    see what the reference sees, on the same streams, under every policy
+    mode. Only obfuscated screens count users past the cut."""
+    calls, skipped = _watch_screens(monkeypatch)
+    for mode in PolicyMode:
+        assert (_service_scale_screens(mode, calls, skipped) > 0) == (mode is PolicyMode.OBFUSCATED)
+
+
+def _ring(rng, d):
+    """A point d metres from the lab on a random bearing."""
+    bearing = rng.uniform(0.0, 2.0 * math.pi)
+    return _offset(SCIENCE_FRONTIER_LAB, d * math.cos(bearing), d * math.sin(bearing))
+
+
+def _pair_of_worlds(seed, max_entries, users):
+    """A World and a _ReferenceWorld under HORNET_DEFAULT with drop
+    probability 0.3, each with obs at the lab and the same (id, point, show)
+    users."""
+    policy = DisclosurePolicy(PolicyMode.OBFUSCATED, HORNET_DEFAULT, drop_probability=0.3)
+    world, ref = World(policy, seed, max_entries), _ReferenceWorld(policy, seed, max_entries)
+    for w in (world, ref):
+        w.add_user("obs", SCIENCE_FRONTIER_LAB, True)
+        for uid, point, show in users:
+            w.add_user(uid, point, show)
+    return world, ref
+
+
+def _step_in_place(world, ref):
+    """obs steps onto an equal but distinct point, so its next screen
+    computes every distance it ranks afresh."""
+    here = world.users["obs"].location
+    point = GeoPoint(here.lat, here.lon)
+    world.move_user("obs", point)
+    ref.move_user("obs", point)
+
+
+def test_users_past_the_cut_in_the_mid_band_are_counted_not_ranked(monkeypatch):
+    """The 10th closest kept user lies past near_cutoff, so every shown user
+    past the cut and more than _APPROX_SLACK_M below mid_cutoff takes its
+    mid-band draw by count: fewer distances are computed than there are
+    users drawing. Users within _APPROX_SLACK_M of mid_cutoff are ranked."""
+    rng = random.Random(5)
+    slack, mid = lbs_sim._APPROX_SLACK_M, HORNET_DEFAULT.mid_cutoff
+    crowd = [rng.uniform(120.0, 400.0) for _ in range(30)]
+    tail = [rng.uniform(400.0, mid - slack) for _ in range(150)]
+    edge = [mid + side * slack + e for side in (-1, 0, 1) for e in (-0.5, -0.01, 0.0, 0.01, 0.5) for _ in range(3)]
+    users = [(f"u{i:03d}", _ring(rng, d), rng.random() < 0.8) for i, d in enumerate(crowd + tail + edge)]
+    world, ref = _pair_of_worlds(5, 10, users)
+    calls, skipped = _watch_screens(monkeypatch)
+    for _ in range(10):
+        _, drawing = _matched_screen(world, ref, "obs", calls, skipped)
+        assert skipped and len(calls) < len(drawing)
+        here, ranked = world.users["obs"].location, {id(point) for point in calls}
+        edge_drawing = [u for u in drawing if haversine_distance(here, u.location) > mid - slack + 0.1]
+        assert edge_drawing and all(id(u.location) in ranked for u in edge_drawing)
+        _step_in_place(world, ref)
+
+
+def test_a_crowd_inside_near_cutoff_ranks_the_users_it_would_count(monkeypatch):
+    """More kept users inside near_cutoff than the screen holds: a user past
+    the cut may draw in the near band, so nothing is counted, and every user
+    that draws has its distance computed."""
+    rng = random.Random(8)
+    crowd = [rng.uniform(0.0, 95.0) for _ in range(60)]
+    tail = [rng.uniform(110.0, 980.0) for _ in range(200)]
+    far = [rng.uniform(1000.0, 3000.0) for _ in range(20)]
+    users = [(f"u{i:03d}", _ring(rng, d), rng.random() < 0.8) for i, d in enumerate(crowd + tail + far)]
+    world, ref = _pair_of_worlds(8, 20, users)
+    calls, skipped = _watch_screens(monkeypatch)
+    for _ in range(10):
+        _, drawing = _matched_screen(world, ref, "obs", calls, skipped)
+        assert not skipped and len(drawing) > 100
+        assert {id(u.location) for u in drawing} <= {id(point) for point in calls}
+        _step_in_place(world, ref)
 
 
 _EDGE_PROBABILITIES = (0.0, 1.0, 5e-324, math.nextafter(1.0, 0.0))

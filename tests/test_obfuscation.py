@@ -19,8 +19,10 @@ from geoleak.obfuscation import (
     invert_reading,
     _band_levels,
     _round_half_up,
+    _skip_randrange,
     obfuscate_distances,
     obfuscation_envelope,
+    skip_mid_band_draws,
 )
 
 
@@ -324,3 +326,40 @@ def test_inferred_pattern_json_has_all_fields():
     assert set(doc) == {
         "floor_value", "near_cutoff", "mid_cutoff", "mid_band", "mid_step", "far_unit", "confidence",
     }
+
+
+# n at and beside the edges of bit lengths, up to the largest n that one
+# 32-bit word covers; 11 is HORNET_DEFAULT's count of mid-band levels
+_BIT_LENGTH_EDGES = (1, 2, 3, 4, 5, 8, 11, 16, 17, 2**16 - 1, 2**16, 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(
+    n=st.sampled_from(_BIT_LENGTH_EDGES) | st.integers(1, 2**32 - 1) | st.integers(2**32, 2**70),
+    count=st.integers(0, 400),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_skipped_randrange_calls_leave_the_stream_where_the_calls_would(n, count, seed):
+    rng, one_by_one = random.Random(seed), random.Random(seed)
+    for _ in range(count):
+        one_by_one.randrange(n)
+    _skip_randrange(rng, n, count)
+    assert rng.getstate() == one_by_one.getstate()
+
+
+# a valid pattern whose mid band has 2**40 + 1 levels: past 32 bits, so the
+# skip takes one randrange call per draw
+_WIDE_MID_PATTERN = ObfuscationPattern(mid_band=1024.0, mid_step=2.0**-30)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    p=st.just(HORNET_DEFAULT) | st.just(_WIDE_MID_PATTERN) | _patterns().filter(lambda p: p.near_cutoff < p.mid_cutoff),
+    count=st.integers(0, 400),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_skipped_mid_band_draws_leave_the_stream_where_the_draws_would(p, count, seed):
+    rng, drawn = random.Random(seed), random.Random(seed)
+    obfuscate_distances([p.near_cutoff] * count, p, drawn)
+    skip_mid_band_draws(count, p, rng)
+    assert rng.getstate() == drawn.getstate()
