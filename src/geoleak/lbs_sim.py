@@ -14,7 +14,6 @@ import math
 import random
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 
@@ -26,10 +25,11 @@ from .obfuscation import ObfuscationPattern, obfuscate_distances, skip_mid_band_
 
 # How far from a bound a user's vectorized distance must lie before a
 # truncated screen trusts which side of it the user is on: past the
-# max_entries-th smallest distance, or below mid_cutoff. numpy's and math's
-# float64 trigonometry differ by a few ulps, which moves the haversine term h
-# by well under 1e-14 and the distance by at most pi * R * sqrt(1e-14), about
-# 2 m; any margin over twice that keeps the split exact.
+# max_entries-th smallest distance, at least near_cutoff, or below
+# mid_cutoff. numpy's and math's float64 trigonometry differ by a few ulps,
+# which moves the haversine term h by well under 1e-14 and the distance by at
+# most pi * R * sqrt(1e-14), about 2 m; any margin over twice that keeps the
+# split exact.
 _APPROX_SLACK_M = 10.0
 
 
@@ -213,11 +213,12 @@ class World:
         The drop coins are the drop stream's random() calls, one per other
         user in id order. A screen that can truncate (more other users than
         max_entries) draws them in one _coins batch. If it keeps more than
-        max_entries, _candidates splits the kept rows into users to rank and
-        users past the cut that only draw in the mid band, which
-        _rank_and_render counts instead of ranking. An untruncated screen
-        draws its coins one call at a time: at the ~50 users of a preset world
-        the batch costs more than it saves.
+        max_entries, _candidates ranks only the kept users that may be shown
+        or draw outside the mid band; the users past the cut that provably
+        draw in the mid band are counted, and _rank_and_render takes their
+        draws by count. An untruncated screen draws its coins one call at a
+        time: at the ~50 users of a preset world the batch costs more than it
+        saves.
         """
         obs = self._require(observer)
         self._freeze()
@@ -225,7 +226,7 @@ class World:
         self.queries[observer] += 1
         order = self._id_order()
         p, k = self.policy.drop_probability, self.max_entries
-        counted: list[SimUser] = []
+        counted = 0
         if k is None or len(order) - 1 <= k:
             draw = self._drop_rng.random
             subjects = [u for u in order if u is not obs and draw() >= p]
@@ -266,24 +267,25 @@ class World:
         if target not in lst:
             lst.append(target)
 
-    def _candidates(self, obs: SimUser, rows: np.ndarray) -> tuple[list[SimUser], list[SimUser]]:
-        """Split the kept users of a truncated screen (rows: their ascending
-        positions in id order) into the ones to rank and the ones to count,
-        each in id order; the rest are ruled out.
+    def _candidates(self, obs: SimUser, rows: np.ndarray) -> tuple[list[SimUser], int]:
+        """The kept users of a truncated screen (rows: their ascending
+        positions in id order) to rank, in id order, and how many more take
+        one mid-band draw past the cut; the rest are ruled out.
 
         A user is ranked if its vectorized distance is NaN or at most
         _APPROX_SLACK_M past the max_entries-th smallest one, so at least
         max_entries users are ranked. A user past that is truly farther than
         max_entries ranked users, so it ranks past the cut. Such a user is
         counted if it is shown under an OBFUSCATED policy and its vectorized
-        distance is more than _APPROX_SLACK_M below mid_cutoff, so it truly
-        lies below mid_cutoff. It is ranked if it is shown under an OBFUSCATED
-        policy and within _APPROX_SLACK_M of mid_cutoff, where the vectorized
-        distance cannot tell whether it draws. Every other user is ruled out:
-        it ranks past the cut and draws nothing, being hidden, under a policy
-        that is not OBFUSCATED, or at least mid_cutoff away. The vectorized
-        distances only sort users into these groups; every distance that is
-        sorted or shown comes from haversine_distance.
+        distance lies in [near_cutoff, mid_cutoff) with _APPROX_SLACK_M to
+        spare on both sides, so it truly lies in the mid band. It is ranked if
+        it is shown under an OBFUSCATED policy, less than _APPROX_SLACK_M past
+        mid_cutoff, and not counted: it may draw in the near band or not draw.
+        Every other user is ruled out: it ranks past the cut and draws
+        nothing, being hidden, under a policy that is not OBFUSCATED, or at
+        least mid_cutoff away. The vectorized distances only sort users into
+        these groups; every distance that is sorted or shown comes from
+        haversine_distance.
         """
         k = self.max_entries
         order = self._id_order()
@@ -301,37 +303,34 @@ class World:
         approx = 2.0 * EARTH_RADIUS_M * np.arctan2(np.sqrt(h), np.sqrt(1.0 - h))
         past = approx > np.partition(approx, k - 1)[k - 1] + _APPROX_SLACK_M
         ranked = ~past
-        counted = np.zeros_like(past)
+        counted = 0
         if self.policy.mode is PolicyMode.OBFUSCATED:
-            mid = self.policy.pattern.mid_cutoff
+            near, mid = self.policy.pattern.near_cutoff, self.policy.pattern.mid_cutoff
             drawing = past & self._shows[rows] & (approx < mid + _APPROX_SLACK_M)
-            counted = drawing & (approx < mid - _APPROX_SLACK_M)
-            ranked |= drawing & ~counted
-        return [order[i] for i in rows[ranked].tolist()], [order[i] for i in rows[counted].tolist()]
+            mid_band = (approx >= near + _APPROX_SLACK_M) & (approx < mid - _APPROX_SLACK_M)
+            counted = int(np.count_nonzero(drawing & mid_band))
+            ranked |= drawing & ~mid_band
+        return [order[i] for i in rows[ranked].tolist()], counted
 
     def _rank_and_render(
-        self, obs: SimUser, subjects: list[SimUser], limit: int | None = None, counted: Sequence[SimUser] = ()
+        self, obs: SimUser, subjects: list[SimUser], limit: int | None = None, counted: int = 0
     ) -> QueryResponse:
         """Rank subjects, given in id order, by true distance; a screen of the first limit.
 
         The sort is stable, so equal distances stay in id order. Every ranked
         subject takes its obfuscation draw, in ranked order.
 
-        counted, from _candidates, are shown users that rank past the first
-        limit subjects and lie below mid_cutoff. If the limit-th ranked
-        subject is at least near_cutoff away, each of them lies in the mid
-        band past the cut: it takes one mid-band draw, and since every draw
-        past the cut comes after the shown ones and every mid-band draw is the
-        same call, their draws are taken by count, after the ranked subjects'
-        ones. Otherwise some may draw in the near band, and they are ranked
-        with the subjects.
+        counted, from _candidates, is the number of other users that rank
+        past the first limit subjects and lie in [near_cutoff, mid_cutoff).
+        Each takes one mid-band draw, and every mid-band draw is the same
+        call. A subject ranked after one of them is at least near_cutoff away
+        too, so it takes a mid-band draw or none: the counted draws can all be
+        taken after the subjects' ones, by count.
         """
         ranked = self._ranked(obs, subjects)
-        if counted and ranked[limit - 1][0] < self.policy.pattern.near_cutoff:
-            ranked, counted = self._ranked(obs, sorted([*subjects, *counted], key=attrgetter("id"))), ()
         shown = self._shown(ranked)
         if counted:
-            skip_mid_band_draws(len(counted), self.policy.pattern, self._obf_rng)
+            skip_mid_band_draws(counted, self.policy.pattern, self._obf_rng)
         return QueryResponse(tuple([u.id for _, u in ranked[:limit]]), tuple(shown[:limit]))
 
     def _ranked(self, obs: SimUser, subjects: list[SimUser]) -> list[tuple[float, SimUser]]:

@@ -657,10 +657,10 @@ def _step_in_place(world, ref):
 
 
 def test_users_past_the_cut_in_the_mid_band_are_counted_not_ranked(monkeypatch):
-    """The 10th closest kept user lies past near_cutoff, so every shown user
-    past the cut and more than _APPROX_SLACK_M below mid_cutoff takes its
-    mid-band draw by count: fewer distances are computed than there are
-    users drawing. Users within _APPROX_SLACK_M of mid_cutoff are ranked."""
+    """Every shown user past the cut that lies more than _APPROX_SLACK_M
+    inside [near_cutoff, mid_cutoff) takes its mid-band draw by count: fewer
+    distances are computed than there are users drawing. Users within
+    _APPROX_SLACK_M of mid_cutoff are ranked."""
     rng = random.Random(5)
     slack, mid = lbs_sim._APPROX_SLACK_M, HORNET_DEFAULT.mid_cutoff
     crowd = [rng.uniform(120.0, 400.0) for _ in range(30)]
@@ -678,21 +678,28 @@ def test_users_past_the_cut_in_the_mid_band_are_counted_not_ranked(monkeypatch):
         _step_in_place(world, ref)
 
 
-def test_a_crowd_inside_near_cutoff_ranks_the_users_it_would_count(monkeypatch):
-    """More kept users inside near_cutoff than the screen holds: a user past
-    the cut may draw in the near band, so nothing is counted, and every user
-    that draws has its distance computed."""
+def test_a_crowd_inside_near_cutoff_is_ranked_and_its_mid_band_tail_counted(monkeypatch):
+    """More kept users inside near_cutoff than the screen holds: users past
+    the cut draw in the near band, then in the mid band. Every user that may
+    draw in the near band, up to _APPROX_SLACK_M past near_cutoff, is ranked;
+    the mid-band tail past that is counted, and the screen and both streams
+    match the reference."""
     rng = random.Random(8)
+    slack, near = lbs_sim._APPROX_SLACK_M, HORNET_DEFAULT.near_cutoff
     crowd = [rng.uniform(0.0, 95.0) for _ in range(60)]
-    tail = [rng.uniform(110.0, 980.0) for _ in range(200)]
+    edge = [near + side * slack + e for side in (-1, 0, 1) for e in (-0.5, -0.01, 0.0, 0.01, 0.5) for _ in range(3)]
+    tail = [rng.uniform(120.0, 980.0) for _ in range(200)]
     far = [rng.uniform(1000.0, 3000.0) for _ in range(20)]
-    users = [(f"u{i:03d}", _ring(rng, d), rng.random() < 0.8) for i, d in enumerate(crowd + tail + far)]
+    users = [(f"u{i:03d}", _ring(rng, d), rng.random() < 0.8) for i, d in enumerate(crowd + edge + tail + far)]
     world, ref = _pair_of_worlds(8, 20, users)
     calls, skipped = _watch_screens(monkeypatch)
     for _ in range(10):
         _, drawing = _matched_screen(world, ref, "obs", calls, skipped)
-        assert not skipped and len(drawing) > 100
-        assert {id(u.location) for u in drawing} <= {id(point) for point in calls}
+        assert skipped and len(calls) < len(drawing)
+        here, ranked = world.users["obs"].location, {id(point) for point in calls}
+        near_drawing = [u for u in drawing if haversine_distance(here, u.location) < near + slack - 0.1]
+        assert any(haversine_distance(here, u.location) >= near for u in near_drawing)
+        assert all(id(u.location) in ranked for u in near_drawing)
         _step_in_place(world, ref)
 
 
