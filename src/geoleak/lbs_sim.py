@@ -318,7 +318,9 @@ class World:
         """Rank subjects, given in id order, by true distance; a screen of the first limit.
 
         The sort is stable, so equal distances stay in id order. Every ranked
-        subject takes its obfuscation draw, in ranked order.
+        subject takes its obfuscation draw, in ranked order. Distances come
+        from the row kept for the observer's location, which is started over
+        when the observer stands on another GeoPoint object.
 
         counted, from _candidates, is the number of other users that rank
         past the first limit subjects and lie in [near_cutoff, mid_cutoff).
@@ -327,19 +329,6 @@ class World:
         too, so it takes a mid-band draw or none: the counted draws can all be
         taken after the subjects' ones, by count.
         """
-        ranked = self._ranked(obs, subjects)
-        shown = self._shown(ranked)
-        if counted:
-            skip_mid_band_draws(counted, self.policy.pattern, self._obf_rng)
-        return QueryResponse(tuple([u.id for _, u in ranked[:limit]]), tuple(shown[:limit]))
-
-    def _ranked(self, obs: SimUser, subjects: list[SimUser]) -> list[tuple[float, SimUser]]:
-        """(true distance, user) pairs of subjects, given in id order, sorted
-        stably by distance.
-
-        Distances come from the row kept for the observer's location, which
-        is started over when the observer stands on another GeoPoint object.
-        """
         here = obs.location
         if here is not self._origin:
             self._origin, self._dists = here, {}
@@ -347,7 +336,11 @@ class World:
         for u in subjects:
             if u.id not in dists:
                 dists[u.id] = haversine_distance(here, u.location)
-        return sorted([(dists[u.id], u) for u in subjects], key=itemgetter(0))
+        ranked = sorted([(dists[u.id], u) for u in subjects], key=itemgetter(0))
+        shown = self._shown(ranked)
+        if counted:
+            skip_mid_band_draws(counted, self.policy.pattern, self._obf_rng)
+        return QueryResponse(tuple([u.id for _, u in ranked[:limit]]), tuple(shown[:limit]))
 
     def _shown(self, ranked: list[tuple[float, SimUser]]) -> list[float | None]:
         """Shown distances of (true distance, user) pairs, drawn in their order."""
