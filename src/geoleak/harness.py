@@ -30,7 +30,9 @@ missing required key or a value of the wrong JSON type (a boolean for a number,
 a string for an integer) raises ValueError naming the key path, e.g.
 ``$.attack: unknown key 'epsilon'``. A key whose dataclass field has a default
 (every `attack` key but `kind`, say) may be left out and takes that default.
-An `infer_pattern` scenario's policy must state the pattern it samples.
+An `infer_pattern` scenario's policy must state the pattern it samples. A
+scenario's artifacts are named after it, so `name` must be a plain file name,
+with no ``/`` or ``\\``.
 
 `build_world` makes a scenario's world for one seed, and `locate`, the one
 place an `AttackSpec` becomes a driver call, runs its attack on that world.
@@ -173,6 +175,8 @@ class Scenario:
     max_entries: int | None = None
 
     def __post_init__(self):
+        if "/" in self.name or "\\" in self.name:  # artifacts are written under out_dir by this name
+            raise ValueError(f"name must be a plain file name, got {self.name!r}")
         check_max_entries(self.max_entries)
         if self.attack.kind == "infer_pattern" and self.policy.pattern is None:
             raise ValueError("an infer_pattern attack samples the policy's pattern, and this policy has none")
@@ -346,31 +350,22 @@ def _run_inference(scenario: Scenario, seed: int, out_dir: Path | None) -> Metri
     a = scenario.attack
     pattern = scenario.policy.pattern
     samples = emit_scatter(pattern, a.locations, a.queries_per_location, a.max_distance_m, seed)
-    truth = to_json(pattern)
-    outcome = "non_convergence"
-    error = None
-    inferred_json: dict | None = None
     try:
         inferred = infer_pattern(samples)
-        inferred_json = to_json(inferred)
-        if inferred.all_exact():
-            deviations = [abs(inferred_json[k] - truth[k]) for k in truth]
-            if max(deviations) == 0.0:
-                outcome = "success"
-                error = 0.0
     except InsufficientSamples:
-        pass
+        inferred = None
+    success = inferred is not None and inferred.all_exact() and inferred.as_pattern() == pattern
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         save_samples_csv(samples, out_dir / f"{scenario.name}-{seed}-scatter.csv")
-        if inferred_json is not None:
-            _write_json(out_dir / f"{scenario.name}-{seed}-inferred.json", inferred_json)
+        if inferred is not None:
+            _write_json(out_dir / f"{scenario.name}-{seed}-inferred.json", to_json(inferred))
     return MetricsRow(
         scenario=scenario.name,
         seed=seed,
-        outcome=outcome,
-        localization_error=error,
+        outcome="success" if success else "non_convergence",
+        localization_error=0.0 if success else None,
         region_area=None,
         moves=a.locations,
         queries=len(samples),
@@ -395,6 +390,16 @@ def run_suite(
         for i in range(repetitions):
             rows.append(run_scenario(sc, out_dir=out_dir, seed=sc.seed + i))
     rows.sort(key=lambda r: (r.scenario, r.seed))
+    summaries = summarize(rows)
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_suite_csv(out_dir / "metrics.csv", rows, summaries)
+    return rows, summaries
+
+
+def summarize(rows: Sequence[MetricsRow]) -> list[SuiteSummary]:
+    """Per-scenario run count, success rate and median error of the successes, by scenario name."""
     summaries = []
     for name in sorted({r.scenario for r in rows}):
         mine = [r for r in rows if r.scenario == name]
@@ -407,26 +412,12 @@ def run_suite(
                 median_error=statistics.median(errors) if errors else None,
             )
         )
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_suite_csv(out_dir / "metrics.csv", rows, summaries)
-    return rows, summaries
+    return summaries
 
 
-_CSV_COLUMNS = [
-    "row_type",
-    "scenario",
-    "seed",
-    "outcome",
-    "localization_error_m",
-    "region_area_m2",
-    "moves",
-    "queries",
-    "victim_profile_queries",
-    "median_error_m",
-    "success_rate",
-]
+# the result columns that hold MetricsRow's fields after outcome, in order
+_METRIC_COLUMNS = ("localization_error_m", "region_area_m2", "moves", "queries", "victim_profile_queries")
+_CSV_COLUMNS = ["row_type", "scenario", "seed", "outcome", *_METRIC_COLUMNS, "median_error_m", "success_rate"]
 
 
 def write_suite_csv(path: Path, rows: Sequence[MetricsRow], summaries: Sequence[SuiteSummary]) -> None:
@@ -461,7 +452,7 @@ def scenario_geojson(
         if region is not None:
             rings = [[ring] for ring in region.cell_rings()]
             features.append(
-                _feature("MultiPolygon", rings, role="region", cell_size_m=region.cell_size, area_m2=region.area())
+                _feature("MultiPolygon", rings, role="region", cell_size_m=region.cell_size, area_m2=row.region_area)
             )
         features += [
             _feature("LineString", [[p.lon, p.lat] for p in path], role="trajectory", user=uid)
@@ -469,15 +460,7 @@ def scenario_geojson(
             if len(path) >= 2
         ]
         features.append(_feature("Point", [report.estimate.lon, report.estimate.lat], role="estimate"))
-        metrics.update(
-            {
-                "localization_error_m": row.localization_error,
-                "region_area_m2": row.region_area,
-                "moves": row.moves,
-                "queries": row.queries,
-                "victim_profile_queries": row.victim_profile_queries,
-            }
-        )
+        metrics.update(zip(_METRIC_COLUMNS, tuple(vars(row).values())[3:]))
     return {
         "type": "FeatureCollection",
         "features": features,

@@ -15,7 +15,7 @@ import random
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 import numpy as np
 
@@ -152,9 +152,10 @@ class World:
         master = random.Random(seed)
         self._drop_rng = random.Random(master.getrandbits(64))
         self._obf_rng = random.Random(master.getrandbits(64))
-        # read-side caches, dropped by add_user: the users sorted by id, and
-        # for truncated screens their ids, positions in that order (a (lat,
-        # lon) x users array, kept current by move_user) and show flags
+        # read-side caches, dropped by add_user: the users sorted by id and
+        # their ids in that order, and for screens that can truncate their
+        # positions (a (lat, lon) x users array, kept current by move_user)
+        # and show flags in that order
         self._order: list[SimUser] | None = None
         self._ids: list[str] | None = None
         self._coords: np.ndarray | None = None
@@ -195,7 +196,8 @@ class World:
 
     def _id_order(self) -> list[SimUser]:
         if self._order is None:
-            self._order = [self.users[uid] for uid in sorted(self.users)]
+            self._ids = sorted(self.users)
+            self._order = [self.users[uid] for uid in self._ids]
         return self._order
 
     # -- queries ---------------------------------------------------------
@@ -212,13 +214,13 @@ class World:
 
         The drop coins are the drop stream's random() calls, one per other
         user in id order. A screen that can truncate (more other users than
-        max_entries) draws them in one _coins batch. If it keeps more than
-        max_entries, _candidates ranks only the kept users that may be shown
-        or draw outside the mid band; the users past the cut that provably
-        draw in the mid band are counted, and _rank_and_render takes their
-        draws by count. An untruncated screen draws its coins one call at a
-        time: at the ~50 users of a preset world the batch costs more than it
-        saves.
+        max_entries) draws them in one _coins batch, and _candidates picks
+        the kept users to rank: all of them if no more than max_entries are
+        kept, else only those that may be shown or draw outside the mid band.
+        The users past the cut that provably draw in the mid band are
+        counted, and _rank_and_render takes their draws by count. A screen
+        that cannot truncate draws its coins one call at a time: at the ~50
+        users of a preset world the batch costs more than it saves.
         """
         obs = self._require(observer)
         self._freeze()
@@ -233,11 +235,8 @@ class World:
         else:
             rows = np.flatnonzero(_coins(self._drop_rng, len(order) - 1, p))
             # the coins skip the observer: shift the rows past its position
-            rows += rows >= bisect_left(order, observer, key=attrgetter("id"))
-            if len(rows) <= k:
-                subjects = [order[j] for j in rows.tolist()]
-            else:
-                subjects, counted = self._candidates(obs, rows)
+            rows += rows >= bisect_left(self._ids, observer)
+            subjects, counted = self._candidates(obs, rows)
         return self._rank_and_render(obs, subjects, k, counted)
 
     def query_favorites(self, observer: str) -> QueryResponse:
@@ -268,18 +267,20 @@ class World:
             lst.append(target)
 
     def _candidates(self, obs: SimUser, rows: np.ndarray) -> tuple[list[SimUser], int]:
-        """The kept users of a truncated screen (rows: their ascending
-        positions in id order) to rank, in id order, and how many more take
-        one mid-band draw past the cut; the rest are ruled out.
+        """The kept users of a screen that can truncate (rows: their
+        ascending positions in id order) to rank, in id order, and how many
+        more take one mid-band draw past the cut; the rest are ruled out.
 
-        A user is ranked if its vectorized distance is NaN or at most
-        _APPROX_SLACK_M past the max_entries-th smallest one, so at least
-        max_entries users are ranked. A user past that is truly farther than
-        max_entries ranked users, so it ranks past the cut. Such a user is
-        counted if it is shown under an OBFUSCATED policy and its vectorized
-        distance lies in [near_cutoff, mid_cutoff) with _APPROX_SLACK_M to
-        spare on both sides, so it truly lies in the mid band. It is ranked if
-        it is shown under an OBFUSCATED policy, less than _APPROX_SLACK_M past
+        If no more than max_entries users are kept, the cut is infinite:
+        every one is ranked and none is counted. Otherwise a user is ranked
+        if its vectorized distance is NaN or at most _APPROX_SLACK_M past the
+        max_entries-th smallest one, so at least max_entries users are
+        ranked. A user past that is truly farther than max_entries ranked
+        users, so it ranks past the cut. Such a user is counted if it is
+        shown under an OBFUSCATED policy and its vectorized distance lies in
+        [near_cutoff, mid_cutoff) with _APPROX_SLACK_M to spare on both
+        sides, so it truly lies in the mid band. It is ranked if it is shown
+        under an OBFUSCATED policy, less than _APPROX_SLACK_M past
         mid_cutoff, and not counted: it may draw in the near band or not draw.
         Every other user is ruled out: it ranks past the cut and draws
         nothing, being hidden, under a policy that is not OBFUSCATED, or at
@@ -290,7 +291,6 @@ class World:
         k = self.max_entries
         order = self._id_order()
         if self._coords is None:
-            self._ids = [u.id for u in order]
             self._coords = np.array([[u.location.lat for u in order], [u.location.lon for u in order]])
             self._shows = np.array([u.show_distance for u in order])
         lat, lon = self._coords[:, rows]
@@ -301,7 +301,8 @@ class World:
         )
         h = np.minimum(h, 1.0)
         approx = 2.0 * EARTH_RADIUS_M * np.arctan2(np.sqrt(h), np.sqrt(1.0 - h))
-        past = approx > np.partition(approx, k - 1)[k - 1] + _APPROX_SLACK_M
+        cut = np.partition(approx, k - 1)[k - 1] if rows.size > k else math.inf
+        past = approx > cut + _APPROX_SLACK_M
         ranked = ~past
         counted = 0
         if self.policy.mode is PolicyMode.OBFUSCATED:

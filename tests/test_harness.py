@@ -27,7 +27,7 @@ from geoleak.harness import (
     scenario_to_json,
 )
 from geoleak.jsonio import from_json
-from geoleak.obfuscation import HORNET_DEFAULT, obfuscation_envelope
+from geoleak.obfuscation import HORNET_DEFAULT, ObfuscationPattern, infer_pattern, obfuscation_envelope
 from geoleak.scenarios import PRESETS, preset
 
 LAB = SCIENCE_FRONTIER_LAB
@@ -120,13 +120,18 @@ def _hornet_favorites_pattern(**fields):
          "$.background: users[1]: id 'victim' is reserved"),
         (lambda d: d["attack"].update(kind="infer_pattern"),
          "$: an infer_pattern attack samples the policy's pattern, and this policy has none"),
+        (lambda d: d.update(name="../escaped"), "$: name must be a plain file name, got '../escaped'"),
+        (lambda d: d.update(name="/tmp/abs"), "$: name must be a plain file name, got '/tmp/abs'"),
+        (lambda d: d.update(name="sub/dir"), "$: name must be a plain file name, got 'sub/dir'"),
+        (lambda d: d.update(name="..\\escaped"), "$: name must be a plain file name, got '..\\\\escaped'"),
     ],
     ids=[
         "typo", "string-int", "bool-int", "no-victim", "bad-enum", "two-vantages", "stale-key", "user-shape",
         "nan-epsilon", "inf-max-distance", "negative-max-entries", "zero-max-entries", "inf-pattern-field",
         "negative-max-moves", "zero-max-queries", "zero-locations", "negative-queries-per-location",
         "nan-radius", "users-and-generator", "huge-epsilon", "user-latitude", "duplicate-user-id",
-        "attacker-id", "victim-id", "infer-without-pattern",
+        "attacker-id", "victim-id", "infer-without-pattern", "parent-name", "absolute-name", "nested-name",
+        "backslash-name",
     ],
 )
 def test_scenario_loading_is_strict(edit, message):
@@ -165,6 +170,14 @@ def test_cli_bad_number_in_scenario_file_exits_1(tmp_path, capsys, edit, message
     path.write_text(json.dumps(_edited_dump(edit)))  # NaN is written as the bare token NaN
     assert main(["run", "--scenario", str(path)]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_cli_rejects_a_scenario_name_that_leaves_the_out_directory(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_edited_dump(lambda d: d.update(name="../escaped"))))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "$: name must be a plain file name, got '../escaped'" in capsys.readouterr().err
+    assert list(tmp_path.rglob("*.geojson")) == []
 
 
 def test_attack_spec_validation():
@@ -278,9 +291,20 @@ def test_metric_consistency_between_csv_and_geojson(tmp_path):
         table = [r for r in csv.DictReader(fh)]
     result = next(r for r in table if r["row_type"] == "result")
     assert abs(float(result["localization_error_m"]) - recomputed) < 1e-6
-    assert result["outcome"] == "success"
+    assert result["outcome"] == doc["metrics"]["outcome"] == "success"
+    for column in ("localization_error_m", "region_area_m2", "moves", "queries", "victim_profile_queries"):
+        assert float(result[column]) == doc["metrics"][column], column
+    region = next(f for f in doc["features"] if f["properties"].get("role") == "region")
+    assert region["properties"]["area_m2"] == doc["metrics"]["region_area_m2"]
     summary = next(r for r in table if r["row_type"] == "summary")
     assert float(summary["success_rate"]) == 1.0
+
+    # a run that raised carries only its outcome
+    failed = preset("hornet-no-favorites")
+    (row,), _ = run_suite([failed], repetitions=1, out_dir=tmp_path / "failed")
+    doc = json.loads((tmp_path / "failed" / f"{failed.name}-{failed.seed}.geojson").read_text())
+    assert row.outcome != "success"
+    assert doc["metrics"] == {"outcome": row.outcome}
 
 
 def test_run_suite_single_rep_has_row_and_summary():
@@ -323,6 +347,17 @@ def test_inference_scenario_closed_loop(tmp_path):
     assert inferred["floor_value"] == 80.0
     assert all(v == "exact" for v in inferred["confidence"].values())
     assert (tmp_path / f"{sc.name}-{sc.seed}-scatter.csv").exists()
+
+
+def test_an_exact_but_wrong_inference_is_not_a_success():
+    sc = preset("hornet-scatter")
+    truth = ObfuscationPattern(140, 150, 200, 35, 5, 200)
+    sc = replace(sc, policy=replace(sc.policy, pattern=truth))
+    a = sc.attack
+    inferred = infer_pattern(emit_scatter(truth, a.locations, a.queries_per_location, a.max_distance_m, 1))
+    assert inferred.all_exact() and inferred.near_cutoff == 175.0
+    row = run_scenario(sc, seed=1)
+    assert (row.outcome, row.localization_error) == ("non_convergence", None)
 
 
 def test_explicit_users_reproduce_the_generated_background(tmp_path):
