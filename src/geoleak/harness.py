@@ -46,7 +46,7 @@ import logging
 import math
 import random
 import statistics
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -354,7 +354,12 @@ def _run_inference(scenario: Scenario, seed: int, out_dir: Path | None) -> Metri
         inferred = infer_pattern(samples)
     except InsufficientSamples:
         inferred = None
-    success = inferred is not None and inferred.all_exact() and inferred.as_pattern() == pattern
+    try:
+        success = inferred is not None and inferred.as_pattern() == pattern
+    except ValueError:
+        # an ambiguous field, or exact fields that make no valid pattern (a
+        # sub-meter floor is read as 0 m)
+        success = False
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -415,18 +420,25 @@ def summarize(rows: Sequence[MetricsRow]) -> list[SuiteSummary]:
     return summaries
 
 
-# the result columns that hold MetricsRow's fields after outcome, in order
-_METRIC_COLUMNS = ("localization_error_m", "region_area_m2", "moves", "queries", "victim_profile_queries")
-_CSV_COLUMNS = ["row_type", "scenario", "seed", "outcome", *_METRIC_COLUMNS, "median_error_m", "success_rate"]
+# each metric's result column and the MetricsRow field it holds
+_METRICS = (
+    ("localization_error_m", "localization_error"),
+    ("region_area_m2", "region_area"),
+    ("moves", "moves"),
+    ("queries", "queries"),
+    ("victim_profile_queries", "victim_profile_queries"),
+)
+_CSV_COLUMNS = ["row_type", "scenario", "seed", "outcome", *(c for c, _ in _METRICS), "median_error_m", "success_rate"]
 
 
 def write_suite_csv(path: Path, rows: Sequence[MetricsRow], summaries: Sequence[SuiteSummary]) -> None:
-    # csv writes None as "" and a float as its repr; MetricsRow's fields are
-    # the result columns in order
+    # csv writes None as "" and a float as its repr
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_COLUMNS)
-        writer.writerows(["result", *astuple(r), "", ""] for r in rows)
+        writer.writerows(
+            ["result", r.scenario, r.seed, r.outcome, *(getattr(r, f) for _, f in _METRICS), "", ""] for r in rows
+        )
         writer.writerows(["summary", s.scenario, *[""] * 7, s.median_error, s.success_rate] for s in summaries)
 
 
@@ -460,7 +472,7 @@ def scenario_geojson(
             if len(path) >= 2
         ]
         features.append(_feature("Point", [report.estimate.lon, report.estimate.lat], role="estimate"))
-        metrics.update(zip(_METRIC_COLUMNS, tuple(vars(row).values())[3:]))
+        metrics.update((c, getattr(row, f)) for c, f in _METRICS)
     return {
         "type": "FeatureCollection",
         "features": features,

@@ -360,6 +360,25 @@ def test_an_exact_but_wrong_inference_is_not_a_success():
     assert (row.outcome, row.localization_error) == ("non_convergence", None)
 
 
+def test_an_exact_inference_that_makes_no_valid_pattern_is_not_a_success():
+    # shown values are read in whole meters, so a 0.4 m floor comes back as an
+    # exact 0 m, which no ObfuscationPattern accepts
+    sc = preset("hornet-scatter")
+    truth = ObfuscationPattern(0.4, 5, 12, 2, 1, 4)
+    sc = replace(
+        sc,
+        seed=1,
+        policy=replace(sc.policy, pattern=truth),
+        attack=replace(sc.attack, locations=600, queries_per_location=30, max_distance_m=20.0),
+    )
+    a = sc.attack
+    inferred = infer_pattern(emit_scatter(truth, a.locations, a.queries_per_location, a.max_distance_m, 1))
+    assert inferred.all_exact() and inferred.floor_value == 0.0
+    rows, summaries = run_suite([sc], repetitions=1)
+    assert [(r.outcome, r.localization_error) for r in rows] == [("non_convergence", None)]
+    assert summaries[0].success_rate == 0.0
+
+
 def test_explicit_users_reproduce_the_generated_background(tmp_path):
     sc = preset("grindr-hidden")
     world, _, _ = build_world(sc, sc.seed)
