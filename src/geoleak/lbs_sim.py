@@ -23,14 +23,39 @@ from .geodesy import EARTH_RADIUS_M, GeoPoint, Projection, geo_centroid, haversi
 from .obfuscation import ObfuscationPattern, obfuscate_distances, skip_mid_band_draws
 
 
-# How far from a bound a user's vectorized distance must lie before a
-# truncated screen trusts which side of it the user is on: past the
-# max_entries-th smallest distance, at least near_cutoff, or below
-# mid_cutoff. numpy's and math's float64 trigonometry differ by a few ulps,
-# which moves the haversine term h by well under 1e-14 and the distance by at
-# most pi * R * sqrt(1e-14), about 2 m; any margin over twice that keeps the
-# split exact.
+# How far from a bound a user's distance, as read from its squared chord,
+# must lie before a truncated screen trusts which side of it the user is on:
+# past the max_entries-th smallest distance, at least near_cutoff, or below
+# mid_cutoff. In real arithmetic the squared chord |u - o|^2 between unit
+# vectors is exactly 4h, h being haversine_distance's haversine term, and
+# 2R asin(sqrt(c) / 2) is the distance. After rounding, the distance read
+# from the chord lies within 0.27 m of haversine_distance (measured over 400k
+# random pairs; the worst lie within 1e-5 degrees of antipodal, where asin is
+# steepest), and within 1e-8 m at service distances. Any margin over twice
+# the gap keeps the split exact.
 _APPROX_SLACK_M = 10.0
+
+
+def _unit_vector(p: GeoPoint) -> tuple[float, float, float]:
+    """p on the unit sphere: (cos lat cos lon, cos lat sin lon, sin lat)."""
+    phi, lam = math.radians(p.lat), math.radians(p.lon)
+    cos_phi = math.cos(phi)
+    return cos_phi * math.cos(lam), cos_phi * math.sin(lam), math.sin(phi)
+
+
+def _chord_m(chord2: float) -> float:
+    """The great-circle distance, in metres, between unit vectors chord2 = |u - v|^2 apart."""
+    return 2.0 * EARTH_RADIUS_M * math.asin(min(math.sqrt(chord2) / 2.0, 1.0))
+
+
+def _chord2(d: float) -> float:
+    """The squared chord between unit vectors d metres apart on the globe:
+    0 at or below 0 m, inf at or beyond half the circumference."""
+    if d <= 0.0:
+        return 0.0
+    if d >= math.pi * EARTH_RADIUS_M:
+        return math.inf
+    return (2.0 * math.sin(d / (2.0 * EARTH_RADIUS_M))) ** 2
 
 
 def _coins(rng: random.Random, n: int, p: float) -> np.ndarray:
@@ -132,8 +157,8 @@ class World:
     freezes at the first query; users added or moved later do not shift it.
 
     A user's location changes only through move_user, which keeps the
-    read-side caches current: the coordinate array (_coords) and the row of
-    distances from the last ranked observer's location (_dists).
+    read-side caches current: the array of users' unit vectors (_coords) and
+    the row of distances from the last ranked observer's location (_dists).
 
     It counts what it served: moves and queries of any kind per account
     (moves, queries), and views per profile (profile_views).
@@ -154,8 +179,8 @@ class World:
         self._obf_rng = random.Random(master.getrandbits(64))
         # read-side caches, dropped by add_user: the users sorted by id and
         # their ids in that order, and for screens that can truncate their
-        # positions (a (lat, lon) x users array, kept current by move_user)
-        # and show flags in that order
+        # positions (a 3 x users array of _unit_vector columns, kept current
+        # by move_user) and show flags in that order
         self._order: list[SimUser] | None = None
         self._ids: list[str] | None = None
         self._coords: np.ndarray | None = None
@@ -180,8 +205,8 @@ class World:
         self._dists.pop(user_id, None)
         if self._coords is not None:
             column = bisect_left(self._ids, user_id)
-            self._coords[0, column] = location.lat
-            self._coords[1, column] = location.lon
+            coords = self._coords
+            coords[0, column], coords[1, column], coords[2, column] = _unit_vector(location)
 
     def _require(self, user_id: str) -> SimUser:
         try:
@@ -273,42 +298,38 @@ class World:
 
         If no more than max_entries users are kept, the cut is infinite:
         every one is ranked and none is counted. Otherwise a user is ranked
-        if its vectorized distance is NaN or at most _APPROX_SLACK_M past the
-        max_entries-th smallest one, so at least max_entries users are
-        ranked. A user past that is truly farther than max_entries ranked
-        users, so it ranks past the cut. Such a user is counted if it is
-        shown under an OBFUSCATED policy and its vectorized distance lies in
-        [near_cutoff, mid_cutoff) with _APPROX_SLACK_M to spare on both
-        sides, so it truly lies in the mid band. It is ranked if it is shown
-        under an OBFUSCATED policy, less than _APPROX_SLACK_M past
-        mid_cutoff, and not counted: it may draw in the near band or not draw.
-        Every other user is ruled out: it ranks past the cut and draws
+        if the distance its squared chord from the observer gives is at most
+        _APPROX_SLACK_M past the max_entries-th smallest one, so at least
+        max_entries users are ranked. A user past that is truly farther than
+        max_entries ranked users, so it ranks past the cut. Such a user is
+        counted if it is shown under an OBFUSCATED policy and its chord's
+        distance lies in [near_cutoff, mid_cutoff) with _APPROX_SLACK_M to
+        spare on both sides, so it truly lies in the mid band. It is ranked
+        if it is shown under an OBFUSCATED policy, less than _APPROX_SLACK_M
+        past mid_cutoff, and not counted: it may draw in the near band or not
+        draw. Every other user is ruled out: it ranks past the cut and draws
         nothing, being hidden, under a policy that is not OBFUSCATED, or at
-        least mid_cutoff away. The vectorized distances only sort users into
-        these groups; every distance that is sorted or shown comes from
-        haversine_distance.
+        least mid_cutoff away. Each bound is compared as a squared chord
+        (_chord2), so no user's distance is computed here; the squared chords
+        only sort users into these groups, and every distance that is sorted
+        or shown comes from haversine_distance.
         """
         k = self.max_entries
         order = self._id_order()
         if self._coords is None:
-            self._coords = np.array([[u.location.lat for u in order], [u.location.lon for u in order]])
+            self._coords = np.array([_unit_vector(u.location) for u in order]).T.copy()
             self._shows = np.array([u.show_distance for u in order])
-        lat, lon = self._coords[:, rows]
-        here = obs.location
-        h = (
-            np.sin(np.radians(lat - here.lat) / 2.0) ** 2
-            + math.cos(math.radians(here.lat)) * np.cos(np.radians(lat)) * np.sin(np.radians(lon - here.lon) / 2.0) ** 2
-        )
-        h = np.minimum(h, 1.0)
-        approx = 2.0 * EARTH_RADIUS_M * np.arctan2(np.sqrt(h), np.sqrt(1.0 - h))
-        cut = np.partition(approx, k - 1)[k - 1] if rows.size > k else math.inf
-        past = approx > cut + _APPROX_SLACK_M
+        d = self._coords - np.array(_unit_vector(obs.location))[:, None]
+        d *= d
+        chord2 = (d[0] + d[1] + d[2])[rows]
+        cut = _chord_m(np.partition(chord2, k - 1)[k - 1]) if rows.size > k else math.inf
+        past = chord2 > _chord2(cut + _APPROX_SLACK_M)
         ranked = ~past
         counted = 0
         if self.policy.mode is PolicyMode.OBFUSCATED:
             near, mid = self.policy.pattern.near_cutoff, self.policy.pattern.mid_cutoff
-            drawing = past & self._shows[rows] & (approx < mid + _APPROX_SLACK_M)
-            mid_band = (approx >= near + _APPROX_SLACK_M) & (approx < mid - _APPROX_SLACK_M)
+            drawing = past & self._shows[rows] & (chord2 < _chord2(mid + _APPROX_SLACK_M))
+            mid_band = (chord2 >= _chord2(near + _APPROX_SLACK_M)) & (chord2 < _chord2(mid - _APPROX_SLACK_M))
             counted = int(np.count_nonzero(drawing & mid_band))
             ranked |= drawing & ~mid_band
         return [order[i] for i in rows[ranked].tolist()], counted

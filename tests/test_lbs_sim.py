@@ -4,12 +4,13 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geoleak import lbs_sim
 from geoleak.fixtures import DEMACHIYANAGI_STATION, HEIAN_SHRINE, SCIENCE_FRONTIER_LAB
 from geoleak.geodesy import (
+    EARTH_RADIUS_M,
     GeoPoint,
     LocalPoint,
     OutOfProjectionRange,
@@ -577,24 +578,59 @@ def _matched_screen(world, ref, observer, calls, skipped):
     return got, _drawing(world, observer, drop_state) if world.policy.pattern else []
 
 
-def _service_scale_screens(mode, calls, skipped):
-    """Screens of 100 out of 2,000 users under mode, matched against the
-    reference; returns how many mid-band draws they skipped."""
+def _destination(origin, d, bearing):
+    """The point d metres from origin along the great circle that leaves it
+    at bearing (radians east of north)."""
+    phi, lam, delta = math.radians(origin.lat), math.radians(origin.lon), d / EARTH_RADIUS_M
+    lat = math.asin(math.sin(phi) * math.cos(delta) + math.cos(phi) * math.sin(delta) * math.cos(bearing))
+    lon = lam + math.atan2(
+        math.sin(bearing) * math.sin(delta) * math.cos(phi), math.cos(delta) - math.sin(phi) * math.sin(lat)
+    )
+    return GeoPoint(math.degrees(lat), math.degrees(lon))
+
+
+# the lab; 80 degrees north; and a crowd wholly east of the antimeridian
+_SERVICE_CENTRES = (
+    SCIENCE_FRONTIER_LAB,
+    GeoPoint(80.0, SCIENCE_FRONTIER_LAB.lon),
+    GeoPoint(SCIENCE_FRONTIER_LAB.lat, 179.5),
+)
+_SERVICE_CUT_M = 60.0
+
+
+def _service_scale_screens(mode, centre, calls, skipped):
+    """Screens of 100 out of about 2,250 users around centre under mode,
+    matched against the reference; returns how many mid-band draws they
+    skipped.
+
+    2,000 users stand within 3 km of centre. 200 more stand on a ring
+    _SERVICE_CUT_M round it, so that a screen from centre cuts on the ring.
+    45 more stand within 0.5 m of b - _APPROX_SLACK_M, b or
+    b + _APPROX_SLACK_M from centre, b being the cut, near_cutoff or
+    mid_cutoff.
+    """
     pattern = HORNET_DEFAULT if mode is PolicyMode.OBFUSCATED else None
     policy = DisclosurePolicy(mode, pattern, drop_probability=0.3)
     world, ref = World(policy, 13, max_entries=100), _ReferenceWorld(policy, 13, max_entries=100)
     counted = 0
     rng = random.Random(13)
-    spots = [_offset(SCIENCE_FRONTIER_LAB, 50.0 * rng.randint(-40, 40), 50.0 * rng.randint(-40, 40)) for _ in range(30)]
+    spots = [_offset(centre, 50.0 * rng.randint(-40, 40), 50.0 * rng.randint(-40, 40)) for _ in range(30)]
 
     def place():
         if rng.random() < 0.2:
             return rng.choice(spots)
-        return _offset(SCIENCE_FRONTIER_LAB, rng.uniform(-3000.0, 3000.0), rng.uniform(-3000.0, 3000.0))
+        return _offset(centre, rng.uniform(-3000.0, 3000.0), rng.uniform(-3000.0, 3000.0))
 
+    slack = lbs_sim._APPROX_SLACK_M
+    bounds = (_SERVICE_CUT_M, HORNET_DEFAULT.near_cutoff, HORNET_DEFAULT.mid_cutoff)
+    edges = [b + side * slack + e for b in bounds for side in (-1, 0, 1) for e in (-0.5, -0.01, 0.0, 0.01, 0.5)]
+    ring = {f"e{i:03d}" for i in range(200)}
     ids = [f"u{i:04d}" for i in range(2000)]
-    for uid in ids:
-        point, show = place(), rng.random() < 0.7
+    crowd = [(uid, place()) for uid in ids]
+    for i, d in enumerate([_SERVICE_CUT_M] * len(ring) + edges):
+        crowd.append((f"e{i:03d}", _destination(centre, d, rng.uniform(0.0, 2.0 * math.pi))))
+    for uid, point in [("obs", centre), *crowd]:
+        show = rng.random() < 0.7
         world.add_user(uid, point, show)
         ref.add_user(uid, point, show)
 
@@ -604,28 +640,38 @@ def _service_scale_screens(mode, calls, skipped):
         counted += sum(skipped)
         return got
 
-    for observer in (ids[0], ids[1000], ids[-1]):
-        assert len(screen(observer).users) == 100
-        for uid in [*rng.sample(ids, 25), observer]:
+    def move(uids):
+        for uid in uids:
             point = place()
             world.move_user(uid, point)
             ref.move_user(uid, point)
+
+    for _ in range(10):
+        assert screen("obs").users[-1] in ring
+        move(rng.sample(ids, 25))
+    for observer in (ids[0], ids[1000], ids[-1]):
         assert len(screen(observer).users) == 100
-    # about 60 of 1,999 kept: a screen that could truncate but does not
+        move([*rng.sample(ids, 25), observer])
+        assert len(screen(observer).users) == 100
+    # about 67 of 2,245 kept: a screen that could truncate but does not
     world.policy = ref.policy = dataclasses.replace(policy, drop_probability=0.97)
     assert 0 < len(screen(ids[1000]).users) < 100
     return counted
 
 
 def test_service_scale_screens_match_the_reference(monkeypatch):
-    """Screens of 100 out of 2,000 users, which draw their drop coins in one
-    batch: observers at the first, a middle and the last position in id
-    order, with moves in between, and one screen that keeps fewer than 100,
-    see what the reference sees, on the same streams, under every policy
-    mode. Only obfuscated screens count users past the cut."""
+    """Screens of 100 out of about 2,250 users, which draw their drop coins
+    in one batch, see what the reference sees, on the same streams, under
+    every policy mode, with the crowd at the lab, at 80 degrees north and
+    just east of the antimeridian: an observer at the crowd's centre with
+    users at the cut, near_cutoff and mid_cutoff plus or minus
+    _APPROX_SLACK_M; observers at the first, a middle and the last position
+    in id order, with moves in between; and one screen that keeps fewer than
+    100. Only obfuscated screens count users past the cut."""
     calls, skipped = _watch_screens(monkeypatch)
-    for mode in PolicyMode:
-        assert (_service_scale_screens(mode, calls, skipped) > 0) == (mode is PolicyMode.OBFUSCATED)
+    for centre in _SERVICE_CENTRES:
+        for mode in PolicyMode:
+            assert (_service_scale_screens(mode, centre, calls, skipped) > 0) == (mode is PolicyMode.OBFUSCATED)
 
 
 def _ring(rng, d):
@@ -723,6 +769,68 @@ def test_a_batch_of_drop_coins_is_the_random_calls_it_replaces(seed, n, p, tie):
     assert coins.dtype == bool
     assert coins.tolist() == [d >= p for d in draws]
     assert rng.getstate() == one_by_one.getstate()
+
+
+_LATS = st.sampled_from([-90.0, 0.0, 90.0]) | st.floats(-90.0, 90.0)
+_LONS = st.sampled_from([-180.0, 0.0, 180.0]) | st.floats(-180.0, 180.0)
+
+
+def _nudged(draw, point, by):
+    """point moved by up to by degrees on each axis, kept on the globe."""
+    lat = min(max(point.lat + draw(st.floats(-by, by)), -90.0), 90.0)
+    lon = min(max(point.lon + draw(st.floats(-by, by)), -180.0), 180.0)
+    return GeoPoint(lat, lon)
+
+
+@st.composite
+def _point_pairs(draw):
+    """Two valid points: anywhere, coincident, or within 1e-5 degrees of
+    each other or of each other's antipode."""
+    a = draw(st.builds(GeoPoint, _LATS, _LONS))
+    kind = draw(st.sampled_from(["anywhere", "coincident", "close", "antipodal"]))
+    if kind == "anywhere":
+        return a, draw(st.builds(GeoPoint, _LATS, _LONS))
+    if kind == "coincident":
+        return a, GeoPoint(a.lat, a.lon)
+    if kind == "close":
+        return a, _nudged(draw, a, 1e-5)
+    return a, _nudged(draw, GeoPoint(-a.lat, a.lon - 180.0 if a.lon > 0.0 else a.lon + 180.0), 1e-5)
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(pair=_point_pairs())
+@example(pair=(GeoPoint(90.0, 0.0), GeoPoint(-90.0, 0.0)))
+@example(pair=(GeoPoint(0.0, 180.0), GeoPoint(0.0, -180.0)))
+@example(pair=(GeoPoint(10.0, 179.999), GeoPoint(10.0, -179.999)))
+@example(pair=(GeoPoint(35.0, 135.0), GeoPoint(-35.0, -45.0)))
+def test_the_squared_chord_gives_the_haversine_distance_within_a_metre(pair):
+    """The distance a truncated screen reads from two users' unit vectors is
+    within 1 m of haversine_distance, under the _APPROX_SLACK_M / 2 its
+    split needs."""
+    a, b = pair
+    chord2 = sum((x - y) ** 2 for x, y in zip(lbs_sim._unit_vector(a), lbs_sim._unit_vector(b)))
+    assert abs(lbs_sim._chord_m(chord2) - haversine_distance(a, b)) <= 1.0 < lbs_sim._APPROX_SLACK_M / 2
+
+
+_HALF_CIRCUMFERENCE_M = math.pi * EARTH_RADIUS_M
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(d=st.floats(-1e3, 2.1e7), e=st.floats(-1e3, 2.1e7))
+@example(d=0.0, e=-0.0)
+@example(d=_HALF_CIRCUMFERENCE_M, e=math.nextafter(_HALF_CIRCUMFERENCE_M, 0.0))
+def test_a_bound_becomes_a_squared_chord_in_order(d, e):
+    """_chord2 is 0 at and below 0 m, inf at and beyond half the
+    circumference, monotone, and _chord_m takes it back within 1 m."""
+    assert (d <= e) <= (lbs_sim._chord2(d) <= lbs_sim._chord2(e))
+    for x in (d, e):
+        chord2 = lbs_sim._chord2(x)
+        if x <= 0.0:
+            assert chord2 == 0.0
+        elif x >= _HALF_CIRCUMFERENCE_M:
+            assert chord2 == math.inf
+        else:
+            assert abs(lbs_sim._chord_m(chord2) - x) <= 1.0
 
 
 def test_a_user_moved_close_tops_a_truncated_screen():
