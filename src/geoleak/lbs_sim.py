@@ -5,6 +5,14 @@ identical (seed, call sequence) pairs produce identical outputs. Dropping and
 display obfuscation consume two independent seeded streams, so whether a user
 hides their distance never perturbs who gets dropped or how entries are
 ordered.
+
+Both streams start as random.Random Mersenne Twisters. The first screen that
+can truncate hands the drop stream's state over to numpy's MT19937, and every
+drop coin after it is drawn there: random() makes its float from two
+consecutive 32-bit words a and b as ((a >> 5) * 2**26 + (b >> 6)) / 2**53,
+and numpy's Generator.random makes each of its floats from the next two words
+of the same state in the same way, so the coins and the stream are the ones
+random() calls would give. Only a world that truncates loads numpy.random.
 """
 
 from __future__ import annotations
@@ -56,18 +64,6 @@ def _chord2(d: float) -> float:
     if d >= math.pi * EARTH_RADIUS_M:
         return math.inf
     return (2.0 * math.sin(d / (2.0 * EARTH_RADIUS_M))) ** 2
-
-
-def _coins(rng: random.Random, n: int, p: float) -> np.ndarray:
-    """[rng.random() >= p for _ in range(n)] as a bool array, from one getrandbits call.
-
-    random() builds its float from two consecutive 32-bit Mersenne Twister
-    words a and b as ((a >> 5) * 2**26 + (b >> 6)) / 2**53, exactly in float64.
-    getrandbits(64 * n) returns the same 2n words, least significant first,
-    and leaves the generator where n random() calls would.
-    """
-    words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u4")
-    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0) >= p
 
 
 def check_max_entries(max_entries: int | None) -> None:
@@ -175,7 +171,11 @@ class World:
         self.profile_views: Counter[str] = Counter()
         self.projection: Projection | None = None
         master = random.Random(seed)
+        # the drop stream is _drop_rng until the first screen that can
+        # truncate, and from then on _drop_bits, a numpy Generator on the
+        # same MT19937 state (_hand_off); _drop_rng is then None
         self._drop_rng = random.Random(master.getrandbits(64))
+        self._drop_bits = None
         self._obf_rng = random.Random(master.getrandbits(64))
         # read-side caches, dropped by add_user: the users sorted by id and
         # their ids in that order, and for screens that can truncate their
@@ -219,6 +219,20 @@ class World:
         if self.projection is None:
             self.projection = Projection.at(geo_centroid([u.location for u in self.users.values()]))
 
+    def _hand_off(self) -> None:
+        """Move the drop stream into numpy: the 624 state words and the
+        position go to an MT19937, whose Generator draws every later coin.
+        A population never shrinks, so a world whose screens could truncate
+        once always can, and the stream never moves back."""
+        _, internal, _ = self._drop_rng.getstate()
+        bits = np.random.MT19937(0)  # a fixed seed skips OS entropy; the state is overwritten
+        bits.state = {
+            "bit_generator": "MT19937",
+            "state": {"key": np.array(internal[:-1], dtype=np.uint32), "pos": internal[-1]},
+        }
+        self._drop_bits = np.random.Generator(bits)
+        self._drop_rng = None
+
     def _id_order(self) -> list[SimUser]:
         if self._order is None:
             self._ids = sorted(self.users)
@@ -239,13 +253,15 @@ class World:
 
         The drop coins are the drop stream's random() calls, one per other
         user in id order. A screen that can truncate (more other users than
-        max_entries) draws them in one _coins batch, and _candidates picks
-        the kept users to rank: all of them if no more than max_entries are
-        kept, else only those that may be shown or draw outside the mid band.
-        The users past the cut that provably draw in the mid band are
-        counted, and _rank_and_render takes their draws by count. A screen
-        that cannot truncate draws its coins one call at a time: at the ~50
-        users of a preset world the batch costs more than it saves.
+        max_entries) draws them in one numpy Generator.random fill, handing
+        the stream over to numpy first if no screen has (_hand_off), and
+        _candidates picks the kept users to rank: all of them if no more than
+        max_entries are kept, else only those that may be shown or draw
+        outside the mid band. The users past the cut that provably draw in
+        the mid band are counted, and _rank_and_render takes their draws by
+        count. A screen that cannot truncate draws its coins one random()
+        call at a time, so a world that never truncates, such as a ~50-user
+        preset world, never loads numpy.random.
         """
         obs = self._require(observer)
         self._freeze()
@@ -258,7 +274,9 @@ class World:
             draw = self._drop_rng.random
             subjects = [u for u in order if u is not obs and draw() >= p]
         else:
-            rows = np.flatnonzero(_coins(self._drop_rng, len(order) - 1, p))
+            if self._drop_bits is None:
+                self._hand_off()
+            rows = np.flatnonzero(self._drop_bits.random(len(order) - 1) >= p)
             # the coins skip the observer: shift the rows past its position
             rows += rows >= bisect_left(self._ids, observer)
             subjects, counted = self._candidates(obs, rows)

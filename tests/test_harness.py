@@ -3,7 +3,10 @@ import hashlib
 import json
 import math
 import logging
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -477,6 +480,29 @@ def test_truncated_screen_artifact_bytes_match_pinned_digests(tmp_path):
     actual = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
     assert sorted(actual) == sorted(TRUNCATED_DIGESTS)
     assert [name for name in sorted(TRUNCATED_DIGESTS) if actual[name] != TRUNCATED_DIGESTS[name]] == []
+
+
+def _loads_numpy_random(code):
+    """Whether a fresh interpreter that runs code has numpy.random loaded."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = f"{code}\nimport sys\nprint('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
+    return out.split()[-1] == "True"
+
+
+def test_presets_never_load_numpy_random():
+    """No preset's screens truncate, so running every preset leaves
+    numpy.random, which only a truncating world loads, unimported."""
+    if _loads_numpy_random("import numpy"):
+        pytest.skip("this numpy loads numpy.random on import")
+    code = (
+        "from dataclasses import replace\n"
+        "from geoleak.harness import run_scenario\n"
+        "from geoleak.scenarios import PRESETS, preset\n"
+    )
+    assert not _loads_numpy_random(code + "for name in PRESETS:\n    run_scenario(preset(name))")
+    assert _loads_numpy_random(code + "run_scenario(replace(preset('grindr-hidden'), max_entries=30))")
 
 
 # -- CLI ------------------------------------------------------------------------

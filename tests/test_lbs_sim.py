@@ -379,6 +379,16 @@ def test_an_observer_moved_away_and_back_sees_fresh_distances():
     assert back != first
 
 
+def _drop_state(world):
+    """The drop stream's state in random.Random.getstate()'s layout, whether
+    the world still draws from its random.Random or has handed the stream
+    to numpy."""
+    if world._drop_rng is not None:
+        return world._drop_rng.getstate()
+    state = world._drop_bits.bit_generator.state["state"]
+    return (3, (*state["key"].tolist(), state["pos"]), None)
+
+
 def _response(entries):
     return QueryResponse(tuple(e.user for e in entries), tuple(e.shown_distance for e in entries))
 
@@ -530,7 +540,7 @@ def test_screens_and_rng_streams_match_the_reference(users, mode, pattern, drop,
         if call[0] != "move_user":
             last = call[1]
         assert _outcome(world, *call) == _outcome(ref, *call)
-        assert world._drop_rng.getstate() == ref._drop_rng.getstate()
+        assert _drop_state(world) == ref._drop_rng.getstate()
         assert world._obf_rng.getstate() == ref._obf_rng.getstate()
         assert world.queries == ref.queries and world.profile_views == ref.profile_views
 
@@ -568,12 +578,12 @@ def _matched_screen(world, ref, observer, calls, skipped):
     """A screen of observer in world and ref, which must match, with both
     streams; calls and skipped are emptied first. Returns the screen and the
     users whose draws it took."""
-    drop_state = world._drop_rng.getstate()
+    drop_state = _drop_state(world)
     calls.clear()
     skipped.clear()
     got = world.query_nearby(observer)
     assert got == ref.query_nearby(observer)
-    assert world._drop_rng.getstate() == ref._drop_rng.getstate()
+    assert _drop_state(world) == ref._drop_rng.getstate()
     assert world._obf_rng.getstate() == ref._obf_rng.getstate()
     return got, _drawing(world, observer, drop_state) if world.policy.pattern else []
 
@@ -755,20 +765,70 @@ _EDGE_PROBABILITIES = (0.0, 1.0, 5e-324, math.nextafter(1.0, 0.0))
 @settings(derandomize=True, deadline=None, max_examples=500)
 @given(
     seed=st.integers(0, 2**64 - 1),
-    n=st.integers(0, 700),
+    before=st.integers(0, 1400),
+    odd=st.booleans(),
+    n=st.integers(0, 1400),
     p=st.sampled_from(_EDGE_PROBABILITIES) | st.floats(0.0, 1.0) | st.none(),
-    tie=st.integers(0, 699),
+    tie=st.integers(0, 1399),
 )
-def test_a_batch_of_drop_coins_is_the_random_calls_it_replaces(seed, n, p, tie):
-    one_by_one = random.Random(seed)
-    draws = [one_by_one.random() for _ in range(n)]
+# one 32-bit word and 311 random() calls leave the position at 623, so the
+# first handed-off draw takes the last word of a block and the first of the
+# next; 312 calls leave it at 624, so the first handed-off draw twists
+@example(seed=0, before=311, odd=True, n=3, p=None, tie=0)
+@example(seed=0, before=312, odd=False, n=1, p=0.5, tie=0)
+def test_the_drop_stream_hands_off_to_numpy_exactly(seed, before, odd, n, p, tie):
+    """After before random() calls, and one more 32-bit word if odd, the
+    handed-off Generator's n floats, its coins and its end state are those
+    of n more random() calls."""
+    world = World(EXACT, 0)
+    world._drop_rng = random.Random(seed)
+    python = random.Random(seed)
+    for rng in (world._drop_rng, python):
+        if odd:
+            rng.getrandbits(32)
+        for _ in range(before):
+            rng.random()
+    world._hand_off()
+    assert world._drop_rng is None
+    draws = [python.random() for _ in range(n)]
     if p is None:  # one of the draws themselves, where >= meets equality
         p = draws[tie % n] if n else 0.5
-    rng = random.Random(seed)
-    coins = lbs_sim._coins(rng, n, p)
-    assert coins.dtype == bool
-    assert coins.tolist() == [d >= p for d in draws]
-    assert rng.getstate() == one_by_one.getstate()
+    floats = world._drop_bits.random(n)
+    assert floats.tolist() == draws
+    assert (floats >= p).tolist() == [d >= p for d in draws]
+    assert _drop_state(world) == python.getstate()
+
+
+@pytest.mark.parametrize("mode", PolicyMode)
+def test_a_world_that_grows_into_truncating_hands_off_mid_stream(mode):
+    """A world with a 20-row screen serves untruncated screens on the
+    random.Random drop stream, grows past 21 users, and serves truncated
+    screens on the handed-off one: every screen and both streams match the
+    reference's."""
+    policy = DisclosurePolicy(mode, HORNET_DEFAULT if mode is PolicyMode.OBFUSCATED else None, drop_probability=0.3)
+    world, ref = World(policy, 9, max_entries=20), _ReferenceWorld(policy, 9, max_entries=20)
+    rng = random.Random(9)
+
+    def add(count):
+        for _ in range(count):
+            uid, point, show = f"u{len(world.users):03d}", _ring(rng, rng.uniform(0.0, 1500.0)), rng.random() < 0.7
+            world.add_user(uid, point, show)
+            ref.add_user(uid, point, show)
+
+    def screens():
+        for observer in ("u000", "u007", f"u{len(world.users) - 1:03d}"):
+            assert world.query_nearby(observer) == ref.query_nearby(observer)
+            assert _drop_state(world) == ref._drop_rng.getstate()
+            assert world._obf_rng.getstate() == ref._obf_rng.getstate()
+
+    add(21)
+    screens()
+    assert world._drop_bits is None
+    add(40)
+    screens()
+    assert world._drop_rng is None
+    add(5)
+    screens()
 
 
 _LATS = st.sampled_from([-90.0, 0.0, 90.0]) | st.floats(-90.0, 90.0)
