@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .harness import AttackSpec, Scenario, emit_scatter, load_samples_csv, run_suite, save_samples_csv
 from .jsonio import from_json, to_json
-from .obfuscation import HORNET_DEFAULT, InsufficientSamples, ObfuscationPattern, infer_pattern
+from .obfuscation import HORNET_DEFAULT, ObfuscationPattern, infer_pattern
 from .scenarios import PRESETS, preset
 
 EXIT_OK = 0
@@ -141,7 +141,7 @@ def main(argv=None) -> int:
         if args.command == "scatter":
             return _cmd_scatter(args)
         return _cmd_infer(args)
-    except (OSError, ValueError, KeyError, InsufficientSamples) as exc:
+    except (OSError, ValueError) as exc:
         print(f"geoleak: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

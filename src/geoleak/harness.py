@@ -269,8 +269,13 @@ def save_samples_csv(samples: Sequence[ObfuscationSample], path: Path) -> None:
 
 
 def load_samples_csv(path: Path) -> list[ObfuscationSample]:
+    """The samples of a CSV with true_m and shown_m columns; raises ValueError
+    naming a missing column, and for a missing or non-numeric value."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")
+        missing = [c for c in ("true_m", "shown_m") if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: no {' or '.join(missing)} column; a samples CSV has true_m,shown_m columns")
         return [ObfuscationSample(float(row["true_m"]), float(row["shown_m"])) for row in reader]
 
 

@@ -27,7 +27,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .geodesy import EARTH_RADIUS_M, GeoPoint, Projection, geo_centroid, haversine_distance, project
+from .geodesy import EARTH_RADIUS_M, GeoPoint, haversine_distance
 from .obfuscation import ObfuscationPattern, obfuscate_distances, skip_mid_band_draws
 
 
@@ -149,8 +149,8 @@ class QueryResponse:
 class World:
     """One simulated service instance.
 
-    The projection plane is anchored at the centroid of all user positions and
-    freezes at the first query; users added or moved later do not shift it.
+    It ranks users on the sphere and keeps no plane, so a world anywhere on
+    the globe serves screens to an observer anywhere.
 
     A user's location changes only through move_user, which keeps the
     read-side caches current: the array of users' unit vectors (_coords) and
@@ -169,7 +169,6 @@ class World:
         self.moves: Counter[str] = Counter()
         self.queries: Counter[str] = Counter()
         self.profile_views: Counter[str] = Counter()
-        self.projection: Projection | None = None
         master = random.Random(seed)
         # the drop stream is _drop_rng until the first screen that can
         # truncate, and from then on _drop_bits, a numpy Generator on the
@@ -213,11 +212,6 @@ class World:
             return self.users[user_id]
         except KeyError:
             raise UnknownUser(f"no such user: {user_id}") from None
-
-    def _freeze(self) -> None:
-        # every caller has looked up a user first, so users is not empty
-        if self.projection is None:
-            self.projection = Projection.at(geo_centroid([u.location for u in self.users.values()]))
 
     def _hand_off(self) -> None:
         """Move the drop stream into numpy: the 624 state words and the
@@ -264,8 +258,6 @@ class World:
         preset world, never loads numpy.random.
         """
         obs = self._require(observer)
-        self._freeze()
-        project(obs.location, self.projection)  # raises OutOfProjectionRange
         self.queries[observer] += 1
         order = self._id_order()
         p, k = self.policy.drop_probability, self.max_entries
@@ -285,7 +277,6 @@ class World:
     def query_favorites(self, observer: str) -> QueryResponse:
         """Distance-sorted view of exactly the observer's favorites; never dropped."""
         obs = self._require(observer)
-        self._freeze()
         self.queries[observer] += 1
         targets = [self.users[uid] for uid in sorted(self.favorites.get(observer, ()))]
         return self._rank_and_render(obs, targets)
@@ -294,7 +285,6 @@ class World:
         """Single-user profile view; never dropped, fresh obfuscation draw per view."""
         obs = self._require(observer)
         subj = self._require(subject)
-        self._freeze()
         self.queries[observer] += 1
         self.profile_views[subject] += 1
         (shown,) = self._shown([(haversine_distance(obs.location, subj.location), subj)])

@@ -59,7 +59,10 @@ def sparse_remote() -> Scenario:
 
 def hornet_no_favorites() -> Scenario:
     """Obfuscated distances plus random dropping; colluding without the
-    favorites anchor starves for usable observations."""
+    favorites anchor re-queries until the drop spares every user it waits
+    for. Over seeds 1-40, 39 runs spend the 40-query budget and end
+    non_convergence; with both budgets lifted all 40 succeed, after a median
+    of 94.5 queries (max 152) and 23 moves."""
     return Scenario(
         name="hornet-no-favorites",
         policy=DisclosurePolicy(PolicyMode.OBFUSCATED, pattern=HORNET_DEFAULT, drop_probability=0.5),
@@ -107,7 +110,6 @@ PRESETS = {
 
 
 def preset(name: str) -> Scenario:
-    try:
-        return PRESETS[name]()
-    except KeyError:
-        raise KeyError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}") from None
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
+    return PRESETS[name]()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from test_obfuscation import _patterns
 
-from geoleak import attack
+from geoleak import attack, lbs_sim
 from geoleak.attack import (
     AnnulusConstraint,
     AttackReport,
@@ -668,6 +668,24 @@ def test_drivers_reach_the_world_only_through_the_session():
         if isinstance(sub, ast.Attribute) and sub.attr in ("queries", "profile_views", "moves"):
             owner = ast.unparse(sub.value)
             assert owner not in ("world", "self._world"), f"line {sub.lineno} reads {owner}.{sub.attr}"
+
+
+def test_the_service_has_no_plane():
+    # only the attacker rasterizes in a tangent plane: lbs_sim imports,
+    # defines and names none of geodesy's plane types and maps
+    plane = {"Projection", "LocalPoint", "project", "unproject", "unproject_arrays", "geo_centroid"}
+    for sub in ast.walk(ast.parse(Path(lbs_sim.__file__).read_text())):
+        if isinstance(sub, ast.alias):
+            names = {sub.name, sub.asname}
+        elif isinstance(sub, (ast.FunctionDef, ast.ClassDef)):
+            names = {sub.name}
+        elif isinstance(sub, ast.Name):
+            names = {sub.id}
+        elif isinstance(sub, ast.Attribute):
+            names = {sub.attr}
+        else:
+            continue
+        assert not names & plane, f"line {sub.lineno} names {sorted(names & plane)}"
 
 
 _COLLUDERS = ("attacker", "colluder-a", "colluder-b")

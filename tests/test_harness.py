@@ -558,8 +558,30 @@ def test_cli_usage_error_exits_1():
 
 
 def test_cli_unknown_preset_is_config_error(capsys):
+    with pytest.raises(ValueError, match="unknown preset 'nonsense'"):
+        preset("nonsense")
     assert main(["run", "--scenario", "preset:nonsense"]) == 1
-    assert "error" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"geoleak: error: unknown preset 'nonsense'; available: {', '.join(sorted(PRESETS))}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("shown_m\n250.0\n", "no true_m column"),
+        ("true_m,shown\n250.0,250.0\n", "no shown_m column"),
+        ("", "no true_m or shown_m column"),
+        ("true_m,shown_m\n250.0\n", "could not convert string to float: ''"),
+    ],
+)
+def test_cli_infer_rejects_a_bad_samples_csv(tmp_path, capsys, text, message):
+    path = tmp_path / "s.csv"
+    path.write_text(text)
+    assert main(["infer", "--samples", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("geoleak: error: ") and message in err
 
 
 def test_cli_missing_file_is_config_error(tmp_path):

@@ -13,10 +13,8 @@ from geoleak.geodesy import (
     EARTH_RADIUS_M,
     GeoPoint,
     LocalPoint,
-    OutOfProjectionRange,
     Projection,
     haversine_distance,
-    project,
     unproject,
 )
 from geoleak.lbs_sim import (
@@ -151,20 +149,33 @@ def test_drop_rate_is_independent_per_query(p):
         assert abs(present[uid] / n - (1.0 - p)) < 0.02
 
 
-def test_projection_freezes_at_first_query():
+def test_a_far_observer_is_served_in_haversine_order():
     world = _small_world()
-    world.query_nearby("obs")
-    frozen = world.projection
-    world.add_user("late", HEIAN_SHRINE, True)
-    assert world.projection is frozen
+    far = GeoPoint(38.0, 135.77)  # ~330 km north
+    world.move_user("obs", far)
+    screen = world.query_nearby("obs")
+    expected = sorted((haversine_distance(far, world.users[uid].location), uid) for uid in ("victim", "n1", "n2"))
+    assert list(zip(screen.shown, screen.users)) == expected
 
 
-def test_out_of_projection_observer_errors_but_registry_accepts():
-    world = _small_world()
-    world.query_nearby("obs")
-    world.move_user("obs", GeoPoint(38.0, 135.77))  # ~330 km north
-    with pytest.raises(OutOfProjectionRange):
-        world.query_nearby("obs")
+def test_a_world_across_the_antimeridian_serves_its_screens():
+    world = World(EXACT, 1)
+    world.add_user("a", GeoPoint(10.0, 179.999))
+    world.add_user("b", GeoPoint(10.0, -179.999))
+    screen = world.query_nearby("a")
+    assert screen.users == ("b",)
+    assert screen.shown[0] == pytest.approx(219.01, abs=0.01)
+
+
+def test_a_world_near_the_pole_serves_its_screens():
+    world = World(EXACT, 1)
+    world.add_user("a", GeoPoint(89.99, 0.0))
+    world.add_user("b", GeoPoint(89.99, 90.0))
+    world.add_favorite("a", "b")
+    d = haversine_distance(world.users["a"].location, world.users["b"].location)
+    assert world.query_nearby("a") == QueryResponse(("b",), (d,))
+    assert world.query_favorites("a") == QueryResponse(("b",), (d,))
+    assert world.view_profile("b", "a") == ScreenEntry("a", d)
 
 
 def test_moved_user_sees_what_the_other_position_sees():
@@ -252,17 +263,16 @@ def test_queries_and_profile_views_are_counted_per_user():
     world.view_profile("n2", "n1")
     assert world.queries == {"obs": 3, "n2": 1}
     assert world.profile_views == {"n1": 2}
-    # a screen the service cannot serve is not counted
-    world.move_user("n2", _ANTIPODE)
-    with pytest.raises(OutOfProjectionRange):
-        world.query_nearby("n2")
+    # a query by an unknown observer is not counted
+    with pytest.raises(UnknownUser):
+        world.query_nearby("nobody")
     assert world.queries == {"obs": 3, "n2": 1}
     # moves are counted per account, and a move of an unknown user counts nothing
     world.move_user("n1", world.users["n2"].location)
     world.move_user("n2", SCIENCE_FRONTIER_LAB)
     with pytest.raises(UnknownUser):
         world.move_user("nobody", SCIENCE_FRONTIER_LAB)
-    assert world.moves == {"n1": 1, "n2": 2}
+    assert world.moves == {"n1": 1, "n2": 1}
 
 
 def _serialize_run(seed):
@@ -402,8 +412,6 @@ class _ReferenceWorld(World):
 
     def query_nearby(self, observer):
         obs = self._require(observer)
-        self._freeze()
-        project(obs.location, self.projection)
         self.queries[observer] += 1
         p = self.policy.drop_probability
         kept = []
@@ -419,7 +427,6 @@ class _ReferenceWorld(World):
 
     def query_favorites(self, observer):
         obs = self._require(observer)
-        self._freeze()
         self.queries[observer] += 1
         targets = [self.users[uid] for uid in self.favorites.get(observer, [])]
         return _response(self._rank_and_render(obs, targets))
@@ -427,7 +434,6 @@ class _ReferenceWorld(World):
     def view_profile(self, observer, subject):
         obs = self._require(observer)
         subj = self._require(subject)
-        self._freeze()
         self.queries[observer] += 1
         self.profile_views[subject] += 1
         return self._render(subj, haversine_distance(obs.location, subj.location))
@@ -476,13 +482,6 @@ def _place(rng: random.Random, spots: list[GeoPoint]) -> GeoPoint:
     return _near(rng, spots)
 
 
-def _outcome(world, method, *args):
-    try:
-        return getattr(world, method)(*args)
-    except OutOfProjectionRange:
-        return OutOfProjectionRange
-
-
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(
     users=st.integers(2, 300),
@@ -507,7 +506,6 @@ def test_screens_and_rng_streams_match_the_reference(users, mode, pattern, drop,
     spots = [_offset(SCIENCE_FRONTIER_LAB, 50.0 * rng.randint(-30, 30), 50.0 * rng.randint(-30, 30)) for _ in range(12)]
     ids = [f"u{i:03d}" for i in rng.sample(range(1000), users)]
     for uid in ids:
-        # the first query anchors the projection, so the initial crowd stays near the lab
         point, show = _near(rng, spots), rng.random() < 0.7
         world.add_user(uid, point, show)
         ref.add_user(uid, point, show)
@@ -539,7 +537,7 @@ def test_screens_and_rng_streams_match_the_reference(users, mode, pattern, drop,
             call = ("move_user", last, pick.choice([_place(pick, spots), GeoPoint(here.lat, here.lon), here]))
         if call[0] != "move_user":
             last = call[1]
-        assert _outcome(world, *call) == _outcome(ref, *call)
+        assert getattr(world, call[0])(*call[1:]) == getattr(ref, call[0])(*call[1:])
         assert _drop_state(world) == ref._drop_rng.getstate()
         assert world._obf_rng.getstate() == ref._obf_rng.getstate()
         assert world.queries == ref.queries and world.profile_views == ref.profile_views
