@@ -1,4 +1,7 @@
-"""Command-line front end: run scenarios, emit obfuscation scatters, infer patterns.
+"""Command-line front end: run scenarios and infer patterns from measured samples.
+
+A scatter study is a scenario whose attack kind is infer_pattern (preset
+hornet-scatter); `run --out` writes its samples to <name>-<seed>-scatter.csv.
 
 Exit codes: 0 on success outcomes, 2 when an attack run fails (victim never
 visible, non-convergence, empty region), 1 on usage or configuration errors.
@@ -16,9 +19,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .harness import AttackSpec, Scenario, emit_scatter, load_samples_csv, run_suite, save_samples_csv
+from .harness import Scenario, load_samples_csv, run_suite
 from .jsonio import from_json, to_json
-from .obfuscation import HORNET_DEFAULT, ObfuscationPattern, infer_pattern
+from .obfuscation import infer_pattern
 from .scenarios import PRESETS, preset
 
 EXIT_OK = 0
@@ -75,14 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", type=Path, default=None, help="directory for GeoJSON/CSV artifacts")
     run.add_argument("--reps", type=int, default=1, help="repetitions with derived seeds seed+i")
 
-    scatter = sub.add_parser("scatter", help="emit obfuscation samples as CSV")
-    scatter.add_argument("--pattern", default="preset:hornet", help="pattern JSON file or preset:hornet")
-    scatter.add_argument("--locations", type=int, default=AttackSpec.locations)
-    scatter.add_argument("--queries", type=int, default=AttackSpec.queries_per_location, help="queries per location")
-    scatter.add_argument("--max-dist", type=float, default=AttackSpec.max_distance_m, help="max true distance, meters")
-    scatter.add_argument("--seed", type=int, default=0)
-    scatter.add_argument("--out", type=Path, required=True, help="output CSV path")
-
     infer = sub.add_parser("infer", help="infer a pattern from a samples CSV")
     infer.add_argument("--samples", type=Path, required=True, help="CSV with true_m,shown_m columns")
     return parser
@@ -93,13 +88,6 @@ def _load_scenario(spec: str):
         return preset(spec.removeprefix("preset:"))
     with open(spec) as fh:
         return from_json(Scenario, json.load(fh))
-
-
-def _load_pattern(spec: str):
-    if spec == "preset:hornet":
-        return HORNET_DEFAULT
-    with open(spec) as fh:
-        return from_json(ObfuscationPattern, json.load(fh))
 
 
 def _cmd_run(args) -> int:
@@ -117,14 +105,6 @@ def _cmd_run(args) -> int:
     return EXIT_OK if all(r.outcome == "success" for r in rows) else EXIT_ATTACK_FAILED
 
 
-def _cmd_scatter(args) -> int:
-    pattern = _load_pattern(args.pattern)
-    samples = emit_scatter(pattern, args.locations, args.queries, args.max_dist, args.seed)
-    save_samples_csv(samples, args.out)
-    print(f"wrote {len(samples)} samples to {args.out}")
-    return EXIT_OK
-
-
 def _cmd_infer(args) -> int:
     samples = load_samples_csv(args.samples)
     inferred = infer_pattern(samples)
@@ -138,8 +118,6 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if args.command == "run":
             return _cmd_run(args)
-        if args.command == "scatter":
-            return _cmd_scatter(args)
         return _cmd_infer(args)
     except (OSError, ValueError) as exc:
         print(f"geoleak: error: {exc}", file=sys.stderr)

@@ -30,9 +30,10 @@ missing required key or a value of the wrong JSON type (a boolean for a number,
 a string for an integer) raises ValueError naming the key path, e.g.
 ``$.attack: unknown key 'epsilon'``. A key whose dataclass field has a default
 (every `attack` key but `kind`, say) may be left out and takes that default.
-An `infer_pattern` scenario's policy must state the pattern it samples. A
-scenario's artifacts are named after it, so `name` must be a plain file name,
-with no ``/`` or ``\\``.
+An `infer_pattern` scenario's policy must state the pattern it samples, and
+a `trilateration` attack's explicit vantages must span a triangle of more
+than 1 m^2 in the plane it solves in. A scenario's artifacts are named after
+it, so `name` must be a plain file name, with no ``/`` or ``\\``.
 
 `build_world` makes a scenario's world for one seed, and `locate`, the one
 place an `AttackSpec` becomes a driver call, runs its attack on that world.
@@ -56,12 +57,13 @@ from .attack import (
     EmptyRegion,
     NonConvergence,
     VictimNeverVisible,
+    check_anchor_triangle,
     colluding_trilateration,
     default_vantage_points,
     exact_trilateration_attack,
     passive_sandwich_survey,
 )
-from .geodesy import GeoPoint, LocalPoint, Projection, haversine_distance, unproject
+from .geodesy import GeoPoint, LocalPoint, Projection, geo_centroid, haversine_distance, project, unproject
 from .jsonio import to_json
 from .lbs_sim import DisclosurePolicy, World, check_max_entries
 from .obfuscation import InsufficientSamples, ObfuscationPattern, ObfuscationSample, infer_pattern, obfuscate_distances
@@ -162,6 +164,10 @@ class AttackSpec:
                 raise ValueError(f"{name} must be at least 1, got {value}")
         if self.vantage_points is not None and len(self.vantage_points) != 3:
             raise ValueError("vantage_points must hold exactly 3 points")
+        if self.kind == "trilateration" and self.vantage_points is not None:
+            # the plane exact_trilateration_attack solves in
+            proj = Projection.at(geo_centroid(self.vantage_points))
+            check_anchor_triangle([(q.x, q.y) for q in (project(v, proj) for v in self.vantage_points)])
 
 
 @dataclass(frozen=True)

@@ -77,6 +77,10 @@ def _bg_user(uid):
     return {"id": uid, "lat": 35.03, "lon": 135.78, "show_distance": True}
 
 
+# explicit vantages on one meridian: their anchor triangle has zero area
+COLLINEAR_VANTAGES = [{"lat": lat, "lon": 135.77} for lat in (35.02, 35.03, 35.04)]
+
+
 def _hornet_favorites_pattern(**fields):
     """An edit that swaps in the hornet-favorites dump with these pattern fields."""
 
@@ -101,6 +105,9 @@ def _hornet_favorites_pattern(**fields):
          "$.background.users[0]: missing key 'show_distance'"),
         (lambda d: d["attack"].update(epsilon_m=math.nan), "$.attack: epsilon_m must be finite and positive, got nan"),
         (lambda d: d["attack"].update(max_distance_m=math.inf), "$.attack: max_distance_m must be finite and positive, got inf"),
+        (lambda d: d["attack"].update(max_distance_m=math.nan), "$.attack: max_distance_m must be finite and positive, got nan"),
+        (lambda d: d["attack"].update(max_distance_m=-5), "$.attack: max_distance_m must be finite and positive, got -5"),
+        (lambda d: d["attack"].update(max_distance_m=0), "$.attack: max_distance_m must be finite and positive, got 0"),
         (lambda d: d.update(max_entries=-2), "$: max_entries must be a positive integer or null, got -2"),
         (lambda d: d.update(max_entries=0), "$: max_entries must be a positive integer or null, got 0"),
         (_hornet_favorites_pattern(far_unit=math.inf, mid_cutoff=300), "$.policy.pattern: far_unit must be finite"),
@@ -127,20 +134,30 @@ def _hornet_favorites_pattern(**fields):
         (lambda d: d.update(name="/tmp/abs"), "$: name must be a plain file name, got '/tmp/abs'"),
         (lambda d: d.update(name="sub/dir"), "$: name must be a plain file name, got 'sub/dir'"),
         (lambda d: d.update(name="..\\escaped"), "$: name must be a plain file name, got '..\\\\escaped'"),
+        (lambda d: d["attack"].update(kind="trilateration", vantage_points=COLLINEAR_VANTAGES),
+         "$.attack: anchor triangle area 0.0 m^2 too small"),
     ],
     ids=[
         "typo", "string-int", "bool-int", "no-victim", "bad-enum", "two-vantages", "stale-key", "user-shape",
-        "nan-epsilon", "inf-max-distance", "negative-max-entries", "zero-max-entries", "inf-pattern-field",
+        "nan-epsilon", "inf-max-distance", "nan-max-distance", "negative-max-distance", "zero-max-distance",
+        "negative-max-entries", "zero-max-entries", "inf-pattern-field",
         "negative-max-moves", "zero-max-queries", "zero-locations", "negative-queries-per-location",
         "nan-radius", "users-and-generator", "huge-epsilon", "user-latitude", "duplicate-user-id",
         "attacker-id", "victim-id", "infer-without-pattern", "parent-name", "absolute-name", "nested-name",
-        "backslash-name",
+        "backslash-name", "collinear-trilateration-vantages",
     ],
 )
 def test_scenario_loading_is_strict(edit, message):
     with pytest.raises(ValueError) as err:
         from_json(Scenario, _edited_dump(edit))
     assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize("kind, outcome", [("colluding", "success"), ("passive_sandwich", "empty_region")])
+def test_collinear_vantages_load_for_attacks_that_do_not_trilaterate(kind, outcome):
+    doc = json.loads(json.dumps(scenario_to_json(preset("kyoto-exact"))))
+    doc["attack"].update(kind=kind, vantage_points=COLLINEAR_VANTAGES)
+    assert run_scenario(from_json(Scenario, doc)).outcome == outcome
 
 
 def test_scenario_keys_left_out_take_the_dataclass_defaults():
@@ -426,60 +443,27 @@ def test_artifact_bytes_match_golden_digests(tmp_path):
     assert [name for name in sorted(expected) if actual[name] != expected[name]] == []
 
 
-# sha256 of every artifact and metrics.csv that run_suite writes for
-# grindr-hidden and hornet-favorites at 20 seeds with a 30-row screen; no
-# preset truncates its ~53-user screens, so these are the only pinned bytes
-# of truncated screens
-TRUNCATED_DIGESTS = {
-    "grindr-hidden-10.geojson": "5a235dfa45f0a2feca29d27f70e562e2fc94401a7e8d5636fa6fc81c44295c7d",
-    "grindr-hidden-11.geojson": "22e7064cf32cef0387e5aa21cd76c2da6d1b879ca9a626fdc3b98f4297b950a4",
-    "grindr-hidden-12.geojson": "3d5dea8710f0bc7fa34723257b7db5746009d391f604bdd11ec870c1163ff28c",
-    "grindr-hidden-13.geojson": "6c085e5bc2555c5dc292ce610f5a139cf8775f58d2bcec2d54dde30956f8ca86",
-    "grindr-hidden-14.geojson": "a079b034ef727821a15059749058441f58b8d5950ac7da36538224fe81bec989",
-    "grindr-hidden-15.geojson": "36f803184c81d0de30f4f2c26aed84034f547f0026f9e3bd55a202903a17f201",
-    "grindr-hidden-16.geojson": "95a71011bbcc2ed40015467c58e01a7e7b082bbefbd6c4b0937784d21910e2e5",
-    "grindr-hidden-17.geojson": "4d230a9698debe22c404478de35c71c8aa93204e6eccb93131c35dc7a6e135ee",
-    "grindr-hidden-18.geojson": "f2da2e8e29723195e3fd7b9863c9c0ed19303f387a3157509c02a93253e9b144",
-    "grindr-hidden-19.geojson": "0522284fd669d752fc70fa2d6fc853adf2ac4940a6dc97f8b14c18e91c034d82",
-    "grindr-hidden-20.geojson": "f6aaea0da187d5708720d33fecb0abc4a45fe9b2b330fbb6b2cc1c6c16350b17",
-    "grindr-hidden-21.geojson": "359089d2712ec6d29978cc250bb2a8e12e8cb4470fd53f08d45206a4f44b583a",
-    "grindr-hidden-22.geojson": "c496ff9999eb4dd052f4a63eeedbd1c2c63492992d33c3a85930e131dd9e9392",
-    "grindr-hidden-23.geojson": "c79f047332e96b5284423adfeabe0196e43596e085aec2d8bb427d7baa50b509",
-    "grindr-hidden-24.geojson": "694bbf070e38d935728e8e54daa2630c81bc2231fa738e4a9a2094766d373221",
-    "grindr-hidden-25.geojson": "5e98ae48f8510a008bd63c01013ccf68952843468a3a983eb0024f474919a5db",
-    "grindr-hidden-26.geojson": "da07776213a068af5b15a90f06cc5d64fdddb8af1d971de93ad28e774f1adb10",
-    "grindr-hidden-7.geojson": "37f8a8f764664f6ed6de8438ef692018570d3394d7fbeb32c849abd1bddb339b",
-    "grindr-hidden-8.geojson": "68dd0ffc0950c26705eeaced86ae6fdf523b336d3c1c911a7842271369b9a45e",
-    "grindr-hidden-9.geojson": "75fbb7265ee48fa9faf110fab4241a0de3f14a6ad94eacf01d3d8c91c0b5f98e",
-    "hornet-favorites-10.geojson": "8c260bad56408e4e40ec79eacb54c870c8a8505f2dba9acc49e3b2ffb14cb75d",
-    "hornet-favorites-11.geojson": "abfd71efe01598161cc0f9380a5cb58c8f81d7fc0f812537b1af0a60fbc30ab8",
-    "hornet-favorites-12.geojson": "111a4d1d642434b63ed4cf4ae778d4f6ccaa28daec92f3396df28645e7fb4028",
-    "hornet-favorites-13.geojson": "64ca912eff81d04228428950fbc519632bdb68cb1081a2fc0d5f9a4215b1e733",
-    "hornet-favorites-14.geojson": "66fa00cfb8a04e2cd90db784a48c0e15ee7a7908861540679009caf35d890597",
-    "hornet-favorites-15.geojson": "2df20edaee5551ff8b4882ec364f544edeb2252438c162607918a59a80c31790",
-    "hornet-favorites-16.geojson": "e01cdd88011ece4795be013cc26649012891e4f9e79bf7708a49dde469bfd5a7",
-    "hornet-favorites-17.geojson": "90f38a7ee454a78a3726d20af8419623ea3aea7057c4ffbaeadaab2fa262a040",
-    "hornet-favorites-18.geojson": "00621a65b5cc1880aa5928ff82a6c5a13630b47f593f58a06451d6a8ddabbc39",
-    "hornet-favorites-19.geojson": "a9d7f2c63124f51cc590a441d3463edbda74abe1e394cb5f4e343435e887af62",
-    "hornet-favorites-20.geojson": "6f8265864c86db8db43187b657344493890ec7dcbb823ef563d42644971321a4",
-    "hornet-favorites-21.geojson": "485dbcf38cce10f80a6f96ad01204e1cdb2f488e43729b05fe01e55c9d554881",
-    "hornet-favorites-22.geojson": "18c390705c08dbf39d3c73ec59c0b2b9bd900b2a92578e390e1060c3a4ef0b7c",
-    "hornet-favorites-23.geojson": "728c1effab229032ad3c584c2c3484b041fb74ef6fed4f6ed24631d8b815962e",
-    "hornet-favorites-24.geojson": "ef1123572678e18a6a1e9e71defc5ca28c5310b81e90c5d8ff5bc84465b0ec2f",
-    "hornet-favorites-5.geojson": "87bf290ed4219bede949b71eec924c95be0eec7a609a19b932e70d78bdd0df97",
-    "hornet-favorites-6.geojson": "1f564f2937c1bb2e9c4c518c19b3aa476afc37e4bc006033708c6d9d7ffae88b",
-    "hornet-favorites-7.geojson": "a483199956e8cb351bf6ecd664b55d4f5dec584eddb811eb5ca38f0b01b4a716",
-    "hornet-favorites-8.geojson": "2308054a066fb157414dab0b6bc6b7d00fdef82dd8b06f00ff5fe65e4b2dfa07",
-    "hornet-favorites-9.geojson": "b2c5caffc87abb8b4674ff7b66ef030a25f0d6c6db4d18fc6a5a9b25072a4238",
-    "metrics.csv": "fd99e69a923eead795a6c369b264ad3efa4bd8d1a707820e3d3d9c7a797f75a3",
-}
+# run_suite's bytes for grindr-hidden and hornet-favorites at 20 seeds with a
+# 30-row screen, the only pinned bytes of truncated screens (no preset
+# truncates its ~53-user screens). A 30-row screen changes no artifact byte of
+# these presets, so each .geojson must match the untruncated run's digest in
+# golden_digests.json. Their metrics.csv holds only these two presets, so its
+# sha256 is pinned here.
+TRUNCATED_PRESETS = ("grindr-hidden", "hornet-favorites")
+TRUNCATED_METRICS_DIGEST = "fd99e69a923eead795a6c369b264ad3efa4bd8d1a707820e3d3d9c7a797f75a3"
 
 
 def test_truncated_screen_artifact_bytes_match_pinned_digests(tmp_path):
-    run_suite([replace(preset(n), max_entries=30) for n in ("grindr-hidden", "hornet-favorites")], 20, out_dir=tmp_path)
+    run_suite([replace(preset(n), max_entries=30) for n in TRUNCATED_PRESETS], 20, out_dir=tmp_path)
     actual = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
-    assert sorted(actual) == sorted(TRUNCATED_DIGESTS)
-    assert [name for name in sorted(TRUNCATED_DIGESTS) if actual[name] != TRUNCATED_DIGESTS[name]] == []
+    golden = json.loads(GOLDEN_DIGESTS.read_text())
+    expected = {
+        name: golden[f"locators/{name}"]
+        for name in (f"{n}-{preset(n).seed + i}.geojson" for n in TRUNCATED_PRESETS for i in range(20))
+    }
+    expected["metrics.csv"] = TRUNCATED_METRICS_DIGEST
+    assert sorted(actual) == sorted(expected)
+    assert [name for name in sorted(expected) if actual[name] != expected[name]] == []
 
 
 def _loads_numpy_random(code):
@@ -526,14 +510,13 @@ def test_cli_run_seed_override(capsys):
     assert "seed=99" in capsys.readouterr().out
 
 
-def test_cli_scatter_then_infer(tmp_path, capsys):
-    out_csv = tmp_path / "s.csv"
-    assert main([
-        "scatter", "--pattern", "preset:hornet", "--locations", "3000",
-        "--queries", "30", "--max-dist", "3000", "--seed", "2016", "--out", str(out_csv),
-    ]) == 0
+def test_cli_run_scatter_study_then_infer(tmp_path, capsys):
+    assert main(["run", "--scenario", "preset:hornet-scatter", "--out", str(tmp_path)]) == 0
+    samples = tmp_path / "hornet-scatter-2016-scatter.csv"
+    golden = json.loads(GOLDEN_DIGESTS.read_text())
+    assert hashlib.sha256(samples.read_bytes()).hexdigest() == golden["scatter/hornet-scatter-2016-scatter.csv"]
     capsys.readouterr()
-    assert main(["infer", "--samples", str(out_csv)]) == 0
+    assert main(["infer", "--samples", str(samples)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["floor_value"] == 80.0
     assert doc["near_cutoff"] == 100.0
@@ -543,18 +526,18 @@ def test_cli_scatter_then_infer(tmp_path, capsys):
     assert doc["far_unit"] == 1000.0
 
 
-@pytest.mark.parametrize("value", ["inf", "nan", "-5", "0"])
-def test_cli_scatter_rejects_a_bad_max_distance(tmp_path, capsys, value):
-    out_csv = tmp_path / "s.csv"
-    assert main(["scatter", "--max-dist", value, "--locations", "10", "--out", str(out_csv)]) == 1
-    assert "max_distance must be finite and positive" in capsys.readouterr().err
-    assert not out_csv.exists()
-
-
 def test_cli_usage_error_exits_1():
     with pytest.raises(SystemExit) as err:
         main(["run"])  # missing --scenario
     assert err.value.code == 1
+
+
+def test_cli_has_no_scatter_subcommand(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["scatter", "--out", str(tmp_path / "s.csv")])
+    assert err.value.code == 1
+    assert "argument command: invalid choice: 'scatter'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_unknown_preset_is_config_error(capsys):
