@@ -526,6 +526,18 @@ def test_cli_run_scatter_study_then_infer(tmp_path, capsys):
     assert doc["far_unit"] == 1000.0
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "-5", "0"])
+def test_cli_scatter_rejects_a_bad_max_distance(tmp_path, capsys, value):
+    doc = json.loads(json.dumps(scenario_to_json(preset("hornet-scatter"))))
+    doc["attack"].update(max_distance_m=float(value), locations=10)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))  # inf and NaN are written as the bare tokens Infinity and NaN
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 1
+    assert "$.attack: max_distance_m must be finite and positive" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_cli_usage_error_exits_1():
     with pytest.raises(SystemExit) as err:
         main(["run"])  # missing --scenario
