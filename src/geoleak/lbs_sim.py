@@ -13,6 +13,15 @@ consecutive 32-bit words a and b as ((a >> 5) * 2**26 + (b >> 6)) / 2**53,
 and numpy's Generator.random makes each of its floats from the next two words
 of the same state in the same way, so the coins and the stream are the ones
 random() calls would give. Only a world that truncates loads numpy.random.
+
+Every distance a screen sorts or shows is haversine_distance's, or lies on
+the same side of every tie and every bound of the obfuscation pattern as
+haversine_distance's. A screen that can truncate under an OBFUSCATED policy
+ranks its users by haversine_distances, numpy's mirror of haversine_distance,
+whose last bits may differ; haversine_distance recomputes each row within
+_ARRAY_SLACK_M + _ARRAY_SLACK_REL * d of another row at another point, of a
+band edge or of a rounding midpoint, and each row farther than
+_ARRAY_EXACT_FROM_M. Every other screen sorts and shows haversine_distance.
 """
 
 from __future__ import annotations
@@ -20,15 +29,15 @@ from __future__ import annotations
 import enum
 import math
 import random
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import Sequence
 
 import numpy as np
 
-from .geodesy import EARTH_RADIUS_M, GeoPoint, haversine_distance
-from .obfuscation import ObfuscationPattern, obfuscate_distances, skip_mid_band_draws
+from .geodesy import EARTH_RADIUS_M, GeoPoint, haversine_distance, haversine_distances
+from .obfuscation import ObfuscationPattern, obfuscate_ascending, obfuscate_distances
 
 
 # How far from a bound a user's distance, as read from its squared chord,
@@ -43,12 +52,33 @@ from .obfuscation import ObfuscationPattern, obfuscate_distances, skip_mid_band_
 # the gap keeps the split exact.
 _APPROX_SLACK_M = 10.0
 
+# How close to a tie or to a bound a truncated obfuscated screen's array
+# distance (haversine_distances) must lie before haversine_distance is asked
+# for the exact one: _ARRAY_SLACK_M + _ARRAY_SLACK_REL * d for distances up
+# to d. haversine_distances takes haversine_distance's operations on the same
+# floats, and only its sin, cos, arctan2 and squaring may differ from libm's,
+# each by a few ulps (u = 2**-53, relative) whatever SIMD numpy dispatches.
+# Every term of h is a non-negative product of those, so h differs by at most
+# ~40u relative. While h <= 1/2, up to a quarter circumference (10,007 km),
+# sqrt(h) and sqrt(1 - h) differ by ~20u relative each and the arctangent by
+# ~50u in all: 5.6e-15 of the distance. The slack lies ~10^5 times above
+# that; the measured gap is 4.1e-16 relative (400k pairs, x86-64 with numpy
+# 2.4). The absolute term covers h below float's normal range (distances
+# under 2e-147 m), where relative bounds fail, and is wide enough for a test
+# to place a user inside it. Past a quarter circumference 1 - h loses its
+# digits towards the antipode (gaps up to 0.06 m measured), so every row
+# farther than _ARRAY_EXACT_FROM_M, 7.5 km short of it, is recomputed.
+_ARRAY_SLACK_REL = 1e-9
+_ARRAY_SLACK_M = 1e-6
+_ARRAY_EXACT_FROM_M = 10_000_000.0
 
-def _unit_vector(p: GeoPoint) -> tuple[float, float, float]:
-    """p on the unit sphere: (cos lat cos lon, cos lat sin lon, sin lat)."""
-    phi, lam = math.radians(p.lat), math.radians(p.lon)
-    cos_phi = math.cos(phi)
-    return cos_phi * math.cos(lam), cos_phi * math.sin(lam), math.sin(phi)
+
+def _unit_vectors(lat: Sequence[float], lon: Sequence[float]) -> np.ndarray:
+    """The points (lat[i], lon[i]) on the unit sphere, as the columns of a
+    3 x n array: (cos lat cos lon, cos lat sin lon, sin lat)."""
+    angles = np.radians((lat, lon))
+    cos, sin = np.cos(angles), np.sin(angles)
+    return np.array((cos[0] * cos[1], cos[0] * sin[1], sin[0]))
 
 
 def _chord_m(chord2: float) -> float:
@@ -153,8 +183,10 @@ class World:
     the globe serves screens to an observer anywhere.
 
     A user's location changes only through move_user, which keeps the
-    read-side caches current: the array of users' unit vectors (_coords) and
-    the row of distances from the last ranked observer's location (_dists).
+    read-side caches current: it drops the mover from the row of distances
+    from the last ranked observer's location (_dists) and marks the mover's
+    column of the position arrays (_lats, _lons, _coords) stale, for the
+    next screen that can truncate to refresh.
 
     It counts what it served: moves and queries of any kind per account
     (moves, queries), and views per profile (profile_views).
@@ -176,17 +208,23 @@ class World:
         self._drop_rng = random.Random(master.getrandbits(64))
         self._drop_bits = None
         self._obf_rng = random.Random(master.getrandbits(64))
-        # read-side caches, dropped by add_user: the users sorted by id and
-        # their ids in that order, and for screens that can truncate their
-        # positions (a 3 x users array of _unit_vector columns, kept current
-        # by move_user) and show flags in that order
+        # read-side caches, dropped by add_user: the users sorted by id, their
+        # ids in that order and each id's position (column) in it; and for
+        # screens that can truncate, per column, the users' latitudes,
+        # longitudes, unit vectors (a 3 x users array of _unit_vectors) and
+        # show flags. _stale holds the users moved since these were last
+        # brought up to date (_positions).
         self._order: list[SimUser] | None = None
         self._ids: list[str] | None = None
+        self._column: dict[str, int] | None = None
+        self._lats: np.ndarray | None = None
+        self._lons: np.ndarray | None = None
         self._coords: np.ndarray | None = None
         self._shows: np.ndarray | None = None
+        self._stale: set[str] = set()
         # haversine_distance(_origin, user.location) per user id, filled as
-        # screens rank users; valid while the observer stands on the same
-        # GeoPoint object, and move_user drops the mover's entry
+        # screens rank users exactly; valid while the observer stands on the
+        # same GeoPoint object, and move_user drops the mover's entry
         self._origin: GeoPoint | None = None
         self._dists: dict[str, float] = {}
 
@@ -197,15 +235,14 @@ class World:
             raise DuplicateId(f"user id already present: {user_id}")
         self.users[user_id] = SimUser(user_id, location, show_distance)
         self._order = self._coords = None
+        self._stale.clear()
 
     def move_user(self, user_id: str, location: GeoPoint) -> None:
         self._require(user_id).location = location
         self.moves[user_id] += 1
         self._dists.pop(user_id, None)
         if self._coords is not None:
-            column = bisect_left(self._ids, user_id)
-            coords = self._coords
-            coords[0, column], coords[1, column], coords[2, column] = _unit_vector(location)
+            self._stale.add(user_id)
 
     def _require(self, user_id: str) -> SimUser:
         try:
@@ -230,8 +267,29 @@ class World:
     def _id_order(self) -> list[SimUser]:
         if self._order is None:
             self._ids = sorted(self.users)
+            self._column = {uid: i for i, uid in enumerate(self._ids)}
             self._order = [self.users[uid] for uid in self._ids]
         return self._order
+
+    def _positions(self) -> None:
+        """Bring the position arrays up to date: build them after add_user,
+        else refresh the columns of the users moved since, in one pass.
+
+        The unit vectors only sort users into groups with _APPROX_SLACK_M to
+        spare (_candidates), so their last bits do not matter."""
+        if self._coords is None:
+            order = self._id_order()
+            self._lats = np.array([u.location.lat for u in order])
+            self._lons = np.array([u.location.lon for u in order])
+            self._coords = _unit_vectors(self._lats, self._lons)
+            self._shows = np.array([u.show_distance for u in order])
+        elif self._stale:
+            cols = np.array([self._column[uid] for uid in self._stale])
+            points = [self.users[uid].location for uid in self._stale]
+            lats = self._lats[cols] = [q.lat for q in points]
+            lons = self._lons[cols] = [q.lon for q in points]
+            self._coords[:, cols] = _unit_vectors(lats, lons)
+        self._stale.clear()
 
     # -- queries ---------------------------------------------------------
 
@@ -252,27 +310,30 @@ class World:
         _candidates picks the kept users to rank: all of them if no more than
         max_entries are kept, else only those that may be shown or draw
         outside the mid band. The users past the cut that provably draw in
-        the mid band are counted, and _rank_and_render takes their draws by
-        count. A screen that cannot truncate draws its coins one random()
-        call at a time, so a world that never truncates, such as a ~50-user
-        preset world, never loads numpy.random.
+        the mid band are counted, and take their draws by count. Under an
+        OBFUSCATED policy such a screen is ranked from array distances
+        (_obfuscated_screen); under the other policies, whose shown value is
+        the distance itself, every ranked distance is a haversine_distance.
+        A screen that cannot truncate draws its coins one random() call at a
+        time and ranks by haversine_distance, so a world that never
+        truncates, such as a ~50-user preset world, never loads numpy.random.
         """
         obs = self._require(observer)
         self.queries[observer] += 1
         order = self._id_order()
         p, k = self.policy.drop_probability, self.max_entries
-        counted = 0
         if k is None or len(order) - 1 <= k:
             draw = self._drop_rng.random
-            subjects = [u for u in order if u is not obs and draw() >= p]
-        else:
-            if self._drop_bits is None:
-                self._hand_off()
-            rows = np.flatnonzero(self._drop_bits.random(len(order) - 1) >= p)
-            # the coins skip the observer: shift the rows past its position
-            rows += rows >= bisect_left(self._ids, observer)
-            subjects, counted = self._candidates(obs, rows)
-        return self._rank_and_render(obs, subjects, k, counted)
+            return self._rank_and_render(obs, [u for u in order if u is not obs and draw() >= p])
+        if self._drop_bits is None:
+            self._hand_off()
+        rows = np.flatnonzero(self._drop_bits.random(len(order) - 1) >= p)
+        # the coins skip the observer: shift the rows past its column
+        rows += rows >= self._column[observer]
+        cols, counted = self._candidates(obs, rows)
+        if self.policy.mode is PolicyMode.OBFUSCATED:
+            return self._obfuscated_screen(obs, cols, counted)
+        return self._rank_and_render(obs, [order[c] for c in cols.tolist()], k)
 
     def query_favorites(self, observer: str) -> QueryResponse:
         """Distance-sorted view of exactly the observer's favorites; never dropped."""
@@ -299,10 +360,10 @@ class World:
         if target not in lst:
             lst.append(target)
 
-    def _candidates(self, obs: SimUser, rows: np.ndarray) -> tuple[list[SimUser], int]:
-        """The kept users of a screen that can truncate (rows: their
-        ascending positions in id order) to rank, in id order, and how many
-        more take one mid-band draw past the cut; the rest are ruled out.
+    def _candidates(self, obs: SimUser, rows: np.ndarray) -> tuple[np.ndarray, int]:
+        """The columns of the kept users of a screen that can truncate (rows:
+        their ascending columns) to rank, in id order, and how many more take
+        one mid-band draw past the cut; the rest are ruled out.
 
         If no more than max_entries users are kept, the cut is infinite:
         every one is ranked and none is counted. Otherwise a user is ranked
@@ -319,15 +380,13 @@ class World:
         nothing, being hidden, under a policy that is not OBFUSCATED, or at
         least mid_cutoff away. Each bound is compared as a squared chord
         (_chord2), so no user's distance is computed here; the squared chords
-        only sort users into these groups, and every distance that is sorted
-        or shown comes from haversine_distance.
+        only sort users into these groups, and the ranked users' distances
+        are computed afresh by the caller.
         """
         k = self.max_entries
-        order = self._id_order()
-        if self._coords is None:
-            self._coords = np.array([_unit_vector(u.location) for u in order]).T.copy()
-            self._shows = np.array([u.show_distance for u in order])
-        d = self._coords - np.array(_unit_vector(obs.location))[:, None]
+        self._positions()
+        coords = self._coords
+        d = coords - coords[:, self._column[obs.id], None]
         d *= d
         chord2 = (d[0] + d[1] + d[2])[rows]
         cut = _chord_m(np.partition(chord2, k - 1)[k - 1]) if rows.size > k else math.inf
@@ -340,24 +399,83 @@ class World:
             mid_band = (chord2 >= _chord2(near + _APPROX_SLACK_M)) & (chord2 < _chord2(mid - _APPROX_SLACK_M))
             counted = int(np.count_nonzero(drawing & mid_band))
             ranked |= drawing & ~mid_band
-        return [order[i] for i in rows[ranked].tolist()], counted
+        return rows[ranked], counted
 
-    def _rank_and_render(
-        self, obs: SimUser, subjects: list[SimUser], limit: int | None = None, counted: int = 0
-    ) -> QueryResponse:
+    def _obfuscated_screen(self, obs: SimUser, cols: np.ndarray, counted: int) -> QueryResponse:
+        """The screen of a truncating OBFUSCATED query: the users at cols
+        (ascending columns, from _candidates) ranked by true distance and
+        their shown distances drawn, then counted more mid-band draws.
+
+        The users are sorted by haversine_distances with a stable sort, so
+        ties stay in id order. The array distances differ from
+        haversine_distance by far less than _ARRAY_SLACK_M + _ARRAY_SLACK_REL
+        * d, so haversine_distance is asked only for the rows whose last bits
+        could change the screen (_inexact); the rows are then sorted again.
+        Every other row is on the same side of each tie and each bound as its
+        exact distance, so it ranks and shows the same.
+
+        counted, from _candidates, is the number of other users that rank
+        past the ranked ones and lie in [near_cutoff, mid_cutoff). Each takes
+        one mid-band draw, and every mid-band draw is the same call. A user
+        ranked after one of them is at least near_cutoff away too, so it
+        takes a mid-band draw or none: the counted draws are taken after the
+        ranked users' ones, by count (obfuscate_ascending).
+        """
+        here, k = obs.location, self.max_entries
+        d = haversine_distances(here, self._lats[cols], self._lons[cols])
+        by = np.argsort(d, kind="stable")
+        redo = by[self._inexact(d[by], cols[by])]
+        if redo.size:
+            order = self._order
+            d[redo] = [haversine_distance(here, order[c].location) for c in cols[redo].tolist()]
+            by = np.argsort(d, kind="stable")
+        cols, d = cols[by], d[by]
+        shows = self._shows[cols]
+        draws = iter(obfuscate_ascending(d[shows], self.policy.pattern, self._obf_rng, counted).tolist())
+        shown = [next(draws) if show else None for show in shows[:k].tolist()]
+        return QueryResponse(tuple([self._ids[c] for c in cols[:k].tolist()]), tuple(shown))
+
+    def _inexact(self, d: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Which rows of ascending array distances d (of the users at cols)
+        need their exact distance: those farther than _ARRAY_EXACT_FROM_M;
+        those within the slack of another row, unless the whole run of such
+        rows stands on one point, where distances tie exactly either way; and
+        shown ones within the slack of floor_value, near_cutoff, mid_cutoff
+        or a rounding midpoint, (m + 1/2) * mid_band in the mid band or
+        (m + 1/2) * far_unit in the far band."""
+        p, top = self.policy.pattern, d[-1] if d.size else 0.0
+        s = _ARRAY_SLACK_M + _ARRAY_SLACK_REL * top
+        inexact = d > _ARRAY_EXACT_FROM_M
+        close = d[1:] - d[:-1] < s
+        if close.any():
+            lats, lons = self._lats[cols], self._lons[cols]
+            apart = close & ((lats[1:] != lats[:-1]) | (lons[1:] != lons[:-1]))
+            if apart.any():
+                run = np.cumsum(np.concatenate(([False], ~close)))
+                inexact |= np.isin(run, run[1:][apart])
+        # the bounds' slack intervals, merged where they overlap: a row lies
+        # in one when an odd number of their ends lie below it
+        ends: list[float] = []
+        for bound in (p.floor_value, p.near_cutoff, p.mid_cutoff):
+            if ends and bound - s <= ends[-1]:
+                ends[-1] = bound + s
+            else:
+                ends += (bound - s, bound + s)
+        edge = np.searchsorted(ends, d) % 2 == 1
+        q = d / p.mid_band + 0.5
+        edge |= (d >= p.near_cutoff) & (d < p.mid_cutoff) & (np.abs(q - np.rint(q)) <= s / p.mid_band)
+        if top >= p.mid_cutoff:
+            q = d / p.far_unit + 0.5
+            edge |= (d >= p.mid_cutoff) & (np.abs(q - np.rint(q)) <= s / p.far_unit)
+        return inexact | (edge & self._shows[cols])
+
+    def _rank_and_render(self, obs: SimUser, subjects: list[SimUser], limit: int | None = None) -> QueryResponse:
         """Rank subjects, given in id order, by true distance; a screen of the first limit.
 
         The sort is stable, so equal distances stay in id order. Every ranked
         subject takes its obfuscation draw, in ranked order. Distances come
         from the row kept for the observer's location, which is started over
         when the observer stands on another GeoPoint object.
-
-        counted, from _candidates, is the number of other users that rank
-        past the first limit subjects and lie in [near_cutoff, mid_cutoff).
-        Each takes one mid-band draw, and every mid-band draw is the same
-        call. A subject ranked after one of them is at least near_cutoff away
-        too, so it takes a mid-band draw or none: the counted draws can all be
-        taken after the subjects' ones, by count.
         """
         here = obs.location
         if here is not self._origin:
@@ -368,8 +486,6 @@ class World:
                 dists[u.id] = haversine_distance(here, u.location)
         ranked = sorted([(dists[u.id], u) for u in subjects], key=itemgetter(0))
         shown = self._shown(ranked)
-        if counted:
-            skip_mid_band_draws(counted, self.policy.pattern, self._obf_rng)
         return QueryResponse(tuple([u.id for _, u in ranked[:limit]]), tuple(shown[:limit]))
 
     def _shown(self, ranked: list[tuple[float, SimUser]]) -> list[float | None]:

@@ -59,6 +59,9 @@ class ObfuscationPattern:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+            # stored as a float, so that a shown distance is a float whether
+            # it is drawn one at a time or in an array
+            object.__setattr__(self, name, float(value))
         if not 0.0 < self.floor_value < self.near_cutoff <= self.mid_cutoff:
             raise ValueError("require 0 < floor_value < near_cutoff <= mid_cutoff")
         if self.mid_step <= 0.0 or self.far_unit <= 0.0:
@@ -128,30 +131,63 @@ def obfuscate_distances(ds: Sequence[float], pattern: ObfuscationPattern, rng: r
     return shown
 
 
-def skip_mid_band_draws(count: int, pattern: ObfuscationPattern, rng: random.Random) -> None:
-    """Advance rng exactly as obfuscate_distances does for count distances in
-    [near_cutoff, mid_cutoff), without computing the values."""
-    _skip_randrange(rng, _mid_levels(pattern), count)
+def obfuscate_ascending(ds: np.ndarray, pattern: ObfuscationPattern, rng: random.Random, counted: int = 0) -> np.ndarray:
+    """obfuscate_distances for distances in ascending order, as one array,
+    followed by counted more draws in the mid band whose values are dropped:
+    the values and the stream of obfuscate_distances(list(ds) + [near_cutoff]
+    * counted).
+
+    In ascending order every near-band draw comes before every mid-band one,
+    so each band takes its draws in one _randranges call.
+
+    Raises:
+        NegativeDistance: ds[0] < 0; checked before any draw.
+    """
+    if ds.size and ds[0] < 0.0:
+        raise NegativeDistance(f"true distance must be >= 0, got {ds[0]}")
+    p = pattern
+    floor, near, mid = np.searchsorted(ds, (p.floor_value, p.near_cutoff, p.mid_cutoff)).tolist()
+    draws = _randranges(rng, _band_levels(p) + 1, near - floor)
+    draws += _randranges(rng, _mid_levels(p), mid - near + counted)[: mid - near]
+    shown = np.empty(ds.size)
+    shown[:near] = p.floor_value
+    shown[near:mid] = np.floor(ds[near:mid] / p.mid_band + 0.5) * p.mid_band
+    shown[floor:mid] += np.array(draws, dtype=float) * p.mid_step
+    if mid < ds.size:
+        shown[mid:] = np.floor(ds[mid:] / p.far_unit + 0.5) * p.far_unit
+    return shown
 
 
-def _skip_randrange(rng: random.Random, n: int, count: int) -> None:
-    """Leave rng where count calls of rng.randrange(n) would.
+# fewer draws than this are made one getrandbits call at a time: a batch's
+# fixed cost outweighs them
+_BATCH_MIN = 64
 
-    For k = n.bit_length() <= 32, randrange(n) takes one 32-bit Mersenne
-    Twister word per try, keeps word >> (32 - k) and tries again while that is
-    >= n. getrandbits(32 * m) returns the next m words, least significant
-    first. A batch of m = count words accepts at most count of them, so it
-    never takes a word past the last draw, and the next batch asks only for
-    the draws still missing.
+
+def _randranges(rng: random.Random, n: int, count: int) -> list[int]:
+    """The values of count rng.randrange(n) calls, leaving rng where they would.
+
+    randrange(n) draws k = n.bit_length() bits, getrandbits(k), and draws
+    again while they are >= n. For k <= 32, getrandbits(k) takes one 32-bit
+    Mersenne Twister word and keeps its top k bits, and getrandbits(32 * m)
+    returns the next m words, least significant first. A batch of m words,
+    m being the draws still missing, accepts at most m of them, so it never
+    takes a word past the last draw. The last draws (under _BATCH_MIN), and
+    every draw for k > 32, run randrange's own loop.
     """
     k = n.bit_length()
-    if k > 32:
-        for _ in range(count):
-            rng.randrange(n)
-        return
-    while count > 0:
-        words = np.frombuffer(rng.getrandbits(32 * count).to_bytes(4 * count, "little"), dtype="<u4")
-        count -= int(np.count_nonzero((words >> (32 - k)) < n))
+    values: list[int] = []
+    while k <= 32 and count >= _BATCH_MIN:
+        words = np.frombuffer(rng.getrandbits(32 * count).to_bytes(4 * count, "little"), dtype="<u4") >> (32 - k)
+        kept = words[words < n]
+        values += kept.tolist()
+        count -= kept.size
+    getrandbits = rng.getrandbits
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        values.append(r)
+    return values
 
 
 def obfuscation_envelope(d: float, pattern: ObfuscationPattern) -> tuple[float, float]:

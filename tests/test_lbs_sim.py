@@ -2,7 +2,9 @@ import dataclasses
 import json
 import math
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from geoleak.geodesy import (
     LocalPoint,
     Projection,
     haversine_distance,
+    haversine_distances,
     unproject,
 )
 from geoleak.lbs_sim import (
@@ -30,9 +33,9 @@ from geoleak.lbs_sim import (
 from geoleak.obfuscation import (
     HORNET_DEFAULT,
     ObfuscationPattern,
+    obfuscate_ascending,
     obfuscate_distances,
     obfuscation_envelope,
-    skip_mid_band_draws,
 )
 
 LAB_TO_STATION_M = 845.4599899296676
@@ -482,6 +485,16 @@ def _place(rng: random.Random, spots: list[GeoPoint]) -> GeoPoint:
     return _near(rng, spots)
 
 
+def _jittered_distances(a, lat, lon):
+    """haversine_distances as another host's numpy may give them: off by up
+    to a hundredth of the slack, or by up to 0.1 m past _ARRAY_EXACT_FROM_M
+    (towards the antipode), by the same amount for every user on one point,
+    and never below 0."""
+    d = haversine_distances(a, lat, lon)
+    off = np.where(d > lbs_sim._ARRAY_EXACT_FROM_M, 0.1, (lbs_sim._ARRAY_SLACK_M + lbs_sim._ARRAY_SLACK_REL * d) / 100.0)
+    return np.maximum(d + np.sin(1e5 * (lat + 3.0 * lon)) * off, 0.0)
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(
     users=st.integers(2, 300),
@@ -498,8 +511,19 @@ def _place(rng: random.Random, spots: list[GeoPoint]) -> GeoPoint:
         min_size=4,
         max_size=40,
     ),
+    jitter=st.booleans(),
 )
-def test_screens_and_rng_streams_match_the_reference(users, mode, pattern, drop, max_entries, seed, ops):
+def test_screens_and_rng_streams_match_the_reference(users, mode, pattern, drop, max_entries, seed, ops, jitter):
+    """Every call gives what the reference gives, on the same streams; with
+    jitter, truncated obfuscated screens rank from _jittered_distances."""
+    if jitter:
+        with mock.patch.object(lbs_sim, "haversine_distances", _jittered_distances):
+            _match_the_reference(users, mode, pattern, drop, max_entries, seed, ops)
+    else:
+        _match_the_reference(users, mode, pattern, drop, max_entries, seed, ops)
+
+
+def _match_the_reference(users, mode, pattern, drop, max_entries, seed, ops):
     policy = DisclosurePolicy(mode, pattern if mode is PolicyMode.OBFUSCATED else None, drop)
     world, ref = World(policy, seed, max_entries), _ReferenceWorld(policy, seed, max_entries)
     rng = random.Random(seed)
@@ -544,16 +568,23 @@ def test_screens_and_rng_streams_match_the_reference(users, mode, pattern, drop,
 
 
 def _watch_screens(monkeypatch):
-    """The locations lbs_sim computes haversine_distance to, and the counts
-    of mid-band draws it skips, as two lists."""
-    calls, skipped = _count_haversine(monkeypatch), []
+    """What truncated obfuscated screens compute, as three lists that fill as
+    they run: the locations lbs_sim asks haversine_distance for, the (lat,
+    lon) points it ranks by haversine_distances, and the counts of mid-band
+    draws past the cut it takes by count, one per screen."""
+    calls, ranked, counted = _count_haversine(monkeypatch), [], []
 
-    def counted(count, pattern, rng):
-        skipped.append(count)
-        skip_mid_band_draws(count, pattern, rng)
+    def ranking(a, lat, lon):
+        ranked.extend(zip(lat.tolist(), lon.tolist()))
+        return haversine_distances(a, lat, lon)
 
-    monkeypatch.setattr(lbs_sim, "skip_mid_band_draws", counted)
-    return calls, skipped
+    def drawing(ds, pattern, rng, count=0):
+        counted.append(count)
+        return obfuscate_ascending(ds, pattern, rng, count)
+
+    monkeypatch.setattr(lbs_sim, "haversine_distances", ranking)
+    monkeypatch.setattr(lbs_sim, "obfuscate_ascending", drawing)
+    return calls, ranked, counted
 
 
 def _drawing(world, observer, drop_state):
@@ -572,13 +603,13 @@ def _drawing(world, observer, drop_state):
     ]
 
 
-def _matched_screen(world, ref, observer, calls, skipped):
+def _matched_screen(world, ref, observer, watched):
     """A screen of observer in world and ref, which must match, with both
-    streams; calls and skipped are emptied first. Returns the screen and the
-    users whose draws it took."""
+    streams; the lists of watched (_watch_screens) are emptied first. Returns
+    the screen and the users whose draws it took."""
     drop_state = _drop_state(world)
-    calls.clear()
-    skipped.clear()
+    for seen in watched:
+        seen.clear()
     got = world.query_nearby(observer)
     assert got == ref.query_nearby(observer)
     assert _drop_state(world) == ref._drop_rng.getstate()
@@ -606,10 +637,10 @@ _SERVICE_CENTRES = (
 _SERVICE_CUT_M = 60.0
 
 
-def _service_scale_screens(mode, centre, calls, skipped):
+def _service_scale_screens(mode, centre, watched):
     """Screens of 100 out of about 2,250 users around centre under mode,
-    matched against the reference; returns how many mid-band draws they
-    skipped.
+    matched against the reference; returns how many mid-band draws past the
+    cut they took by count.
 
     2,000 users stand within 3 km of centre. 200 more stand on a ring
     _SERVICE_CUT_M round it, so that a screen from centre cuts on the ring.
@@ -644,8 +675,8 @@ def _service_scale_screens(mode, centre, calls, skipped):
 
     def screen(observer):
         nonlocal counted
-        got, _ = _matched_screen(world, ref, observer, calls, skipped)
-        counted += sum(skipped)
+        got, _ = _matched_screen(world, ref, observer, watched)
+        counted += sum(watched[2])
         return got
 
     def move(uids):
@@ -676,10 +707,10 @@ def test_service_scale_screens_match_the_reference(monkeypatch):
     _APPROX_SLACK_M; observers at the first, a middle and the last position
     in id order, with moves in between; and one screen that keeps fewer than
     100. Only obfuscated screens count users past the cut."""
-    calls, skipped = _watch_screens(monkeypatch)
+    watched = _watch_screens(monkeypatch)
     for centre in _SERVICE_CENTRES:
         for mode in PolicyMode:
-            assert (_service_scale_screens(mode, centre, calls, skipped) > 0) == (mode is PolicyMode.OBFUSCATED)
+            assert (_service_scale_screens(mode, centre, watched) > 0) == (mode is PolicyMode.OBFUSCATED)
 
 
 def _ring(rng, d):
@@ -713,7 +744,7 @@ def _step_in_place(world, ref):
 def test_users_past_the_cut_in_the_mid_band_are_counted_not_ranked(monkeypatch):
     """Every shown user past the cut that lies more than _APPROX_SLACK_M
     inside [near_cutoff, mid_cutoff) takes its mid-band draw by count: fewer
-    distances are computed than there are users drawing. Users within
+    users are ranked than there are users drawing. Users within
     _APPROX_SLACK_M of mid_cutoff are ranked."""
     rng = random.Random(5)
     slack, mid = lbs_sim._APPROX_SLACK_M, HORNET_DEFAULT.mid_cutoff
@@ -722,13 +753,13 @@ def test_users_past_the_cut_in_the_mid_band_are_counted_not_ranked(monkeypatch):
     edge = [mid + side * slack + e for side in (-1, 0, 1) for e in (-0.5, -0.01, 0.0, 0.01, 0.5) for _ in range(3)]
     users = [(f"u{i:03d}", _ring(rng, d), rng.random() < 0.8) for i, d in enumerate(crowd + tail + edge)]
     world, ref = _pair_of_worlds(5, 10, users)
-    calls, skipped = _watch_screens(monkeypatch)
+    watched = calls, ranked, counted = _watch_screens(monkeypatch)
     for _ in range(10):
-        _, drawing = _matched_screen(world, ref, "obs", calls, skipped)
-        assert skipped and len(calls) < len(drawing)
-        here, ranked = world.users["obs"].location, {id(point) for point in calls}
+        _, drawing = _matched_screen(world, ref, "obs", watched)
+        assert counted[0] and len(ranked) < len(drawing)
+        here, points = world.users["obs"].location, set(ranked)
         edge_drawing = [u for u in drawing if haversine_distance(here, u.location) > mid - slack + 0.1]
-        assert edge_drawing and all(id(u.location) in ranked for u in edge_drawing)
+        assert edge_drawing and all((u.location.lat, u.location.lon) in points for u in edge_drawing)
         _step_in_place(world, ref)
 
 
@@ -746,15 +777,117 @@ def test_a_crowd_inside_near_cutoff_is_ranked_and_its_mid_band_tail_counted(monk
     far = [rng.uniform(1000.0, 3000.0) for _ in range(20)]
     users = [(f"u{i:03d}", _ring(rng, d), rng.random() < 0.8) for i, d in enumerate(crowd + edge + tail + far)]
     world, ref = _pair_of_worlds(8, 20, users)
-    calls, skipped = _watch_screens(monkeypatch)
+    watched = calls, ranked, counted = _watch_screens(monkeypatch)
     for _ in range(10):
-        _, drawing = _matched_screen(world, ref, "obs", calls, skipped)
-        assert skipped and len(calls) < len(drawing)
-        here, ranked = world.users["obs"].location, {id(point) for point in calls}
+        _, drawing = _matched_screen(world, ref, "obs", watched)
+        assert counted[0] and len(ranked) < len(drawing)
+        here, points = world.users["obs"].location, set(ranked)
         near_drawing = [u for u in drawing if haversine_distance(here, u.location) < near + slack - 0.1]
         assert any(haversine_distance(here, u.location) >= near for u in near_drawing)
-        assert all(id(u.location) in ranked for u in near_drawing)
+        assert all((u.location.lat, u.location.lon) in points for u in near_drawing)
         _step_in_place(world, ref)
+
+
+def test_a_screen_with_no_row_near_a_tie_or_an_edge_computes_no_haversine_distance(monkeypatch):
+    """Users at distinct distances, a few sharing one point each: a truncated
+    obfuscated screen ranks them all from array distances and asks
+    haversine_distance for none, and matches the reference."""
+    rng = random.Random(21)
+    spots = [_ring(rng, rng.uniform(120.0, 900.0)) for _ in range(4)]
+    users = [(f"u{i:03d}", _ring(rng, rng.uniform(0.0, 2500.0)), rng.random() < 0.8) for i in range(80)]
+    users += [(f"s{i:03d}", spots[i % 4], True) for i in range(12)]
+    world, ref = _pair_of_worlds(21, 30, users)
+    watched = calls, ranked, _ = _watch_screens(monkeypatch)
+    for _ in range(10):
+        got, _ = _matched_screen(world, ref, "obs", watched)
+        assert len(got.users) == 30 and len(ranked) >= 30 and calls == []
+        _step_in_place(world, ref)
+
+
+def test_rows_near_a_rounding_midpoint_a_band_edge_or_a_tie_are_recomputed(monkeypatch):
+    """Shown users within 1e-9 m of each rounding midpoint (mid band and far
+    band) and each band edge, one per mark so that no two tie, and near-ties
+    at distinct points, are the rows haversine_distance is asked for, and the
+    screen matches the reference; array distances come from
+    _jittered_distances, so a row left inexact could round, band or rank
+    wrongly."""
+    rng = random.Random(22)
+    p = HORNET_DEFAULT
+    midpoints = [(m + 0.5) * p.mid_band for m in range(1, 10)] + [(m + 0.5) * p.far_unit for m in (1, 2)]
+    marks = [x + (-1e-9, 0.0, 1e-9)[i % 3] for i, x in enumerate((*midpoints, p.floor_value, p.near_cutoff, p.mid_cutoff))]
+    ties = [d + e for d in (333.3, 777.7) for e in (0.0, 0.0, 1e-9)]
+    special = [
+        (f"m{i:03d}", _destination(SCIENCE_FRONTIER_LAB, d, rng.uniform(0.0, 2.0 * math.pi)), True)
+        for i, d in enumerate(marks + ties)
+    ]
+    fillers = [(f"f{i:03d}", _ring(rng, rng.uniform(0.0, 2900.0)), rng.random() < 0.8) for i in range(20)]
+    # one hidden user past the cut, so that the screen truncates and ranks all others
+    users = [*special, *fillers, ("z", _ring(rng, 5000.0), False)]
+    policy = DisclosurePolicy(PolicyMode.OBFUSCATED, p)
+    world, ref = World(policy, 22, len(users) - 1), _ReferenceWorld(policy, 22, len(users) - 1)
+    for w in (world, ref):
+        w.add_user("obs", SCIENCE_FRONTIER_LAB, True)
+        for uid, point, show in users:
+            w.add_user(uid, point, show)
+    monkeypatch.setattr(lbs_sim, "haversine_distances", _jittered_distances)
+    calls = _count_haversine(monkeypatch)
+    for _ in range(5):
+        calls.clear()
+        assert world.query_nearby("obs") == ref.query_nearby("obs")
+        assert world._obf_rng.getstate() == ref._obf_rng.getstate()
+        assert sorted(map(id, calls)) == sorted(id(point) for _, point, _ in special)
+        _step_in_place(world, ref)
+
+
+def test_rows_near_the_antipode_are_recomputed(monkeypatch):
+    """Users within a metre of the observer's antipode, where array distances
+    may be off by centimetres: every ranked row is recomputed, and the screen
+    matches the reference under _jittered_distances."""
+    rng = random.Random(24)
+    users = [
+        (f"u{i:02d}", GeoPoint(_ANTIPODE.lat + rng.uniform(-1e-5, 1e-5), _ANTIPODE.lon + rng.uniform(-1e-5, 1e-5)), True)
+        for i in range(30)
+    ]
+    world, ref = _pair_of_worlds(24, 10, users)
+    monkeypatch.setattr(lbs_sim, "haversine_distances", _jittered_distances)
+    calls = _count_haversine(monkeypatch)
+    for _ in range(5):
+        calls.clear()
+        assert world.query_nearby("obs") == ref.query_nearby("obs")
+        assert world._obf_rng.getstate() == ref._obf_rng.getstate()
+        assert len(calls) >= 10
+        _step_in_place(world, ref)
+
+
+def test_a_tie_at_one_point_beside_a_user_at_another_is_recomputed_whole(monkeypatch):
+    """b and c stand on one point, and a on its mirror image across the
+    observer's meridian, at exactly the same distance. The array distances
+    put b and c a hundredth of the slack below it and a as far above, so b,
+    c, a run in that order with gaps under the slack. All three are
+    recomputed and the screen shows a, b, c, as the reference does; were
+    only c recomputed, beside a, b would still rank first."""
+    obs = GeoPoint(35.0, 135.0)
+    here, there = GeoPoint(35.0, 135.0 + 2.0**-10), GeoPoint(35.0, 135.0 - 2.0**-10)
+    assert haversine_distance(obs, here) == haversine_distance(obs, there)
+    rng = random.Random(23)
+    users = [("a", there, True), ("b", here, True), ("c", here, True)]
+    users += [(f"f{i}", _destination(obs, rng.uniform(2000.0, 3000.0), rng.uniform(0.0, 6.0)), True) for i in range(8)]
+    policy = DisclosurePolicy(PolicyMode.OBFUSCATED, HORNET_DEFAULT)
+    world, ref = World(policy, 23, 5), _ReferenceWorld(policy, 23, 5)
+    for w in (world, ref):
+        w.add_user("obs", obs, True)
+        for uid, point, show in users:
+            w.add_user(uid, point, show)
+
+    def split(a, lat, lon):
+        d = haversine_distances(a, lat, lon)
+        return d + np.where(lon > a.lon, -1.0, 1.0) * (lbs_sim._ARRAY_SLACK_M + lbs_sim._ARRAY_SLACK_REL * d) / 100.0
+
+    monkeypatch.setattr(lbs_sim, "haversine_distances", split)
+    calls = _count_haversine(monkeypatch)
+    got = world.query_nearby("obs")
+    assert got == ref.query_nearby("obs") and got.users[:3] == ("a", "b", "c")
+    assert sorted(map(id, calls)) == sorted(map(id, (there, here, here)))
 
 
 _EDGE_PROBABILITIES = (0.0, 1.0, 5e-324, math.nextafter(1.0, 0.0))
@@ -866,8 +999,40 @@ def test_the_squared_chord_gives_the_haversine_distance_within_a_metre(pair):
     within 1 m of haversine_distance, under the _APPROX_SLACK_M / 2 its
     split needs."""
     a, b = pair
-    chord2 = sum((x - y) ** 2 for x, y in zip(lbs_sim._unit_vector(a), lbs_sim._unit_vector(b)))
+    u, v = lbs_sim._unit_vectors(np.array([a.lat, b.lat]), np.array([a.lon, b.lon])).T
+    chord2 = float(((u - v) ** 2).sum())
     assert abs(lbs_sim._chord_m(chord2) - haversine_distance(a, b)) <= 1.0 < lbs_sim._APPROX_SLACK_M / 2
+
+
+@st.composite
+def _array_pairs(draw):
+    """One point and up to 64 others, each anywhere, coincident, within 1e-5
+    degrees, or within 1e-5 degrees of its antipode: enough in one array for
+    numpy's SIMD loops to run."""
+    pairs = draw(st.lists(_point_pairs(), min_size=1, max_size=64))
+    a = pairs[0][0]
+    flip = GeoPoint(a.lat, -a.lon)  # on the other side of the antimeridian when a.lon is +-180
+    rest = [b for _, b in pairs] + [flip, GeoPoint(-a.lat, a.lon), a]
+    return a, rest
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(pairs=_array_pairs())
+@example(pairs=(GeoPoint(90.0, 0.0), [GeoPoint(-90.0, 0.0), GeoPoint(90.0, 180.0), GeoPoint(89.999, -180.0)]))
+@example(pairs=(GeoPoint(0.0, 180.0), [GeoPoint(0.0, -180.0), GeoPoint(0.0, 0.0), GeoPoint(1e-300, 179.99999)]))
+@example(pairs=(GeoPoint(35.0, 135.0), [GeoPoint(-35.0, -45.0), GeoPoint(-35.0 + 1e-9, -45.0), GeoPoint(35.0, 135.0 + 1e-12)]))
+def test_array_distances_lie_a_hundredth_of_the_slack_from_haversine_distance(pairs):
+    """Up to _ARRAY_EXACT_FROM_M, haversine_distances is within a hundredth
+    of _ARRAY_SLACK_M + _ARRAY_SLACK_REL * d of haversine_distance; past it a
+    truncated obfuscated screen recomputes the row."""
+    a, others = pairs
+    got = haversine_distances(a, np.array([b.lat for b in others]), np.array([b.lon for b in others])).tolist()
+    for b, d in zip(others, got):
+        e = haversine_distance(a, b)
+        if d <= lbs_sim._ARRAY_EXACT_FROM_M:
+            assert 100.0 * abs(d - e) <= lbs_sim._ARRAY_SLACK_M + lbs_sim._ARRAY_SLACK_REL * e
+        else:
+            assert e > lbs_sim._ARRAY_EXACT_FROM_M - 1.0
 
 
 _HALF_CIRCUMFERENCE_M = math.pi * EARTH_RADIUS_M

@@ -1,8 +1,9 @@
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -18,11 +19,11 @@ from geoleak.obfuscation import (
     infer_pattern,
     invert_reading,
     _band_levels,
+    _randranges,
     _round_half_up,
-    _skip_randrange,
+    obfuscate_ascending,
     obfuscate_distances,
     obfuscation_envelope,
-    skip_mid_band_draws,
 )
 
 
@@ -339,27 +340,61 @@ _BIT_LENGTH_EDGES = (1, 2, 3, 4, 5, 8, 11, 16, 17, 2**16 - 1, 2**16, 2**31 - 1, 
     count=st.integers(0, 400),
     seed=st.integers(0, 2**64 - 1),
 )
-def test_skipped_randrange_calls_leave_the_stream_where_the_calls_would(n, count, seed):
+def test_randranges_give_the_values_and_the_state_of_randrange_calls(n, count, seed):
     rng, one_by_one = random.Random(seed), random.Random(seed)
-    for _ in range(count):
-        one_by_one.randrange(n)
-    _skip_randrange(rng, n, count)
+    assert _randranges(rng, n, count) == [one_by_one.randrange(n) for _ in range(count)]
     assert rng.getstate() == one_by_one.getstate()
 
 
-# a valid pattern whose mid band has 2**40 + 1 levels: past 32 bits, so the
-# skip takes one randrange call per draw
+@pytest.mark.parametrize("n", _BIT_LENGTH_EDGES)
+def test_randranges_match_randrange_calls_at_each_bit_length_edge(n):
+    for seed in range(5):
+        rng, one_by_one = random.Random(seed), random.Random(seed)
+        assert _randranges(rng, n, 300) == [one_by_one.randrange(n) for _ in range(300)]
+        assert rng.getstate() == one_by_one.getstate()
+
+
+# a valid pattern whose mid band has 2**40 + 1 levels: past 32 bits, so each
+# of its draws is a randrange call
 _WIDE_MID_PATTERN = ObfuscationPattern(mid_band=1024.0, mid_step=2.0**-30)
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
+@settings(derandomize=True, deadline=None, max_examples=300)
 @given(
     p=st.just(HORNET_DEFAULT) | st.just(_WIDE_MID_PATTERN) | _patterns().filter(lambda p: p.near_cutoff < p.mid_cutoff),
-    count=st.integers(0, 400),
+    ds=st.lists(st.floats(0.0, 6000.0) | st.sampled_from([0.0, 80.0, 99.9, 100.0, 150.0, 1000.0, 1500.0]), max_size=300),
+    counted=st.integers(0, 300),
     seed=st.integers(0, 2**64 - 1),
 )
-def test_skipped_mid_band_draws_leave_the_stream_where_the_draws_would(p, count, seed):
+@example(p=HORNET_DEFAULT, ds=[], counted=0, seed=0)
+def test_ascending_obfuscation_is_obfuscate_distances_then_the_counted_draws(p, ds, counted, seed):
+    """The values, their types and the stream of obfuscate_distances on the
+    sorted distances followed by counted draws at near_cutoff."""
+    ds = sorted(ds)
     rng, drawn = random.Random(seed), random.Random(seed)
-    obfuscate_distances([p.near_cutoff] * count, p, drawn)
-    skip_mid_band_draws(count, p, rng)
+    expected = obfuscate_distances(ds, p, drawn)
+    obfuscate_distances([p.near_cutoff] * counted, p, drawn)
+    shown = obfuscate_ascending(np.array(ds, dtype=float), p, rng, counted).tolist()
+    assert shown == expected and list(map(type, shown)) == list(map(type, expected))
     assert rng.getstate() == drawn.getstate()
+
+
+def test_ascending_obfuscation_rejects_a_negative_distance_before_drawing():
+    rng = random.Random(3)
+    before = rng.getstate()
+    with pytest.raises(NegativeDistance):
+        obfuscate_ascending(np.array([-1.0, 50.0, 500.0]), HORNET_DEFAULT, rng)
+    assert rng.getstate() == before
+
+
+def test_pattern_fields_are_floats_and_shown_distances_too():
+    """Integer fields are stored as floats, so the shown distances of one
+    true distance per band are floats, drawn one at a time or in an array."""
+    p = ObfuscationPattern(140, 150, 200, 35, 5, 200)
+    assert all(type(getattr(p, name)) is float for name in ("floor_value", "near_cutoff", "mid_cutoff", "mid_band", "mid_step", "far_unit"))
+    assert p == ObfuscationPattern(140.0, 150.0, 200.0, 35.0, 5.0, 200.0)
+    ds = [10.0, 145.0, 170.0, 900.0]
+    one_by_one = obfuscate_distances(ds, p, random.Random(1))
+    batched = obfuscate_ascending(np.array(ds), p, random.Random(1)).tolist()
+    assert one_by_one == batched
+    assert [type(v) for v in one_by_one] == [type(v) for v in batched] == [float] * 4
