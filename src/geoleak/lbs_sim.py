@@ -312,8 +312,12 @@ class World:
         outside the mid band. The users past the cut that provably draw in
         the mid band are counted, and take their draws by count. Under an
         OBFUSCATED policy such a screen is ranked from array distances
-        (_obfuscated_screen); under the other policies, whose shown value is
-        the distance itself, every ranked distance is a haversine_distance.
+        (_obfuscated_screen): each one it sorts or shows is either
+        haversine_distance's or lies on the same side of every tie and every
+        bound of the pattern, having been recomputed wherever it came within
+        _ARRAY_SLACK_M + _ARRAY_SLACK_REL * d of one. Under the other
+        policies, whose shown value is the distance itself, every ranked
+        distance is a haversine_distance.
         A screen that cannot truncate draws its coins one random() call at a
         time and ranks by haversine_distance, so a world that never
         truncates, such as a ~50-user preset world, never loads numpy.random.
@@ -380,8 +384,10 @@ class World:
         nothing, being hidden, under a policy that is not OBFUSCATED, or at
         least mid_cutoff away. Each bound is compared as a squared chord
         (_chord2), so no user's distance is computed here; the squared chords
-        only sort users into these groups, and the ranked users' distances
-        are computed afresh by the caller.
+        only sort users into these groups. The caller ranks the users picked
+        here by haversine_distance, or, under an OBFUSCATED policy, by
+        haversine_distances with haversine_distance recomputing each row
+        within _ARRAY_SLACK_M + _ARRAY_SLACK_REL * d of a tie or a bound.
         """
         k = self.max_entries
         self._positions()
