@@ -19,9 +19,9 @@ the same side of every tie and every bound of the obfuscation pattern as
 haversine_distance's. A screen that can truncate under an OBFUSCATED policy
 ranks its users by haversine_distances, numpy's mirror of haversine_distance,
 whose last bits may differ; haversine_distance recomputes each row within
-_ARRAY_SLACK_M + _ARRAY_SLACK_REL * d of another row at another point, of a
-band edge or of a rounding midpoint, and each row farther than
-_ARRAY_EXACT_FROM_M. Every other screen sorts and shows haversine_distance.
+_ARRAY_SLACK_M + _ARRAY_SLACK_REL * d of another row at another point or
+with another array distance, of a band edge or of a rounding midpoint, and
+each row farther than _ARRAY_EXACT_FROM_M. Every other screen sorts and shows haversine_distance.
 """
 
 from __future__ import annotations
@@ -279,8 +279,8 @@ class World:
         spare (_candidates), so their last bits do not matter."""
         if self._coords is None:
             order = self._id_order()
-            self._lats = np.array([u.location.lat for u in order])
-            self._lons = np.array([u.location.lon for u in order])
+            self._lats = np.array([u.location.lat for u in order], dtype=float)
+            self._lons = np.array([u.location.lon for u in order], dtype=float)
             self._coords = _unit_vectors(self._lats, self._lons)
             self._shows = np.array([u.show_distance for u in order])
         elif self._stale:
@@ -445,7 +445,8 @@ class World:
         """Which rows of ascending array distances d (of the users at cols)
         need their exact distance: those farther than _ARRAY_EXACT_FROM_M;
         those within the slack of another row, unless the whole run of such
-        rows stands on one point, where distances tie exactly either way; and
+        rows stands on one point with one array distance, where the exact
+        distances tie too and the stable sort keeps id order either way; and
         shown ones within the slack of floor_value, near_cutoff, mid_cutoff
         or a rounding midpoint, (m + 1/2) * mid_band in the mid band or
         (m + 1/2) * far_unit in the far band."""
@@ -455,7 +456,7 @@ class World:
         close = d[1:] - d[:-1] < s
         if close.any():
             lats, lons = self._lats[cols], self._lons[cols]
-            apart = close & ((lats[1:] != lats[:-1]) | (lons[1:] != lons[:-1]))
+            apart = close & ((lats[1:] != lats[:-1]) | (lons[1:] != lons[:-1]) | (d[1:] != d[:-1]))
             if apart.any():
                 run = np.cumsum(np.concatenate(([False], ~close)))
                 inexact |= np.isin(run, run[1:][apart])

@@ -159,8 +159,12 @@ def obfuscate_ascending(ds: np.ndarray, pattern: ObfuscationPattern, rng: random
 
 
 # fewer draws than this are made one getrandbits call at a time: a batch's
-# fixed cost outweighs them
-_BATCH_MIN = 64
+# fixed cost outweighs them. Replaying service-churn's calls (one near-band
+# and one mid-band call per screen, the mid-band one ~250 draws at n = 11)
+# on a 2-vCPU x86-64 host, batching to the last draw took 33-46 us per
+# screen, and a tail from 32, 64, 96, 128 or 192 draws 0.51-0.57, 0.48-0.54,
+# 0.43-0.45, 0.42-0.47 and 0.46-0.52 of that.
+_BATCH_MIN = 128
 
 
 def _randranges(rng: random.Random, n: int, count: int) -> list[int]:

@@ -488,11 +488,11 @@ def _place(rng: random.Random, spots: list[GeoPoint]) -> GeoPoint:
 def _jittered_distances(a, lat, lon):
     """haversine_distances as another host's numpy may give them: off by up
     to a hundredth of the slack, or by up to 0.1 m past _ARRAY_EXACT_FROM_M
-    (towards the antipode), by the same amount for every user on one point,
-    and never below 0."""
+    (towards the antipode), by a different amount in each row, users on one
+    point included, and never below 0."""
     d = haversine_distances(a, lat, lon)
     off = np.where(d > lbs_sim._ARRAY_EXACT_FROM_M, 0.1, (lbs_sim._ARRAY_SLACK_M + lbs_sim._ARRAY_SLACK_REL * d) / 100.0)
-    return np.maximum(d + np.sin(1e5 * (lat + 3.0 * lon)) * off, 0.0)
+    return np.maximum(d + np.sin(1e5 * (lat + 3.0 * lon) + np.arange(lat.size)) * off, 0.0)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -888,6 +888,55 @@ def test_a_tie_at_one_point_beside_a_user_at_another_is_recomputed_whole(monkeyp
     got = world.query_nearby("obs")
     assert got == ref.query_nearby("obs") and got.users[:3] == ("a", "b", "c")
     assert sorted(map(id, calls)) == sorted(map(id, (there, here, here)))
+
+
+def test_a_tie_at_one_point_with_unequal_array_distances_is_recomputed_whole(monkeypatch):
+    """b, c and d stand on one point, and the array distances put them a
+    hundredth of the slack apart in reverse id order, as a numpy that rounds
+    one point's distance differently by where it falls in the array might.
+    All three are recomputed, and the screen shows them in id order, as the
+    reference does; trusting the array order would show d, c, b."""
+    here = _ring(random.Random(25), 400.0)
+    rng = random.Random(25)
+    users = [(uid, here, True) for uid in "bcd"]
+    users += [(f"f{i}", _ring(rng, rng.uniform(2000.0, 3000.0)), True) for i in range(8)]
+    policy = DisclosurePolicy(PolicyMode.OBFUSCATED, HORNET_DEFAULT)
+    world, ref = World(policy, 25, 5), _ReferenceWorld(policy, 25, 5)
+    for w in (world, ref):
+        w.add_user("obs", SCIENCE_FRONTIER_LAB, True)
+        for uid, point, show in users:
+            w.add_user(uid, point, show)
+
+    def apart(a, lat, lon):
+        d = haversine_distances(a, lat, lon)
+        return d - np.arange(lat.size) * (lbs_sim._ARRAY_SLACK_M + lbs_sim._ARRAY_SLACK_REL * d) / 100.0
+
+    monkeypatch.setattr(lbs_sim, "haversine_distances", apart)
+    calls = _count_haversine(monkeypatch)
+    got = world.query_nearby("obs")
+    assert got == ref.query_nearby("obs") and got.users[:3] == ("b", "c", "d")
+    assert sorted(map(id, calls)) == [id(here)] * 3
+
+
+def test_a_user_moved_off_integer_coordinates_ranks_from_where_it_stands():
+    """Every user stands at integer degrees, so the position arrays are
+    built from ints; a user then moved to a fractional point must rank and
+    show from that point, not from one truncated to whole degrees."""
+    policy = DisclosurePolicy(PolicyMode.OBFUSCATED, HORNET_DEFAULT)
+    world, ref = World(policy, 26, 3), _ReferenceWorld(policy, 26, 3)
+    points = [(35, 135), (35, 136), (36, 135), (34, 134), (35, 137), (37, 136), (33, 135)]
+    for w in (world, ref):
+        for i, (lat, lon) in enumerate(points):
+            w.add_user(f"u{i}", GeoPoint(lat, lon), True)
+    assert world.query_nearby("u0") == ref.query_nearby("u0")
+    moved = _destination(GeoPoint(35.0, 135.0), 500.0, 1.0)
+    for w in (world, ref):
+        w.move_user("u6", moved)
+    for observer in ("u0", "u1", "u6"):
+        got = world.query_nearby(observer)
+        assert got == ref.query_nearby(observer)
+        assert world._obf_rng.getstate() == ref._obf_rng.getstate()
+    assert world.query_nearby("u0").users[0] == "u6"
 
 
 _EDGE_PROBABILITIES = (0.0, 1.0, 5e-324, math.nextafter(1.0, 0.0))
