@@ -152,15 +152,24 @@ class CandidateRegion:
     i0: int
     j0: int
     occupied: np.ndarray
+    # the occupied cells' (rows, columns) in np.nonzero's order: the ones
+    # intersect_constraints found, or for a grid alone derived on first use
+    _cells: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
+
+    def _occupied_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._cells is None:
+            self._cells = np.nonzero(self.occupied)
+        return self._cells
 
     def area(self) -> float:
-        return float(self.occupied.sum()) * self.cell_size**2
+        return float(self._occupied_cells()[0].size) * self.cell_size**2
 
     def centroid_local(self) -> LocalPoint:
-        js, is_ = np.nonzero(self.occupied)
-        x = (is_.mean() + self.i0 + 0.5) * self.cell_size
-        y = (js.mean() + self.j0 + 0.5) * self.cell_size
-        return LocalPoint(float(x), float(y))
+        # np.mean's float: it sums integers exactly below 2**53 and divides once
+        js, is_ = self._occupied_cells()
+        x = (int(is_.sum()) / is_.size + self.i0 + 0.5) * self.cell_size
+        y = (int(js.sum()) / js.size + self.j0 + 0.5) * self.cell_size
+        return LocalPoint(x, y)
 
     def centroid(self) -> GeoPoint:
         return unproject(self.centroid_local(), self.projection)
@@ -177,7 +186,7 @@ class CandidateRegion:
 
     def cell_rings(self) -> list[list[tuple[float, float]]]:
         """Occupied cells as closed (lon, lat) rings, counter-clockwise."""
-        js, is_ = np.nonzero(self.occupied)
+        js, is_ = self._occupied_cells()
         c = self.cell_size
         x0, y0 = (self.i0 + is_) * c, (self.j0 + js) * c
         # unproject maps x to lon and y to lat independently, so two opposite
@@ -299,9 +308,12 @@ def intersect_constraints(
         keep[k : k + step] = _ring_meets(cx, cy, r_lo, r_hi, x0, y0, cell_size).all(axis=0)
     if not keep.any():
         raise EmptyRegion("observations are mutually inconsistent")
+    cells = rows[keep], cols[keep]  # row by row, ascending columns: np.nonzero's order
     occupied = np.zeros((j1 - j0, i1 - i0), dtype=bool)
-    occupied[rows[keep], cols[keep]] = True
-    return CandidateRegion(projection=proj, cell_size=cell_size, i0=i0, j0=j0, occupied=occupied)
+    occupied[cells] = True
+    region = CandidateRegion(projection=proj, cell_size=cell_size, i0=i0, j0=j0, occupied=occupied)
+    region._cells = cells
+    return region
 
 
 # -- attack drivers ----------------------------------------------------------

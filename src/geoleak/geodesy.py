@@ -7,7 +7,7 @@ two points of a 5 km box centred on the origin, the planar distance differs
 from the great-circle distance by at most 0.1% for origins up to 60°
 latitude: the measured worst cases are 2.7e-4 at 35° and 6.8e-4 at 60°. The
 error grows about as tan(latitude), to 2.2e-3 at 80°, and Projection.at
-accepts origins up to 85°.
+accepts origins up to MAX_ORIGIN_LAT_DEG (85°).
 """
 
 from __future__ import annotations
@@ -25,6 +25,9 @@ METERS_PER_DEGREE_LAT = EARTH_RADIUS_M * math.pi / 180.0
 # the origin, unproject() accepts offsets up to 120 km.
 PROJECT_WINDOW_DEG = 1.0
 UNPROJECT_WINDOW_M = 120_000.0
+
+# The largest |latitude| of a projection origin (Projection.at, BackgroundSpec)
+MAX_ORIGIN_LAT_DEG = 85.0
 
 
 class OutOfProjectionRange(ValueError):
@@ -72,7 +75,7 @@ class Projection:
 
     @classmethod
     def at(cls, origin: GeoPoint) -> "Projection":
-        if abs(origin.lat) > 85.0:
+        if abs(origin.lat) > MAX_ORIGIN_LAT_DEG:
             raise OutOfProjectionRange(f"projection origin too close to a pole: {origin.lat}")
         return cls(
             origin=origin,

@@ -63,7 +63,7 @@ from .attack import (
     exact_trilateration_attack,
     passive_sandwich_survey,
 )
-from .geodesy import GeoPoint, LocalPoint, Projection, geo_centroid, haversine_distance, project, unproject
+from .geodesy import MAX_ORIGIN_LAT_DEG, GeoPoint, LocalPoint, Projection, geo_centroid, haversine_distance, project, unproject
 from .jsonio import to_json
 from .lbs_sim import DisclosurePolicy, World, check_max_entries
 from .obfuscation import InsufficientSamples, ObfuscationPattern, ObfuscationSample, infer_pattern, obfuscate_distances
@@ -136,6 +136,9 @@ class BackgroundSpec:
                 seen.add(u.id)
         elif self.center is None or not (math.isfinite(self.radius_m) and self.radius_m > 0.0) or self.count < 0:
             raise ValueError("generator background needs center, finite radius_m > 0, count >= 0")
+        elif abs(self.center.lat) > MAX_ORIGIN_LAT_DEG:
+            # build_world generates the users on a plane centred there
+            raise ValueError(f"generator background center latitude must be within +-{MAX_ORIGIN_LAT_DEG}, got {self.center.lat}")
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .geodesy import EARTH_RADIUS_M, GeoPoint, haversine_distance, haversine_distances
-from .obfuscation import ObfuscationPattern, obfuscate_ascending, obfuscate_distances
+from .obfuscation import ObfuscationPattern, obfuscate_distances
 
 
 # How far from a bound a user's distance, as read from its squared chord,
@@ -425,7 +425,7 @@ class World:
         one mid-band draw, and every mid-band draw is the same call. A user
         ranked after one of them is at least near_cutoff away too, so it
         takes a mid-band draw or none: the counted draws are taken after the
-        ranked users' ones, by count (obfuscate_ascending).
+        ranked users' ones, by count, in the same obfuscate_distances call.
         """
         here, k = obs.location, self.max_entries
         d = haversine_distances(here, self._lats[cols], self._lons[cols])
@@ -437,7 +437,7 @@ class World:
             by = np.argsort(d, kind="stable")
         cols, d = cols[by], d[by]
         shows = self._shows[cols]
-        draws = iter(obfuscate_ascending(d[shows], self.policy.pattern, self._obf_rng, counted).tolist())
+        draws = iter(obfuscate_distances(d[shows].tolist(), self.policy.pattern, self._obf_rng, counted))
         shown = [next(draws) if show else None for show in shows[:k].tolist()]
         return QueryResponse(tuple([self._ids[c] for c in cols[:k].tolist()]), tuple(shown))
 
@@ -496,7 +496,7 @@ class World:
         return QueryResponse(tuple([u.id for _, u in ranked[:limit]]), tuple(shown[:limit]))
 
     def _shown(self, ranked: list[tuple[float, SimUser]]) -> list[float | None]:
-        """Shown distances of (true distance, user) pairs, drawn in their order."""
+        """Shown distances of (true distance, user) pairs in ascending distance, drawn in order."""
         mode = self.policy.mode
         if mode is PolicyMode.EXACT_DISTANCE:
             return [d for d, _ in ranked]

@@ -5,14 +5,16 @@ bands; the inverse direction recovers, from a displayed value, the interval of
 true distances that could have produced it, and `infer_pattern` reconstructs
 the band parameters from observed (true, shown) sample pairs alone.
 
-Pattern values are immutable; `obfuscate_distances` takes an explicit RNG so
-there is no hidden global state.
+Pattern values are immutable. `obfuscate_distances`, the one forward function,
+takes ascending true distances and an explicit RNG, so there is no hidden
+global state, and draws each band in one batch on the stream of one draw each.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -95,66 +97,42 @@ def _band_levels(pattern: ObfuscationPattern) -> int:
     return int((pattern.near_cutoff - pattern.floor_value) // pattern.mid_step)
 
 
-def _mid_levels(pattern: ObfuscationPattern) -> int:
-    # number of additive values in {0, mid_step, ..., mid_band}
-    return int(pattern.mid_band // pattern.mid_step) + 1
-
-
-def obfuscate_distances(ds: Sequence[float], pattern: ObfuscationPattern, rng: random.Random) -> list[float]:
-    """Draw the displayed distance for each true distance in ``ds``, in order.
+def obfuscate_distances(ds: Sequence[float], pattern: ObfuscationPattern, rng: random.Random, counted: int = 0) -> list[float]:
+    """Draw the displayed distance for each true distance in ``ds``, which
+    must be ascending, then counted more mid-band draws whose values are dropped.
 
     A fresh draw is taken for each distance in a randomized band, so repeated
     queries at the same true distance see changing values there. A band of n
     levels above its base draws rng.randrange(n + 1), the stream that
-    rng.randint(0, n) takes.
+    rng.randint(0, n) takes. In ascending order every near-band draw comes
+    before every mid-band one, so each band's draws are one _randranges call.
 
     Raises:
-        NegativeDistance: some d < 0; checked before any draw.
-    """
-    for d in ds:
-        if d < 0.0:
-            raise NegativeDistance(f"true distance must be >= 0, got {d}")
-    p = pattern
-    floor, near, mid, band, step, far = p.floor_value, p.near_cutoff, p.mid_cutoff, p.mid_band, p.mid_step, p.far_unit
-    near_levels, mid_levels = _band_levels(p) + 1, _mid_levels(p)
-    draw = rng.randrange
-    shown = []
-    for d in ds:
-        if d < floor:
-            shown.append(floor)
-        elif d < near:
-            shown.append(floor + draw(near_levels) * step)
-        elif d < mid:
-            shown.append(_round_half_up(d, band) + draw(mid_levels) * step)
-        else:
-            shown.append(_round_half_up(d, far))
-    return shown
-
-
-def obfuscate_ascending(ds: np.ndarray, pattern: ObfuscationPattern, rng: random.Random, counted: int = 0) -> np.ndarray:
-    """obfuscate_distances for distances in ascending order, as one array,
-    followed by counted more draws in the mid band whose values are dropped:
-    the values and the stream of obfuscate_distances(list(ds) + [near_cutoff]
-    * counted).
-
-    In ascending order every near-band draw comes before every mid-band one,
-    so each band takes its draws in one _randranges call.
-
-    Raises:
+        ValueError: ds is not ascending, or counted < 0; checked before any draw.
         NegativeDistance: ds[0] < 0; checked before any draw.
     """
-    if ds.size and ds[0] < 0.0:
+    ds = list(ds)
+    if ds != sorted(ds):
+        raise ValueError("true distances must be in ascending order")
+    if ds and ds[0] < 0.0:
         raise NegativeDistance(f"true distance must be >= 0, got {ds[0]}")
+    if counted < 0:
+        raise ValueError(f"counted must be >= 0, got {counted}")
     p = pattern
-    floor, near, mid = np.searchsorted(ds, (p.floor_value, p.near_cutoff, p.mid_cutoff)).tolist()
-    draws = _randranges(rng, _band_levels(p) + 1, near - floor)
-    draws += _randranges(rng, _mid_levels(p), mid - near + counted)[: mid - near]
-    shown = np.empty(ds.size)
-    shown[:near] = p.floor_value
-    shown[near:mid] = np.floor(ds[near:mid] / p.mid_band + 0.5) * p.mid_band
-    shown[floor:mid] += np.array(draws, dtype=float) * p.mid_step
-    if mid < ds.size:
-        shown[mid:] = np.floor(ds[mid:] / p.far_unit + 0.5) * p.far_unit
+    floor = bisect_left(ds, p.floor_value)
+    near = bisect_left(ds, p.near_cutoff, floor)
+    mid = bisect_left(ds, p.mid_cutoff, near)
+    base, step, band, far = p.floor_value, p.mid_step, p.mid_band, p.far_unit
+    shown = [base] * floor
+    # empty bands are skipped: profile views and favorites show one to three users
+    if near > floor:
+        shown += [base + r * step for r in _randranges(rng, _band_levels(p) + 1, near - floor)]
+    if mid > near or counted:
+        # one of the additive values {0, mid_step, ..., mid_band} per draw
+        draws = _randranges(rng, int(band // step) + 1, mid - near + counted)
+        shown += [math.floor(d / band + 0.5) * band + r * step for d, r in zip(ds[near:mid], draws)]
+    if mid < len(ds):
+        shown += [math.floor(d / far + 0.5) * far for d in ds[mid:]]
     return shown
 
 

@@ -288,6 +288,16 @@ def test_intersection_matches_the_full_grid_reference(case):
         i0, j0, occupied = expected
         assert (region.i0, region.j0, region.occupied.shape) == (i0, j0, occupied.shape)
         assert region.occupied.tobytes() == occupied.tobytes()
+        # the cells handed over are np.nonzero's, and the readers give what
+        # the np.nonzero scans and np.mean gave
+        js, is_ = np.nonzero(occupied)
+        cells = region._occupied_cells()
+        assert [(a.dtype, a.tolist()) for a in cells] == [(a.dtype, a.tolist()) for a in (js, is_)]
+        assert region.area() == float(occupied.sum()) * cell_size**2
+        centroid = LocalPoint(float((is_.mean() + i0 + 0.5) * cell_size), float((js.mean() + j0 + 0.5) * cell_size))
+        assert region.centroid_local() == centroid
+        grid = attack.CandidateRegion(region.projection, cell_size, i0, j0, occupied)
+        assert (grid.area(), grid.centroid_local()) == (region.area(), centroid)
 
 
 def test_region_area_monotone_in_constraints():

@@ -77,6 +77,11 @@ def _bg_user(uid):
     return {"id": uid, "lat": 35.03, "lon": 135.78, "show_distance": True}
 
 
+def _polar_background(doc):
+    """A generated background centred past the projection's latitude limit."""
+    doc["background"]["center"] = {"lat": 89.99, "lon": 135.77}
+
+
 # explicit vantages on one meridian: their anchor triangle has zero area
 COLLINEAR_VANTAGES = [{"lat": lat, "lon": 135.77} for lat in (35.02, 35.03, 35.04)]
 
@@ -136,6 +141,7 @@ def _hornet_favorites_pattern(**fields):
         (lambda d: d.update(name="..\\escaped"), "$: name must be a plain file name, got '..\\\\escaped'"),
         (lambda d: d["attack"].update(kind="trilateration", vantage_points=COLLINEAR_VANTAGES),
          "$.attack: anchor triangle area 0.0 m^2 too small"),
+        (_polar_background, "$.background: generator background center latitude must be within +-85.0, got 89.99"),
     ],
     ids=[
         "typo", "string-int", "bool-int", "no-victim", "bad-enum", "two-vantages", "stale-key", "user-shape",
@@ -144,7 +150,7 @@ def _hornet_favorites_pattern(**fields):
         "negative-max-moves", "zero-max-queries", "zero-locations", "negative-queries-per-location",
         "nan-radius", "users-and-generator", "huge-epsilon", "user-latitude", "duplicate-user-id",
         "attacker-id", "victim-id", "infer-without-pattern", "parent-name", "absolute-name", "nested-name",
-        "backslash-name", "collinear-trilateration-vantages",
+        "backslash-name", "collinear-trilateration-vantages", "polar-background",
     ],
 )
 def test_scenario_loading_is_strict(edit, message):
@@ -182,14 +188,26 @@ def test_cli_bad_scenario_file_exits_1_naming_the_key(tmp_path, capsys):
         (lambda d: d["attack"].update(epsilon_m=10**400), "$.attack.epsilon_m: number too large for a float"),
         (lambda d: d.update(background={"users": [_bg_user("attacker")]}),
          "$.background: users[0]: id 'attacker' is reserved"),
+        (_polar_background, "$.background: generator background center latitude must be within +-85.0"),
     ],
-    ids=["nan-epsilon", "negative-max-entries", "negative-max-moves", "huge-epsilon", "reserved-user-id"],
+    ids=["nan-epsilon", "negative-max-entries", "negative-max-moves", "huge-epsilon", "reserved-user-id", "polar-background"],
 )
 def test_cli_bad_number_in_scenario_file_exits_1(tmp_path, capsys, edit, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(_edited_dump(edit)))  # NaN is written as the bare token NaN
     assert main(["run", "--scenario", str(path)]) == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_a_generated_background_at_the_projection_limit_is_built():
+    """The loader rejects a generated background centred past
+    MAX_ORIGIN_LAT_DEG, which Projection.at would refuse in build_world, and
+    no more: one centred on the limit is built."""
+    doc = _edited_dump(lambda d: d["background"].update(center={"lat": -85.0, "lon": 135.77}))
+    scenario = from_json(Scenario, doc)
+    world, _, _ = build_world(scenario, 1)
+    assert sum(uid.startswith("bg-") for uid in world.users) == scenario.background.count
 
 
 def test_cli_rejects_a_scenario_name_that_leaves_the_out_directory(tmp_path, capsys):

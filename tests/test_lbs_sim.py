@@ -33,7 +33,6 @@ from geoleak.lbs_sim import (
 from geoleak.obfuscation import (
     HORNET_DEFAULT,
     ObfuscationPattern,
-    obfuscate_ascending,
     obfuscate_distances,
     obfuscation_envelope,
 )
@@ -578,12 +577,14 @@ def _watch_screens(monkeypatch):
         ranked.extend(zip(lat.tolist(), lon.tolist()))
         return haversine_distances(a, lat, lon)
 
-    def drawing(ds, pattern, rng, count=0):
-        counted.append(count)
-        return obfuscate_ascending(ds, pattern, rng, count)
+    def drawing(ds, pattern, rng, *count):
+        # only a truncated screen passes a count; the other screens and
+        # profile views draw through the same function without one
+        counted.extend(count)
+        return obfuscate_distances(ds, pattern, rng, *count)
 
     monkeypatch.setattr(lbs_sim, "haversine_distances", ranking)
-    monkeypatch.setattr(lbs_sim, "obfuscate_ascending", drawing)
+    monkeypatch.setattr(lbs_sim, "obfuscate_distances", drawing)
     return calls, ranked, counted
 
 

@@ -1,7 +1,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,7 +20,6 @@ from geoleak.obfuscation import (
     _band_levels,
     _randranges,
     _round_half_up,
-    obfuscate_ascending,
     obfuscate_distances,
     obfuscation_envelope,
 )
@@ -225,7 +223,8 @@ def test_every_reading_inverts_to_an_interval_holding_the_truth(p, d, rng):
 
 
 def _one_by_one(d, p, rng):
-    """One distance's draw as it was before the batch: one randint per draw."""
+    """The oracle: one distance's draw as the scalar loop drew it, one
+    randint per draw."""
     if d < 0.0:
         raise NegativeDistance(f"true distance must be >= 0, got {d}")
     if d < p.floor_value:
@@ -238,32 +237,63 @@ def _one_by_one(d, p, rng):
     return _round_half_up(d, p.far_unit)
 
 
+# a valid pattern whose near and mid bands have 20 * 2**30 + 1 and 2**40 + 1
+# levels: past 32 bits, so each of their draws is a randrange call
+_WIDE_MID_PATTERN = ObfuscationPattern(mid_band=1024.0, mid_step=2.0**-30)
+
+
 @st.composite
 def _pattern_and_distances(draw):
-    p = draw(_patterns())
-    bands = [  # every band, its edges included; the mid band is empty when near == mid
+    """A pattern and up to 300 ascending distances from every band, its edges
+    and the floats just below them included; the mid band is empty when
+    near == mid."""
+    p = draw(st.just(HORNET_DEFAULT) | st.just(_WIDE_MID_PATTERN) | _patterns())
+    edges = [0.0]
+    for edge in (p.floor_value, p.near_cutoff, p.mid_cutoff):
+        edges += [math.nextafter(edge, 0.0), edge]
+    bands = [
+        st.sampled_from(edges),
         st.floats(0.0, p.floor_value, exclude_max=True),
         st.floats(p.floor_value, p.near_cutoff, exclude_max=True),
         st.floats(p.mid_cutoff, p.mid_cutoff + 5000.0),
     ]
     if p.near_cutoff < p.mid_cutoff:
         bands.append(st.floats(p.near_cutoff, p.mid_cutoff, exclude_max=True))
-    return p, draw(st.lists(st.one_of(*bands), max_size=40))
+    return p, sorted(draw(st.lists(st.one_of(*bands), max_size=300)))
 
 
 @settings(derandomize=True, deadline=None, max_examples=500)
-@given(_pattern_and_distances(), st.integers(0, 2**32), st.data())
-def test_a_batch_draws_what_one_call_per_distance_drew(case, seed, data):
+@given(_pattern_and_distances(), st.integers(0, 300), st.integers(0, 2**64 - 1))
+@example((HORNET_DEFAULT, []), 0, 0)
+@example((HORNET_DEFAULT, []), 300, 0)
+def test_a_batch_draws_what_one_call_per_distance_drew(case, counted, seed):
+    """The values, their types and the stream of the oracle over ds, then
+    counted draws at near_cutoff (a pattern without a mid band has no
+    counted draws to take)."""
     p, ds = case
+    if p.near_cutoff == p.mid_cutoff:
+        counted = 0
     rng, reference = random.Random(seed), random.Random(seed)
-    assert obfuscate_distances(ds, p, rng) == [_one_by_one(d, p, reference) for d in ds]
+    expected = [_one_by_one(d, p, reference) for d in ds]
+    for _ in range(counted):
+        _one_by_one(p.near_cutoff, p, reference)
+    shown = obfuscate_distances(ds, p, rng, counted)
+    assert shown == expected and [type(v) for v in shown] == [float] * len(ds)
     assert rng.getstate() == reference.getstate()
-    # a negative distance anywhere fails the batch before its first draw
-    bad = [*ds]
-    bad.insert(data.draw(st.integers(0, len(ds))), -data.draw(st.floats(5e-324, 1e6)))
+
+
+def test_unsorted_or_negative_input_fails_before_any_draw():
+    """Input that is not ascending and a negative count raise ValueError, and
+    a negative first distance NegativeDistance, before the stream moves."""
+    rng = random.Random(3)
     before = rng.getstate()
-    with pytest.raises(NegativeDistance):
-        obfuscate_distances(bad, p, rng)
+    for ds, counted in (([500.0, 50.0], 5), ([90.0, 90.0, 89.999], 5), ([5.0, -1.0], 5), ([-1.0, -2.0], 5), ([321.0], -1)):
+        with pytest.raises(ValueError) as err:
+            obfuscate_distances(ds, HORNET_DEFAULT, rng, counted)
+        assert type(err.value) is ValueError
+    for ds in ([-1.0, 50.0, 500.0], [-5e-324], [-1e6, -1e6, 90.0]):
+        with pytest.raises(NegativeDistance):
+            obfuscate_distances(ds, HORNET_DEFAULT, rng, 5)
     assert rng.getstate() == before
 
 
@@ -354,47 +384,15 @@ def test_randranges_match_randrange_calls_at_each_bit_length_edge(n):
         assert rng.getstate() == one_by_one.getstate()
 
 
-# a valid pattern whose mid band has 2**40 + 1 levels: past 32 bits, so each
-# of its draws is a randrange call
-_WIDE_MID_PATTERN = ObfuscationPattern(mid_band=1024.0, mid_step=2.0**-30)
-
-
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(
-    p=st.just(HORNET_DEFAULT) | st.just(_WIDE_MID_PATTERN) | _patterns().filter(lambda p: p.near_cutoff < p.mid_cutoff),
-    ds=st.lists(st.floats(0.0, 6000.0) | st.sampled_from([0.0, 80.0, 99.9, 100.0, 150.0, 1000.0, 1500.0]), max_size=300),
-    counted=st.integers(0, 300),
-    seed=st.integers(0, 2**64 - 1),
-)
-@example(p=HORNET_DEFAULT, ds=[], counted=0, seed=0)
-def test_ascending_obfuscation_is_obfuscate_distances_then_the_counted_draws(p, ds, counted, seed):
-    """The values, their types and the stream of obfuscate_distances on the
-    sorted distances followed by counted draws at near_cutoff."""
-    ds = sorted(ds)
-    rng, drawn = random.Random(seed), random.Random(seed)
-    expected = obfuscate_distances(ds, p, drawn)
-    obfuscate_distances([p.near_cutoff] * counted, p, drawn)
-    shown = obfuscate_ascending(np.array(ds, dtype=float), p, rng, counted).tolist()
-    assert shown == expected and list(map(type, shown)) == list(map(type, expected))
-    assert rng.getstate() == drawn.getstate()
-
-
-def test_ascending_obfuscation_rejects_a_negative_distance_before_drawing():
-    rng = random.Random(3)
-    before = rng.getstate()
-    with pytest.raises(NegativeDistance):
-        obfuscate_ascending(np.array([-1.0, 50.0, 500.0]), HORNET_DEFAULT, rng)
-    assert rng.getstate() == before
-
-
 def test_pattern_fields_are_floats_and_shown_distances_too():
     """Integer fields are stored as floats, so the shown distances of one
-    true distance per band are floats, drawn one at a time or in an array."""
+    true distance per band are floats, as the oracle's are."""
     p = ObfuscationPattern(140, 150, 200, 35, 5, 200)
     assert all(type(getattr(p, name)) is float for name in ("floor_value", "near_cutoff", "mid_cutoff", "mid_band", "mid_step", "far_unit"))
     assert p == ObfuscationPattern(140.0, 150.0, 200.0, 35.0, 5.0, 200.0)
     ds = [10.0, 145.0, 170.0, 900.0]
-    one_by_one = obfuscate_distances(ds, p, random.Random(1))
-    batched = obfuscate_ascending(np.array(ds), p, random.Random(1)).tolist()
+    reference = random.Random(1)
+    one_by_one = [_one_by_one(d, p, reference) for d in ds]
+    batched = obfuscate_distances(ds, p, random.Random(1))
     assert one_by_one == batched
     assert [type(v) for v in one_by_one] == [type(v) for v in batched] == [float] * 4
