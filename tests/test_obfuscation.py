@@ -282,6 +282,27 @@ def test_a_batch_draws_what_one_call_per_distance_drew(case, counted, seed):
     assert rng.getstate() == reference.getstate()
 
 
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    p=st.just(HORNET_DEFAULT) | st.just(_WIDE_MID_PATTERN) | _patterns().filter(lambda p: p.near_cutoff < p.mid_cutoff),
+    ds=st.lists(st.floats(0.0, 6000.0) | st.sampled_from([0.0, 80.0, 99.9, 100.0, 150.0, 1000.0, 1500.0]), max_size=300),
+    counted=st.integers(0, 300),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(p=HORNET_DEFAULT, ds=[], counted=0, seed=0)
+def test_ascending_obfuscation_is_obfuscate_distances_then_the_counted_draws(p, ds, counted, seed):
+    """The values, their types and the stream of obfuscate_distances on the
+    sorted distances followed by counted draws at near_cutoff, taken in one
+    call with counted."""
+    ds = sorted(ds)
+    rng, drawn = random.Random(seed), random.Random(seed)
+    expected = obfuscate_distances(ds, p, drawn)
+    obfuscate_distances([p.near_cutoff] * counted, p, drawn)
+    shown = obfuscate_distances(ds, p, rng, counted)
+    assert shown == expected and list(map(type, shown)) == list(map(type, expected))
+    assert rng.getstate() == drawn.getstate()
+
+
 def test_unsorted_or_negative_input_fails_before_any_draw():
     """Input that is not ascending and a negative count raise ValueError, and
     a negative first distance NegativeDistance, before the stream moves."""
