@@ -37,6 +37,7 @@ from .harness import (
     run_suite,
 )
 from .lbs_sim import (
+    Account,
     DisclosurePolicy,
     DuplicateId,
     PolicyMode,

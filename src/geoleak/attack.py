@@ -5,15 +5,16 @@ Every reading becomes an AnnulusConstraint, a ring around the vantage it was
 taken from that holds the victim: an exact distance is a ring of zero width, a
 bracket between two flanking users a ring between their distances.
 
-Drivers read the service's query surface plus the attacker's own knowledge:
-entry order, entry ids, shown distances, and the positions the attacker chose
-for accounts under their control ("side-channel" distances). Responses carry no
-true distance, so a driver has none to read. Drivers touch the world only
-through `_Session`, which keeps it private; a test walks this module's syntax
-tree to hold them to that. One leak remains: `_Session.pattern`, the pattern
-used to invert an obfuscated flanker's reading, is the server's true pattern,
-so the attacker gets it for free rather than inferring it first (ROADMAP
-item 2).
+Drivers hold what an ordinary user of the service holds: their own accounts
+(lbs_sim.Account), the victim's id and a belief about the obfuscation pattern,
+never the World. They read the query surface plus the attacker's own
+knowledge: entry order, entry ids, shown distances, and the positions the
+attacker chose for its accounts ("side-channel" distances). Responses carry no
+true distance, so a driver has none to read. Drivers move and query only
+through `_Session`, which keeps the budgets and trajectories; a test walks
+this module's syntax tree to hold them to that. The belief is an argument:
+harness.locate passes the server's true pattern, so the attacker does not yet
+earn it by inferring it from a scatter first (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .geodesy import GeoPoint, LocalPoint, Projection, geo_centroid, haversine_distance, project, unproject, unproject_arrays
-from .lbs_sim import QueryResponse, ScreenEntry, World
-from .obfuscation import invert_reading
+from .lbs_sim import Account, QueryResponse
+from .obfuscation import ObfuscationPattern, invert_reading
 
 log = logging.getLogger(__name__)
 
@@ -358,58 +359,52 @@ class AttackReport:
 
 
 class _Session:
-    """One attack run's only way to touch the world: moves the attacker's own
+    """One attack run's only way to move and query: moves the attacker's own
     accounts and keeps their trajectories (the last point is where an account
-    is now), favorites users for the first account, runs queries within the
-    budget when options are given, and builds the report. Both budgets read
-    only the session's own tallies, the moves it made and the screens it got
-    back, never the world's counters, so a reused world gives each run its
-    full budget. Its projection is centred on the vantages."""
+    is now), runs the first account's queries within the budget when options
+    are given, and builds the report. Both budgets read only the session's own
+    tallies, the moves it made and the screens it got back, so a reused world
+    gives each run its full budget. Its projection is centred on the
+    vantages, and pattern is the attacker's belief about the obfuscation
+    pattern (None: shown distances are taken as true)."""
 
     def __init__(
         self,
-        world: World,
-        attacker_ids: Sequence[str],
+        accounts: Sequence[Account],
         vantages: Sequence[GeoPoint],
         victim_id: str,
-        accounts: int = 1,
+        pattern: ObfuscationPattern | None,
+        n_accounts: int = 1,
         options: ColludingOptions | None = None,
     ):
-        if len(attacker_ids) != accounts or len(set(attacker_ids)) != accounts:
-            raise ValueError(f"need exactly {accounts} distinct attacker-controlled accounts")
-        if victim_id in attacker_ids:
+        ids = {a.id for a in accounts}
+        if len(accounts) != n_accounts or len(ids) != n_accounts:
+            raise ValueError(f"need exactly {n_accounts} distinct attacker-controlled accounts")
+        if victim_id in ids:
             raise ValueError("victim cannot be one of the attacker accounts")
-        for uid in (*attacker_ids, victim_id):
-            if uid not in world.users:
-                raise ValueError(f"no such user: {uid}")
         if len(vantages) != 3:
             raise ValueError("need exactly 3 vantage points")
-        self._world = world
-        # the one place the attacker reads the server's truth: the pattern
-        # belief is the true one, not one inferred from a scatter (ROADMAP item 2)
-        self.pattern = world.policy.pattern
-        self.attacker_ids = tuple(attacker_ids)
+        self.observer = accounts[0]
+        self.pattern = pattern
         self.victim_id = victim_id
         self.options = options
         self.proj = Projection.at(geo_centroid(vantages))
         self.moves = 0
         self.queries = 0
         self.victim_seen = False
-        self.trajectories: dict[str, list[GeoPoint]] = {
-            uid: [world.users[uid].location] for uid in attacker_ids
-        }
+        self.trajectories: dict[str, list[GeoPoint]] = {a.id: [a.location] for a in accounts}
 
-    def move(self, uid: str, where: GeoPoint) -> None:
+    def move(self, account: Account, where: GeoPoint) -> None:
         if self.options is not None and self.moves >= self.options.max_moves:
             self.give_up("move budget exhausted")
-        self._world.move_user(uid, where)
+        account.move(where)
         self.moves += 1
-        self.trajectories[uid].append(where)
+        self.trajectories[account.id].append(where)
 
-    def observe(self, observer: str, favorites: bool = False) -> QueryResponse:
+    def observe(self, favorites: bool = False) -> QueryResponse:
         if self.options is not None and self.queries >= self.options.max_queries:
             self.give_up("query budget exhausted")
-        resp = self._world.query_favorites(observer) if favorites else self._world.query_nearby(observer)
+        resp = self.observer.favorites() if favorites else self.observer.nearby()
         self.queries += 1
         if resp.index_of(self.victim_id) is not None:
             self.victim_seen = True
@@ -419,16 +414,10 @@ class _Session:
         """Re-query from the first account until every uid is on its screen,
         burning budget on each miss; returns the screen and the uids' ranks."""
         while True:
-            resp = self.observe(self.attacker_ids[0], favorites)
+            resp = self.observe(favorites)
             ranks = tuple(resp.index_of(uid) for uid in uids)
             if None not in ranks:
                 return resp, ranks
-
-    def favorite(self, uid: str) -> None:
-        self._world.add_favorite(self.attacker_ids[0], uid)
-
-    def view_profile(self, observer: str) -> ScreenEntry:
-        return self._world.view_profile(observer, self.victim_id)
 
     def side_distance(self, vantage: GeoPoint, uid: str) -> float:
         return haversine_distance(vantage, self.trajectories[uid][-1])
@@ -513,17 +502,18 @@ def _on_ray(v_local: LocalPoint, direction: tuple[float, float], r: float, proj:
 
 
 def colluding_trilateration(
-    world: World,
-    attacker_ids: Sequence[str],
+    accounts: Sequence[Account],
     vantages: Sequence[GeoPoint],
     victim_id: str,
+    pattern: ObfuscationPattern | None,
     options: ColludingOptions | None = None,
 ) -> AttackReport:
     """Locate a victim whose distance may be hidden or obfuscated by keeping
     them sandwiched between two attacker-controlled accounts.
 
-    attacker_ids are the observer and the inner and outer colluder, in that
-    order. Per vantage point: read the screen once to find the victim's rank
+    accounts are the observer and the inner and outer colluder, in that
+    order, and pattern the belief an obfuscated flanker's reading is inverted
+    with. Per vantage point: read the screen once to find the victim's rank
     and take coarse bounds from the flanking entries, then repeatedly move the
     two colluders a quarter of the way in from the current bracket and confirm
     the victim still sorts between them. A confirmed placement is a sound
@@ -538,8 +528,8 @@ def colluding_trilateration(
         NonConvergence: move/query budget exhausted.
     """
     opts = options or ColludingOptions()
-    session = _Session(world, attacker_ids, vantages, victim_id, accounts=3, options=opts)
-    observer, inner_id, outer_id = attacker_ids
+    session = _Session(accounts, vantages, victim_id, pattern, n_accounts=3, options=opts)
+    observer, inner, outer = accounts
     proj = session.proj
     fallback_target = LocalPoint(0.0, 0.0)  # the vantages' centroid, where the plane is anchored
     coarse_cell = max(opts.cell_size, opts.epsilon)
@@ -553,13 +543,13 @@ def colluding_trilateration(
             annuli.append(ring)
 
     if opts.use_favorites:
-        session.favorite(inner_id)
-        session.favorite(outer_id)
+        observer.favorite(inner.id)
+        observer.favorite(outer.id)
         # anchor the victim on first public sighting; afterwards the favorites
         # view is immune to dropping
         session.move(observer, vantages[0])
         session.sight(False, victim_id)
-        session.favorite(victim_id)
+        observer.favorite(victim_id)
 
     for vantage in vantages:
         session.move(observer, vantage)
@@ -588,11 +578,11 @@ def colluding_trilateration(
             width = top - lo
             t_inner = lo + width / 4.0
             t_outer = top - width / 4.0
-            session.move(inner_id, _on_ray(v_local, direction, t_inner, proj))
-            session.move(outer_id, _on_ray(v_local, direction, t_outer, proj))
-            r_inner = session.side_distance(vantage, inner_id)
-            r_outer = session.side_distance(vantage, outer_id)
-            _, (vi, ii, oi) = session.sight(opts.use_favorites, victim_id, inner_id, outer_id)
+            session.move(inner, _on_ray(v_local, direction, t_inner, proj))
+            session.move(outer, _on_ray(v_local, direction, t_outer, proj))
+            r_inner = session.side_distance(vantage, inner.id)
+            r_outer = session.side_distance(vantage, outer.id)
+            _, (vi, ii, oi) = session.sight(opts.use_favorites, victim_id, inner.id, outer.id)
             if ii < vi < oi:
                 if s0 is not None:
                     accepted += 1
@@ -621,15 +611,16 @@ def colluding_trilateration(
 
 
 def passive_sandwich_survey(
-    world: World,
-    attacker_ids: Sequence[str],
+    accounts: Sequence[Account],
     vantages: Sequence[GeoPoint],
     victim_id: str,
+    pattern: ObfuscationPattern | None,
     cell_size: float = ColludingOptions.cell_size,
 ) -> AttackReport:
     """Non-adaptive variant: one nearby query per vantage point, bounds taken
-    from whatever real users happen to flank the victim. The one attacker
-    account's trajectory is the survey path, the vantage points alone.
+    from whatever real users happen to flank the victim, with obfuscated
+    readings inverted by the pattern belief. The one attacker account's
+    trajectory is the survey path, the vantage points alone.
 
     Raises:
         ValueError: cell_size is not finite and positive (before any move).
@@ -637,12 +628,12 @@ def passive_sandwich_survey(
         EmptyRegion: no bounded constraint was collected, or constraints clash.
     """
     _require_finite_positive("cell_size", cell_size)
-    session = _Session(world, attacker_ids, vantages, victim_id)
-    (observer,) = attacker_ids
+    session = _Session(accounts, vantages, victim_id, pattern)
+    (observer,) = accounts
     constraints: list[AnnulusConstraint] = []
     for vantage in vantages:
         session.move(observer, vantage)
-        resp = session.observe(observer)
+        resp = session.observe()
         vi = resp.index_of(victim_id)
         if vi is None:
             continue
@@ -652,13 +643,12 @@ def passive_sandwich_survey(
     if not session.victim_seen:
         raise VictimNeverVisible("victim absent from every vantage response")
     region = intersect_constraints(constraints, cell_size, session.proj)
-    del session.trajectories[observer][0]  # where the account started is not part of the survey
+    del session.trajectories[observer.id][0]  # where the account started is not part of the survey
     return session.report(region.centroid(), region=region)
 
 
 def exact_trilateration_attack(
-    world: World,
-    attacker_ids: Sequence[str],
+    accounts: Sequence[Account],
     vantages: Sequence[GeoPoint],
     victim_id: str,
 ) -> AttackReport:
@@ -666,12 +656,12 @@ def exact_trilateration_attack(
     intersect the three distance circles, with one attacker account. Requires
     the shown distance to be present (it is taken at face value, so against
     an obfuscated service the fix is noisy)."""
-    session = _Session(world, attacker_ids, vantages, victim_id)
-    (observer,) = attacker_ids
+    session = _Session(accounts, vantages, victim_id, None)
+    (observer,) = accounts
     rings = []
     for vantage in vantages:
         session.move(observer, vantage)
-        d = session.view_profile(observer).shown_distance
+        d = observer.profile(victim_id).shown_distance
         if d is None:
             raise VictimNeverVisible("victim's distance is hidden from profile views")
         rings.append(AnnulusConstraint(project(vantage, session.proj), d, d))

@@ -63,7 +63,7 @@ from .attack import (
     exact_trilateration_attack,
     passive_sandwich_survey,
 )
-from .geodesy import MAX_ORIGIN_LAT_DEG, GeoPoint, LocalPoint, Projection, geo_centroid, haversine_distance, project, unproject
+from .geodesy import MAX_ORIGIN_LAT_DEG, UNPROJECT_WINDOW_M, GeoPoint, LocalPoint, Projection, geo_centroid, haversine_distance, project, unproject
 from .jsonio import to_json
 from .lbs_sim import DisclosurePolicy, World, check_max_entries
 from .obfuscation import InsufficientSamples, ObfuscationPattern, ObfuscationSample, infer_pattern, obfuscate_distances
@@ -136,9 +136,12 @@ class BackgroundSpec:
                 seen.add(u.id)
         elif self.center is None or not (math.isfinite(self.radius_m) and self.radius_m > 0.0) or self.count < 0:
             raise ValueError("generator background needs center, finite radius_m > 0, count >= 0")
+        # build_world generates the users on a plane centred there, within
+        # radius_m of its origin
         elif abs(self.center.lat) > MAX_ORIGIN_LAT_DEG:
-            # build_world generates the users on a plane centred there
             raise ValueError(f"generator background center latitude must be within +-{MAX_ORIGIN_LAT_DEG}, got {self.center.lat}")
+        elif self.radius_m >= UNPROJECT_WINDOW_M:
+            raise ValueError(f"generator background radius_m must be below {UNPROJECT_WINDOW_M}, got {self.radius_m}")
 
 
 @dataclass(frozen=True)
@@ -293,14 +296,18 @@ def load_samples_csv(path: Path) -> list[ObfuscationSample]:
 
 def locate(world: World, ids: Sequence[str], vantages: Sequence[GeoPoint], attack: AttackSpec) -> AttackReport:
     """Run the spec's driver on a world, account ids and vantages from
-    build_world; raises the driver's declared attack errors, and ValueError
-    for infer_pattern, which locates no one."""
-    if attack.kind == "trilateration":
-        return exact_trilateration_attack(world, ids, vantages, VICTIM_ID)
-    if attack.kind == "passive_sandwich":
-        return passive_sandwich_survey(world, ids, vantages, VICTIM_ID, attack.cell_size_m)
+    build_world: the one place the attacker gets its accounts, and the
+    server's true pattern as its belief, not one inferred from a scatter
+    (ROADMAP item 2). Raises the driver's declared attack errors, and
+    ValueError for infer_pattern, which locates no one."""
     if attack.kind == "infer_pattern":
         raise ValueError("infer_pattern locates no one; run_scenario runs it")
+    accounts = [world.account(uid) for uid in ids]
+    if attack.kind == "trilateration":
+        return exact_trilateration_attack(accounts, vantages, VICTIM_ID)
+    pattern = world.policy.pattern
+    if attack.kind == "passive_sandwich":
+        return passive_sandwich_survey(accounts, vantages, VICTIM_ID, pattern, attack.cell_size_m)
     opts = ColludingOptions(
         epsilon=attack.epsilon_m,
         cell_size=attack.cell_size_m,
@@ -308,7 +315,7 @@ def locate(world: World, ids: Sequence[str], vantages: Sequence[GeoPoint], attac
         max_moves=attack.max_moves,
         max_queries=attack.max_queries,
     )
-    return colluding_trilateration(world, ids, vantages, VICTIM_ID, opts)
+    return colluding_trilateration(accounts, vantages, VICTIM_ID, pattern, opts)
 
 
 def run_scenario(scenario: Scenario, out_dir: Path | None = None, seed: int | None = None) -> MetricsRow:

@@ -30,7 +30,7 @@ import enum
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Sequence
 
@@ -364,6 +364,10 @@ class World:
         if target not in lst:
             lst.append(target)
 
+    def account(self, user_id: str) -> Account:
+        """The registered user's handle on the service; counts nothing."""
+        return Account(self._require(user_id).id, self)
+
     def _candidates(self, obs: SimUser, rows: np.ndarray) -> tuple[np.ndarray, int]:
         """The columns of the kept users of a screen that can truncate (rows:
         their ascending columns) to rank, in id order, and how many more take
@@ -504,3 +508,32 @@ class World:
             return [d if u.show_distance else None for d, u in ranked]
         draws = iter(obfuscate_distances([d for d, u in ranked if u.show_distance], self.policy.pattern, self._obf_rng))
         return [next(draws) if u.show_distance else None for _, u in ranked]
+
+
+@dataclass(frozen=True)
+class Account:
+    """What one user of the service can do and see: its own location, moving
+    itself, its nearby and favorites screens, favoriting a user and viewing
+    a profile. Each is one World call, counted there as this user's."""
+
+    id: str
+    _world: World = field(repr=False)
+
+    @property
+    def location(self) -> GeoPoint:
+        return self._world.users[self.id].location
+
+    def move(self, location: GeoPoint) -> None:
+        self._world.move_user(self.id, location)
+
+    def nearby(self) -> QueryResponse:
+        return self._world.query_nearby(self.id)
+
+    def favorites(self) -> QueryResponse:
+        return self._world.query_favorites(self.id)
+
+    def favorite(self, target: str) -> None:
+        self._world.add_favorite(self.id, target)
+
+    def profile(self, subject: str) -> ScreenEntry:
+        return self._world.view_profile(self.id, subject)

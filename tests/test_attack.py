@@ -36,7 +36,7 @@ from geoleak.fixtures import (
 )
 from geoleak.geodesy import GeoPoint, LocalPoint, Projection, haversine_distance, project, unproject
 from geoleak.harness import VICTIM_ID, MetricsRow, build_world, locate, scenario_geojson
-from geoleak.lbs_sim import DisclosurePolicy, PolicyMode, World
+from geoleak.lbs_sim import DisclosurePolicy, PolicyMode, UnknownUser, World
 from geoleak.obfuscation import HORNET_DEFAULT
 from geoleak.scenarios import preset
 
@@ -381,7 +381,7 @@ def test_exact_trilateration_attack_on_fixture_world():
     world = World(EXACT, 1)
     world.add_user("victim", LAB, True)
     world.add_user("attacker", DEMACHIYANAGI_STATION, True)
-    report = exact_trilateration_attack(world, ("attacker",), SURVEY_TRIANGLE, "victim")
+    report = exact_trilateration_attack(_accounts(world, "attacker"), SURVEY_TRIANGLE, "victim")
     assert haversine_distance(report.estimate, LAB) < 1.0
     assert world.profile_views["victim"] == 3
     assert world.moves["attacker"] == world.queries["attacker"] == 3
@@ -392,7 +392,11 @@ def test_exact_trilateration_attack_fails_when_hidden():
     world.add_user("victim", LAB, False)
     world.add_user("attacker", DEMACHIYANAGI_STATION, True)
     with pytest.raises(VictimNeverVisible):
-        exact_trilateration_attack(world, ("attacker",), SURVEY_TRIANGLE, "victim")
+        exact_trilateration_attack(_accounts(world, "attacker"), SURVEY_TRIANGLE, "victim")
+
+
+def _accounts(world, *ids):
+    return [world.account(uid) for uid in ids]
 
 
 def _counts(world, ids):
@@ -405,7 +409,7 @@ def test_a_reused_world_counts_and_budgets_each_run_from_its_start():
     world, ids, vantages = build_world(sc, sc.seed)
     for _ in range(2):
         before = (*_counts(world, ids), world.profile_views[VICTIM_ID])
-        exact_trilateration_attack(world, ids, vantages, VICTIM_ID)
+        exact_trilateration_attack(_accounts(world, *ids), vantages, VICTIM_ID)
         after = (*_counts(world, ids), world.profile_views[VICTIM_ID])
         assert tuple(a - b for a, b in zip(after, before)) == (3, 3, 3)
 
@@ -418,7 +422,7 @@ def test_a_reused_world_counts_and_budgets_each_run_from_its_start():
         for _ in range(earlier_screens):
             world.query_nearby(ids[0])
         before = _counts(world, ids)
-        colluding_trilateration(world, ids, vantages, VICTIM_ID, ColludingOptions(max_queries=40))
+        colluding_trilateration(_accounts(world, *ids), vantages, VICTIM_ID, None, ColludingOptions(max_queries=40))
         return tuple(a - b for a, b in zip(_counts(world, ids), before))
 
     assert colluding_counts(100, 0) == colluding_counts(0, 100) == colluding_counts(0, 0) == (7, 11)
@@ -427,10 +431,13 @@ def test_a_reused_world_counts_and_budgets_each_run_from_its_start():
 # -- colluding trilateration -----------------------------------------------------------
 
 
+_COLLUDERS = ("attacker", "colluder-a", "colluder-b")
+
+
 def _grindr_world(seed, n_background=50):
     world = _uniform_world(HIDDEN, seed, n_background, 1500.0)
     world.add_user("victim", LAB, False)
-    for uid in ("attacker", "colluder-a", "colluder-b"):
+    for uid in _COLLUDERS:
         world.add_user(uid, DEMACHIYANAGI_STATION, True)
     return world
 
@@ -438,7 +445,7 @@ def _grindr_world(seed, n_background=50):
 def test_colluding_locates_hidden_victim():
     world = _grindr_world(seed=5)
     opts = ColludingOptions()
-    report = colluding_trilateration(world, ("attacker", "colluder-a", "colluder-b"), SURVEY_TRIANGLE, "victim", opts)
+    report = colluding_trilateration(_accounts(world, *_COLLUDERS), SURVEY_TRIANGLE, "victim", None, opts)
     assert haversine_distance(report.estimate, LAB) <= 25.0
     assert world.profile_views["victim"] == 0
     assert report.region is not None and report.region.contains(LAB)
@@ -448,14 +455,14 @@ def test_colluding_locates_hidden_victim():
 def test_colluding_never_touches_the_victim_profile():
     world = _grindr_world(seed=6)
     opts = ColludingOptions()
-    colluding_trilateration(world, ("attacker", "colluder-a", "colluder-b"), SURVEY_TRIANGLE, "victim", opts)
+    colluding_trilateration(_accounts(world, *_COLLUDERS), SURVEY_TRIANGLE, "victim", None, opts)
     assert not +world.profile_views
 
 
 def test_colluding_accepted_steps_within_log2_budget():
     world = _grindr_world(seed=8)
     opts = ColludingOptions(epsilon=20.0)
-    report = colluding_trilateration(world, ("attacker", "colluder-a", "colluder-b"), SURVEY_TRIANGLE, "victim", opts)
+    report = colluding_trilateration(_accounts(world, *_COLLUDERS), SURVEY_TRIANGLE, "victim", None, opts)
     assert len(report.accepted_steps) == 3
     for accepted, s0 in zip(report.accepted_steps, report.initial_separations):
         budget = max(0, math.ceil(math.log2(max(s0, opts.epsilon) / opts.epsilon)))
@@ -466,7 +473,7 @@ def test_colluding_bisection_shrinks_separation_monotonically():
     # the recorded evidence trail per vantage narrows strictly down to epsilon
     world = _grindr_world(seed=9)
     opts = ColludingOptions()
-    report = colluding_trilateration(world, ("attacker", "colluder-a", "colluder-b"), SURVEY_TRIANGLE, "victim", opts)
+    report = colluding_trilateration(_accounts(world, *_COLLUDERS), SURVEY_TRIANGLE, "victim", None, opts)
     assert len(report.initial_separations) == 3
     for vantage in SURVEY_TRIANGLE:
         center = project(vantage, report.region.projection)
@@ -486,7 +493,7 @@ def test_colluding_is_deterministic():
         world = _grindr_world(seed=11)
         opts = ColludingOptions()
         ids = ("attacker", "colluder-a", "colluder-b")
-        r = colluding_trilateration(world, ids, SURVEY_TRIANGLE, "victim", opts)
+        r = colluding_trilateration(_accounts(world, *ids), SURVEY_TRIANGLE, "victim", None, opts)
         return (r.estimate, _counts(world, ids), r.region_area)
 
     assert run() == run()
@@ -498,7 +505,7 @@ def test_colluding_with_favorites_beats_dropping():
     for uid in ("attacker", "colluder-a", "colluder-b"):
         world.add_user(uid, DEMACHIYANAGI_STATION, True)
     opts = ColludingOptions(use_favorites=True)
-    report = colluding_trilateration(world, ("attacker", "colluder-a", "colluder-b"), SURVEY_TRIANGLE, "victim", opts)
+    report = colluding_trilateration(_accounts(world, *_COLLUDERS), SURVEY_TRIANGLE, "victim", HORNET_DEFAULT, opts)
     assert haversine_distance(report.estimate, LAB) <= 25.0
     assert world.profile_views["victim"] == 0
     assert "victim" in world.favorites["attacker"]
@@ -513,7 +520,7 @@ def test_colluding_without_favorites_starves_under_dropping():
             world.add_user(uid, DEMACHIYANAGI_STATION, True)
         opts = ColludingOptions(use_favorites=False)
         try:
-            colluding_trilateration(world, ("attacker", "colluder-a", "colluder-b"), SURVEY_TRIANGLE, "victim", opts)
+            colluding_trilateration(_accounts(world, *_COLLUDERS), SURVEY_TRIANGLE, "victim", HORNET_DEFAULT, opts)
         except (VictimNeverVisible, NonConvergence):
             failures += 1
     assert failures >= 9
@@ -523,7 +530,7 @@ def test_colluding_budget_exhaustion_raises_nonconvergence():
     world = _grindr_world(seed=13)
     opts = ColludingOptions(max_queries=4)
     with pytest.raises(NonConvergence):
-        colluding_trilateration(world, ("attacker", "colluder-a", "colluder-b"), SURVEY_TRIANGLE, "victim", opts)
+        colluding_trilateration(_accounts(world, *_COLLUDERS), SURVEY_TRIANGLE, "victim", None, opts)
 
 
 def _budgeted_colluding_run(name, **budget):
@@ -565,10 +572,41 @@ def test_a_query_budget_of_exactly_what_a_run_needs_lets_it_finish():
 
 def test_colluding_validates_arguments():
     world = _grindr_world(seed=14)
-    with pytest.raises(ValueError):
-        colluding_trilateration(world, ("attacker", "attacker", "colluder-b"), SURVEY_TRIANGLE, "victim")
-    with pytest.raises(ValueError):
-        colluding_trilateration(world, ("attacker", "colluder-a", "victim"), SURVEY_TRIANGLE, "victim")
+    for ids, message in [
+        (("attacker", "attacker", "colluder-b"), "need exactly 3 distinct attacker-controlled accounts"),
+        (("attacker", "colluder-a"), "need exactly 3 distinct attacker-controlled accounts"),
+        (("attacker", "colluder-a", "victim"), "victim cannot be one of the attacker accounts"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            colluding_trilateration(_accounts(world, *ids), SURVEY_TRIANGLE, "victim", None)
+    assert not +world.moves and not +world.queries
+
+
+@pytest.mark.parametrize(
+    "driver, raised, moves, queries",
+    [
+        # never on a screen: the budget runs out with the victim never seen
+        ("colluding", VictimNeverVisible, 1, 40),
+        # the victim is favorited only after its first public sighting, which
+        # never comes
+        ("colluding-favorites", NonConvergence, 1, 40),
+        ("passive", VictimNeverVisible, 3, 3),
+        # the first profile view names no user
+        ("trilateration", UnknownUser, 1, 0),
+    ],
+)
+def test_an_unknown_victim_id_is_found_out_only_by_acting(driver, raised, moves, queries):
+    # the attacker holds no registry to check the victim id against, so each
+    # driver runs until the service's answers end it
+    world = _grindr_world(seed=14)
+    if driver == "trilateration":
+        with pytest.raises(raised):
+            exact_trilateration_attack(_accounts(world, "attacker"), SURVEY_TRIANGLE, "nope")
+    else:
+        ids, run = _SOUND_DRIVERS[driver]
+        with pytest.raises(raised):
+            run(_accounts(world, *ids), SURVEY_TRIANGLE, "nope", None)
+    assert _counts(world, _COLLUDERS) == (queries, moves)
 
 
 @pytest.mark.parametrize(
@@ -594,7 +632,7 @@ def test_passive_survey_dense_background():
     world = _uniform_world(EXACT, 17, 200, 2000.0)
     world.add_user("victim", LAB, True)
     world.add_user("attacker", DEMACHIYANAGI_STATION, True)
-    report = passive_sandwich_survey(world, ("attacker",), SURVEY_TRIANGLE, "victim")
+    report = passive_sandwich_survey(_accounts(world, "attacker"), SURVEY_TRIANGLE, "victim", None)
     assert report.region.contains(LAB)
     disc_area = math.pi * 2000.0**2
     assert report.region_area < 0.05 * disc_area
@@ -607,7 +645,7 @@ def test_passive_survey_remote_victim():
     world.add_user("victim", LAB, True)
     world.add_user("attacker", cluster, True)
     vantages = (_offset(LAB, 650.0, 220.0), _offset(LAB, 750.0, 0.0), _offset(LAB, 650.0, -220.0))
-    report = passive_sandwich_survey(world, ("attacker",), vantages, "victim")
+    report = passive_sandwich_survey(_accounts(world, "attacker"), vantages, "victim", None)
     assert report.region.contains(LAB)
 
 
@@ -616,7 +654,7 @@ def test_passive_survey_with_no_flankers_raises_empty_region():
     world.add_user("victim", LAB, True)
     world.add_user("attacker", DEMACHIYANAGI_STATION, True)
     with pytest.raises(EmptyRegion):
-        passive_sandwich_survey(world, ("attacker",), SURVEY_TRIANGLE, "victim")
+        passive_sandwich_survey(_accounts(world, "attacker"), SURVEY_TRIANGLE, "victim", None)
 
 
 @pytest.mark.parametrize("cell_size", [0.0, -5.0, math.nan])
@@ -625,7 +663,7 @@ def test_passive_survey_checks_cell_size_before_moving(cell_size):
     world.add_user("victim", LAB, True)
     world.add_user("attacker", DEMACHIYANAGI_STATION, True)
     with pytest.raises(ValueError, match="cell_size must be finite and positive"):
-        passive_sandwich_survey(world, ("attacker",), SURVEY_TRIANGLE, "victim", cell_size)
+        passive_sandwich_survey(_accounts(world, "attacker"), SURVEY_TRIANGLE, "victim", None, cell_size)
     assert world.users["attacker"].location == DEMACHIYANAGI_STATION
     assert not +world.queries
 
@@ -637,7 +675,7 @@ def test_passive_survey_victim_never_visible():
     world.add_user("other", HEIAN_SHRINE, True)
     world.add_user("attacker", DEMACHIYANAGI_STATION, True)
     with pytest.raises(VictimNeverVisible):
-        passive_sandwich_survey(world, ("attacker",), SURVEY_TRIANGLE, "victim")
+        passive_sandwich_survey(_accounts(world, "attacker"), SURVEY_TRIANGLE, "victim", None)
 
 
 def test_default_vantage_points_scale_with_population():
@@ -653,31 +691,50 @@ def test_default_vantage_points_scale_with_population():
 
 
 def test_drivers_reach_the_world_only_through_the_session():
-    # outside _Session no code reads an attribute of a `world` name or touches
-    # `._world`, and a driver's only use of `world` is to open its _Session
+    # attack.py holds accounts, never the World: from lbs_sim it imports
+    # Account and response types only, it names no World, and it reads no
+    # registry, policy or account internals, so neither a driver nor _Session
+    # can see another user's location, the server's pattern or its counters
     tree = ast.parse(Path(attack.__file__).read_text())
-    opens_a_session = set()
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef) and node.name == "_Session":
-            continue
-        session_args = {
-            id(call.args[0])
-            for call in ast.walk(node)
-            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "_Session"
-        }
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Attribute):
-                assert sub.attr != "_world", f"line {sub.lineno} touches ._world"
-            if isinstance(sub, ast.Name) and sub.id == "world":
-                assert id(sub) in session_args, f"line {sub.lineno} uses world outside _Session(world, ...)"
-                opens_a_session.add(node.name)
-    assert opens_a_session == {"colluding_trilateration", "passive_sandwich_survey", "exact_trilateration_attack"}
-    # the session too never reads the service's counters: its budgets count
-    # what it did itself
+    imported = set()
     for sub in ast.walk(tree):
-        if isinstance(sub, ast.Attribute) and sub.attr in ("queries", "profile_views", "moves"):
+        if isinstance(sub, ast.Import):
+            assert not any("lbs_sim" in a.name for a in sub.names), f"line {sub.lineno} imports lbs_sim"
+        if isinstance(sub, ast.ImportFrom):
+            if sub.module == "lbs_sim":
+                imported |= {a.name for a in sub.names}
+            assert "lbs_sim" not in {a.name for a in sub.names}, f"line {sub.lineno} imports lbs_sim"
+    assert "Account" in imported and imported <= {"Account", "QueryResponse", "ScreenEntry"}
+    hidden = {"World", "users", "policy", "_world"}
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Name):
+            assert sub.id not in hidden, f"line {sub.lineno} names {sub.id}"
+        if isinstance(sub, ast.Attribute) and sub.attr in hidden:
+            # a screen's users column is public; the registry is not
             owner = ast.unparse(sub.value)
-            assert owner not in ("world", "self._world"), f"line {sub.lineno} reads {owner}.{sub.attr}"
+            assert (sub.attr, owner) == ("users", "resp"), f"line {sub.lineno} reads {owner}.{sub.attr}"
+        if isinstance(sub, ast.Constant):
+            assert sub.value not in hidden, f"line {sub.lineno} spells {sub.value!r}"
+        # and it makes no account of its own, such as one re-pointed at the victim
+        if isinstance(sub, ast.Call):
+            called = ast.unparse(sub.func).rsplit(".", 1)[-1]
+            assert called not in ("Account", "replace", "setattr", "__setattr__"), f"line {sub.lineno} calls {called}"
+    # the budgeted account calls are made inside _Session only, and every
+    # driver opens one: outside it, move, nearby and favorites are the
+    # session's own methods
+    session = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Session")
+    inside = {id(n) for n in ast.walk(session)}
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Attribute) and sub.attr in ("move", "nearby", "favorites") and id(sub) not in inside:
+            assert ast.unparse(sub.value) == "session", f"line {sub.lineno} calls {ast.unparse(sub)} outside _Session"
+    opens_a_session = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "_Session"
+    }
+    assert opens_a_session == {"colluding_trilateration", "passive_sandwich_survey", "exact_trilateration_attack"}
 
 
 def test_the_service_has_no_plane():
@@ -698,13 +755,13 @@ def test_the_service_has_no_plane():
         assert not names & plane, f"line {sub.lineno} names {sorted(names & plane)}"
 
 
-_COLLUDERS = ("attacker", "colluder-a", "colluder-b")
+# each takes the driver's own (accounts, vantages, victim_id, pattern)
 _SOUND_DRIVERS = {
-    "passive": (("attacker",), lambda w, ids, v: passive_sandwich_survey(w, ids, v, "victim")),
-    "colluding": (_COLLUDERS, lambda w, ids, v: colluding_trilateration(w, ids, v, "victim")),
+    "passive": (("attacker",), passive_sandwich_survey),
+    "colluding": (_COLLUDERS, colluding_trilateration),
     "colluding-favorites": (
         _COLLUDERS,
-        lambda w, ids, v: colluding_trilateration(w, ids, v, "victim", ColludingOptions(use_favorites=True)),
+        lambda *args: colluding_trilateration(*args, ColludingOptions(use_favorites=True)),
     ),
 }
 _OFFSETS = st.tuples(st.floats(-2500.0, 2500.0), st.floats(-2500.0, 2500.0))
@@ -739,7 +796,7 @@ def test_a_returned_region_contains_the_victim(mode, pattern, drop, victim, back
     for uid in ids:
         world.add_user(uid, points[0], True)
     try:
-        report = run(world, ids, points)
+        report = run(_accounts(world, *ids), points, "victim", world.policy.pattern)
     except EmptyRegion as exc:
         assert str(exc).startswith("no bounded constraint")
     except (VictimNeverVisible, NonConvergence):

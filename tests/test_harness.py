@@ -142,6 +142,8 @@ def _hornet_favorites_pattern(**fields):
         (lambda d: d["attack"].update(kind="trilateration", vantage_points=COLLINEAR_VANTAGES),
          "$.attack: anchor triangle area 0.0 m^2 too small"),
         (_polar_background, "$.background: generator background center latitude must be within +-85.0, got 89.99"),
+        (lambda d: d["background"].update(radius_m=200_000),
+         "$.background: generator background radius_m must be below 120000.0, got 200000"),
     ],
     ids=[
         "typo", "string-int", "bool-int", "no-victim", "bad-enum", "two-vantages", "stale-key", "user-shape",
@@ -150,7 +152,7 @@ def _hornet_favorites_pattern(**fields):
         "negative-max-moves", "zero-max-queries", "zero-locations", "negative-queries-per-location",
         "nan-radius", "users-and-generator", "huge-epsilon", "user-latitude", "duplicate-user-id",
         "attacker-id", "victim-id", "infer-without-pattern", "parent-name", "absolute-name", "nested-name",
-        "backslash-name", "collinear-trilateration-vantages", "polar-background",
+        "backslash-name", "collinear-trilateration-vantages", "polar-background", "huge-radius",
     ],
 )
 def test_scenario_loading_is_strict(edit, message):
@@ -189,8 +191,12 @@ def test_cli_bad_scenario_file_exits_1_naming_the_key(tmp_path, capsys):
         (lambda d: d.update(background={"users": [_bg_user("attacker")]}),
          "$.background: users[0]: id 'attacker' is reserved"),
         (_polar_background, "$.background: generator background center latitude must be within +-85.0"),
+        (lambda d: d["background"].update(radius_m=200_000), "$.background: generator background radius_m must be below"),
     ],
-    ids=["nan-epsilon", "negative-max-entries", "negative-max-moves", "huge-epsilon", "reserved-user-id", "polar-background"],
+    ids=[
+        "nan-epsilon", "negative-max-entries", "negative-max-moves", "huge-epsilon", "reserved-user-id",
+        "polar-background", "huge-radius",
+    ],
 )
 def test_cli_bad_number_in_scenario_file_exits_1(tmp_path, capsys, edit, message):
     path = tmp_path / "bad.json"
@@ -206,6 +212,15 @@ def test_a_generated_background_at_the_projection_limit_is_built():
     no more: one centred on the limit is built."""
     doc = _edited_dump(lambda d: d["background"].update(center={"lat": -85.0, "lon": 135.77}))
     scenario = from_json(Scenario, doc)
+    world, _, _ = build_world(scenario, 1)
+    assert sum(uid.startswith("bg-") for uid in world.users) == scenario.background.count
+
+
+def test_a_generated_background_inside_the_plane_window_is_built():
+    """The loader rejects a generated background whose radius_m reaches
+    UNPROJECT_WINDOW_M, past which unproject would refuse its users in
+    build_world, and no more: one just inside it is built."""
+    scenario = from_json(Scenario, _edited_dump(lambda d: d["background"].update(radius_m=119_999)))
     world, _, _ = build_world(scenario, 1)
     assert sum(uid.startswith("bg-") for uid in world.users) == scenario.background.count
 

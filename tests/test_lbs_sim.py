@@ -277,6 +277,61 @@ def test_queries_and_profile_views_are_counted_per_user():
     assert world.moves == {"n1": 1, "n2": 1}
 
 
+def test_an_account_acts_only_as_itself():
+    world = _small_world()
+    obs = world.account("obs")
+    # it names no other user to move or to locate, and cannot be re-pointed
+    assert sorted(n for n in dir(obs) if not n.startswith("_")) == [
+        "favorite", "favorites", "id", "location", "move", "nearby", "profile",
+    ]
+    with pytest.raises(AttributeError):
+        obs.id = "victim"
+    with pytest.raises(AttributeError):
+        obs.location = HEIAN_SHRINE
+    others = {uid: u.location for uid, u in world.users.items() if uid != "obs"}
+    assert obs.location == DEMACHIYANAGI_STATION
+    obs.move(HEIAN_SHRINE)
+    assert obs.location == world.users["obs"].location == HEIAN_SHRINE
+    assert {uid: u.location for uid, u in world.users.items() if uid != "obs"} == others
+    # another user's move leaves its location alone
+    world.move_user("n1", DEMACHIYANAGI_STATION)
+    assert obs.location == HEIAN_SHRINE
+    # it favorites as itself, and never itself
+    obs.favorite("victim")
+    with pytest.raises(SelfFavorite):
+        obs.favorite("obs")
+    assert world.favorites == {"obs": ["victim"]}
+    obs.nearby()
+    obs.favorites()
+    assert obs.profile("n2").user == "n2"
+    assert world.moves == {"obs": 1, "n1": 1}
+    assert world.queries == {"obs": 3} and world.profile_views == {"n2": 1}
+    # an unknown id opens no account and counts nothing
+    with pytest.raises(UnknownUser):
+        world.account("nope")
+    assert world.moves == {"obs": 1, "n1": 1} and world.queries == {"obs": 3}
+
+
+def test_an_account_call_is_one_world_call():
+    # the same calls through an account and on the world give the same
+    # screens, counts and streams
+    policy = DisclosurePolicy(PolicyMode.OBFUSCATED, pattern=HORNET_DEFAULT, drop_probability=0.4)
+    by_account, by_world = _small_world(policy, 5), _small_world(policy, 5)
+    obs = by_account.account("obs")
+    obs.favorite("victim")
+    by_world.add_favorite("obs", "victim")
+    for where in (HEIAN_SHRINE, SCIENCE_FRONTIER_LAB):
+        obs.move(where)
+        by_world.move_user("obs", where)
+        assert obs.nearby() == by_world.query_nearby("obs")
+        assert obs.favorites() == by_world.query_favorites("obs")
+        assert obs.profile("n1") == by_world.view_profile("obs", "n1")
+    for attr in ("moves", "queries", "profile_views", "favorites"):
+        assert getattr(by_account, attr) == getattr(by_world, attr)
+    assert by_account._drop_rng.getstate() == by_world._drop_rng.getstate()
+    assert by_account._obf_rng.getstate() == by_world._obf_rng.getstate()
+
+
 def _serialize_run(seed):
     policy = DisclosurePolicy(PolicyMode.OBFUSCATED, pattern=HORNET_DEFAULT, drop_probability=0.4)
     world = World(policy, seed)
