@@ -448,22 +448,15 @@ class World:
     def _inexact(self, d: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Which rows of ascending array distances d (of the users at cols)
         need their exact distance: those farther than _ARRAY_EXACT_FROM_M;
-        those within the slack of another row, unless the whole run of such
-        rows stands on one point with one array distance, where the exact
-        distances tie too and the stable sort keeps id order either way; and
         shown ones within the slack of floor_value, near_cutoff, mid_cutoff
         or a rounding midpoint, (m + 1/2) * mid_band in the mid band or
-        (m + 1/2) * far_unit in the far band."""
+        (m + 1/2) * far_unit in the far band; and every row of a run within
+        the slack of one another, unless the whole run stands on one point
+        with one array distance and none of it is recomputed for another
+        reason, where the exact distances tie too and the stable sort keeps
+        id order either way."""
         p, top = self.policy.pattern, d[-1] if d.size else 0.0
         s = _ARRAY_SLACK_M + _ARRAY_SLACK_REL * top
-        inexact = d > _ARRAY_EXACT_FROM_M
-        close = d[1:] - d[:-1] < s
-        if close.any():
-            lats, lons = self._lats[cols], self._lons[cols]
-            apart = close & ((lats[1:] != lats[:-1]) | (lons[1:] != lons[:-1]) | (d[1:] != d[:-1]))
-            if apart.any():
-                run = np.cumsum(np.concatenate(([False], ~close)))
-                inexact |= np.isin(run, run[1:][apart])
         # the bounds' slack intervals, merged where they overlap: a row lies
         # in one when an odd number of their ends lie below it
         ends: list[float] = []
@@ -478,7 +471,18 @@ class World:
         if top >= p.mid_cutoff:
             q = d / p.far_unit + 0.5
             edge |= (d >= p.mid_cutoff) & (np.abs(q - np.rint(q)) <= s / p.far_unit)
-        return inexact | (edge & self._shows[cols])
+        inexact = (d > _ARRAY_EXACT_FROM_M) | (edge & self._shows[cols])
+        close = d[1:] - d[:-1] < s
+        if close.any():
+            # a run with a recomputed row is recomputed whole: a row left with
+            # its array distance could sort on the wrong side of an exact one
+            lats, lons = self._lats[cols], self._lons[cols]
+            apart = close & ((lats[1:] != lats[:-1]) | (lons[1:] != lons[:-1]) | (d[1:] != d[:-1]))
+            apart |= close & (inexact[1:] | inexact[:-1])
+            if apart.any():
+                run = np.cumsum(np.concatenate(([False], ~close)))
+                inexact |= np.isin(run, run[1:][apart])
+        return inexact
 
     def _rank_and_render(self, obs: SimUser, subjects: list[SimUser], limit: int | None = None) -> QueryResponse:
         """Rank subjects, given in id order, by true distance; a screen of the first limit.
