@@ -476,14 +476,16 @@ def test_artifact_bytes_match_golden_digests(tmp_path):
     assert [name for name in sorted(expected) if actual[name] != expected[name]] == []
 
 
-# run_suite's bytes for grindr-hidden and hornet-favorites at 20 seeds with a
-# 30-row screen, the only pinned bytes of truncated screens (no preset
-# truncates its ~53-user screens). A 30-row screen changes no artifact byte of
-# these presets, so each .geojson must match the untruncated run's digest in
-# golden_digests.json. Their metrics.csv holds only these two presets, so its
-# sha256 is pinned here.
-TRUNCATED_PRESETS = ("grindr-hidden", "hornet-favorites")
-TRUNCATED_METRICS_DIGEST = "fd99e69a923eead795a6c369b264ad3efa4bd8d1a707820e3d3d9c7a797f75a3"
+# run_suite's bytes for grindr-hidden, hornet-favorites and hornet-no-favorites
+# at 20 seeds with a 30-row screen, the only pinned bytes of truncated screens
+# (no preset truncates its ~53-user screens). hornet-no-favorites ranks every
+# screen through the service, so its runs serve 800 truncated obfuscated
+# screens. A 30-row screen changes no artifact byte of these presets, so each
+# .geojson must match the untruncated run's digest in golden_digests.json.
+# Their metrics.csv holds only these three presets, so its sha256 is pinned
+# here.
+TRUNCATED_PRESETS = ("grindr-hidden", "hornet-favorites", "hornet-no-favorites")
+TRUNCATED_METRICS_DIGEST = "c2ad6054bb1edd8194186a76e03dce2580430daa62a881b22752b31a70949a76"
 
 
 def test_truncated_screen_artifact_bytes_match_pinned_digests(tmp_path):
