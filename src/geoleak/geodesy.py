@@ -107,22 +107,6 @@ def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
     return 2.0 * EARTH_RADIUS_M * math.atan2(math.sqrt(h), math.sqrt(1.0 - h))
 
 
-def haversine_distances(a: GeoPoint, lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
-    """haversine_distance from a to each point (lat[i], lon[i]), in one call.
-
-    The formula and the order of operations are haversine_distance's, on the
-    same floats. Only the last bits can differ, where numpy's sin, cos,
-    arctan2 and squaring differ from libm's sin, cos, atan2 and pow.
-    """
-    phi1 = math.radians(a.lat)
-    phi2 = np.radians(lat)
-    d_phi = np.radians(lat - a.lat)
-    d_lam = np.radians(lon - a.lon)
-    h = np.sin(d_phi / 2.0) ** 2 + math.cos(phi1) * np.cos(phi2) * np.sin(d_lam / 2.0) ** 2
-    h = np.minimum(h, 1.0)
-    return 2.0 * EARTH_RADIUS_M * np.arctan2(np.sqrt(h), np.sqrt(1.0 - h))
-
-
 def project(p: GeoPoint, proj: Projection) -> LocalPoint:
     """Map a geographic point onto the local tangent plane.
 

@@ -16,12 +16,14 @@ random() calls would give. Only a world that truncates loads numpy.random.
 
 Every distance a screen sorts or shows is haversine_distance's, or lies on
 the same side of every tie and every bound of the obfuscation pattern as
-haversine_distance's. A screen that can truncate under an OBFUSCATED policy
-ranks its users by haversine_distances, numpy's mirror of haversine_distance,
-whose last bits may differ; haversine_distance recomputes each row within
-_ARRAY_SLACK_M + _ARRAY_SLACK_REL * d of another row at another point or
-with another array distance, of a band edge or of a rounding midpoint, and
-each row farther than _ARRAY_EXACT_FROM_M. Every other screen sorts and shows haversine_distance.
+haversine_distance's. A screen that can truncate groups the kept users by
+their squared chords from the observer (_candidates); under an OBFUSCATED
+policy it also ranks them by the distances those chords give (_chord_m),
+and haversine_distance recomputes each row within _ARRAY_SLACK_M +
+_ARRAY_SLACK_REL * d of a band edge or of a rounding midpoint, the whole run
+of rows within that of one another unless it stands on one point with one
+chord distance, and each row farther than _ARRAY_EXACT_FROM_M. Every other
+screen sorts and shows haversine_distance.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geodesy import EARTH_RADIUS_M, GeoPoint, haversine_distance, haversine_distances
+from .geodesy import EARTH_RADIUS_M, GeoPoint, haversine_distance
 from .obfuscation import ObfuscationPattern, obfuscate_distances
 
 
@@ -52,24 +54,26 @@ from .obfuscation import ObfuscationPattern, obfuscate_distances
 # the gap keeps the split exact.
 _APPROX_SLACK_M = 10.0
 
-# How close to a tie or to a bound a truncated obfuscated screen's array
-# distance (haversine_distances) must lie before haversine_distance is asked
-# for the exact one: _ARRAY_SLACK_M + _ARRAY_SLACK_REL * d for distances up
-# to d. haversine_distances takes haversine_distance's operations on the same
-# floats, and only its sin, cos, arctan2 and squaring may differ from libm's,
-# each by a few ulps (u = 2**-53, relative) whatever SIMD numpy dispatches.
-# Every term of h is a non-negative product of those, so h differs by at most
-# ~40u relative. While h <= 1/2, up to a quarter circumference (10,007 km),
-# sqrt(h) and sqrt(1 - h) differ by ~20u relative each and the arctangent by
-# ~50u in all: 5.6e-15 of the distance. The slack lies ~10^5 times above
-# that; the measured gap is 4.1e-16 relative (400k pairs, x86-64 with numpy
-# 2.4). The absolute term covers h below float's normal range (distances
-# under 2e-147 m), where relative bounds fail, and is wide enough for a test
-# to place a user inside it. Past a quarter circumference 1 - h loses its
-# digits towards the antipode (gaps up to 0.06 m measured), so every row
-# farther than _ARRAY_EXACT_FROM_M, 7.5 km short of it, is recomputed.
+# How close to a tie or to a bound a truncated obfuscated screen's distance,
+# as read from its squared chord (_chord_m), must lie before
+# haversine_distance is asked for the exact one: _ARRAY_SLACK_M +
+# _ARRAY_SLACK_REL * d for distances up to d. Each unit-vector component is
+# off by a few ulps (u = 2**-53): np.radians rounds the angle, by up to
+# ~2u * pi radians, and cos, sin and their product add a few ulps each,
+# whatever SIMD numpy dispatches, so each component lies within ~25u of the
+# true one, and the chord within 2 sqrt(3) * 25u. The differences of nearby
+# components are exact, and squaring, summing, sqrt and arcsin round by a few
+# ulps relative. Up to a quarter circumference (10,007 km) the distance moves
+# by at most sqrt(2) R per unit of chord, so |_chord_m - haversine_distance|
+# <= 9e-8 m + ~1e-15 * d < 1e-7 m + 1e-14 * d, a hundredth of the slack.
+# Measured over ~310k pairs (points co-located, 1e-12 to 0.05 degrees apart
+# or anywhere, at the poles and at +-180 degrees; x86-64 with numpy 2.4), the
+# worst gap was 3.2e-9 m within 10 km and 5.6e-9 m up to 10,000 km. Past a
+# quarter circumference arcsin steepens towards the antipode (gaps up to
+# 0.27 m, see _APPROX_SLACK_M), so every row farther than
+# _ARRAY_EXACT_FROM_M, 7.5 km short of it, is recomputed.
 _ARRAY_SLACK_REL = 1e-9
-_ARRAY_SLACK_M = 1e-6
+_ARRAY_SLACK_M = 1e-5
 _ARRAY_EXACT_FROM_M = 10_000_000.0
 
 
@@ -81,9 +85,10 @@ def _unit_vectors(lat: Sequence[float], lon: Sequence[float]) -> np.ndarray:
     return np.array((cos[0] * cos[1], cos[0] * sin[1], sin[0]))
 
 
-def _chord_m(chord2: float) -> float:
-    """The great-circle distance, in metres, between unit vectors chord2 = |u - v|^2 apart."""
-    return 2.0 * EARTH_RADIUS_M * math.asin(min(math.sqrt(chord2) / 2.0, 1.0))
+def _chord_m(chord2: float | np.ndarray) -> float | np.ndarray:
+    """The great-circle distance, in metres, between unit vectors chord2 =
+    |u - v|^2 apart, for one squared chord or an array of them."""
+    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(np.sqrt(chord2) / 2.0, 1.0))
 
 
 def _chord2(d: float) -> float:
@@ -185,8 +190,8 @@ class World:
     A user's location changes only through move_user, which keeps the
     read-side caches current: it drops the mover from the row of distances
     from the last ranked observer's location (_dists) and marks the mover's
-    column of the position arrays (_lats, _lons, _coords) stale, for the
-    next screen that can truncate to refresh.
+    column of the unit vectors (_coords) stale, for the next screen that can
+    truncate to refresh.
 
     It counts what it served: moves and queries of any kind per account
     (moves, queries), and views per profile (profile_views).
@@ -210,15 +215,12 @@ class World:
         self._obf_rng = random.Random(master.getrandbits(64))
         # read-side caches, dropped by add_user: the users sorted by id, their
         # ids in that order and each id's position (column) in it; and for
-        # screens that can truncate, per column, the users' latitudes,
-        # longitudes, unit vectors (a 3 x users array of _unit_vectors) and
-        # show flags. _stale holds the users moved since these were last
-        # brought up to date (_positions).
+        # screens that can truncate, per column, the users' unit vectors (a
+        # 3 x users array of _unit_vectors) and show flags. _stale holds the
+        # users moved since these were last brought up to date (_positions).
         self._order: list[SimUser] | None = None
         self._ids: list[str] | None = None
         self._column: dict[str, int] | None = None
-        self._lats: np.ndarray | None = None
-        self._lons: np.ndarray | None = None
         self._coords: np.ndarray | None = None
         self._shows: np.ndarray | None = None
         self._stale: set[str] = set()
@@ -272,23 +274,19 @@ class World:
         return self._order
 
     def _positions(self) -> None:
-        """Bring the position arrays up to date: build them after add_user,
-        else refresh the columns of the users moved since, in one pass.
-
-        The unit vectors only sort users into groups with _APPROX_SLACK_M to
-        spare (_candidates), so their last bits do not matter."""
+        """Bring the unit vectors and show flags up to date: build them after
+        add_user, else refresh the columns of the users moved since, in one
+        pass. A refreshed column and the build go through different numpy
+        calls, so one point may get unit vectors that differ in the last
+        bits (see _inexact)."""
         if self._coords is None:
             order = self._id_order()
-            self._lats = np.array([u.location.lat for u in order], dtype=float)
-            self._lons = np.array([u.location.lon for u in order], dtype=float)
-            self._coords = _unit_vectors(self._lats, self._lons)
+            self._coords = _unit_vectors([u.location.lat for u in order], [u.location.lon for u in order])
             self._shows = np.array([u.show_distance for u in order])
         elif self._stale:
             cols = np.array([self._column[uid] for uid in self._stale])
             points = [self.users[uid].location for uid in self._stale]
-            lats = self._lats[cols] = [q.lat for q in points]
-            lons = self._lons[cols] = [q.lon for q in points]
-            self._coords[:, cols] = _unit_vectors(lats, lons)
+            self._coords[:, cols] = _unit_vectors([q.lat for q in points], [q.lon for q in points])
         self._stale.clear()
 
     # -- queries ---------------------------------------------------------
@@ -311,13 +309,13 @@ class World:
         max_entries are kept, else only those that may be shown or draw
         outside the mid band. The users past the cut that provably draw in
         the mid band are counted, and take their draws by count. Under an
-        OBFUSCATED policy such a screen is ranked from array distances
-        (_obfuscated_screen): each one it sorts or shows is either
-        haversine_distance's or lies on the same side of every tie and every
-        bound of the pattern, having been recomputed wherever it came within
-        _ARRAY_SLACK_M + _ARRAY_SLACK_REL * d of one. Under the other
-        policies, whose shown value is the distance itself, every ranked
-        distance is a haversine_distance.
+        OBFUSCATED policy such a screen is ranked from the distances of the
+        squared chords _candidates computed (_obfuscated_screen): each one it
+        sorts or shows is either haversine_distance's or lies on the same
+        side of every tie and every bound of the pattern, having been
+        recomputed wherever it came within _ARRAY_SLACK_M + _ARRAY_SLACK_REL
+        * d of one. Under the other policies, whose shown value is the
+        distance itself, every ranked distance is a haversine_distance.
         A screen that cannot truncate draws its coins one random() call at a
         time and ranks by haversine_distance, so a world that never
         truncates, such as a ~50-user preset world, never loads numpy.random.
@@ -334,9 +332,9 @@ class World:
         rows = np.flatnonzero(self._drop_bits.random(len(order) - 1) >= p)
         # the coins skip the observer: shift the rows past its column
         rows += rows >= self._column[observer]
-        cols, counted = self._candidates(obs, rows)
+        cols, chord2, counted = self._candidates(obs, rows)
         if self.policy.mode is PolicyMode.OBFUSCATED:
-            return self._obfuscated_screen(obs, cols, counted)
+            return self._obfuscated_screen(obs, cols, chord2, counted)
         return self._rank_and_render(obs, [order[c] for c in cols.tolist()], k)
 
     def query_favorites(self, observer: str) -> QueryResponse:
@@ -368,10 +366,11 @@ class World:
         """The registered user's handle on the service; counts nothing."""
         return Account(self._require(user_id).id, self)
 
-    def _candidates(self, obs: SimUser, rows: np.ndarray) -> tuple[np.ndarray, int]:
+    def _candidates(self, obs: SimUser, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         """The columns of the kept users of a screen that can truncate (rows:
-        their ascending columns) to rank, in id order, and how many more take
-        one mid-band draw past the cut; the rest are ruled out.
+        their ascending columns) to rank, in id order, their squared chords
+        from the observer, and how many more users take one mid-band draw
+        past the cut; the rest are ruled out.
 
         If no more than max_entries users are kept, the cut is infinite:
         every one is ranked and none is counted. Otherwise a user is ranked
@@ -387,11 +386,11 @@ class World:
         draw. Every other user is ruled out: it ranks past the cut and draws
         nothing, being hidden, under a policy that is not OBFUSCATED, or at
         least mid_cutoff away. Each bound is compared as a squared chord
-        (_chord2), so no user's distance is computed here; the squared chords
-        only sort users into these groups. The caller ranks the users picked
-        here by haversine_distance, or, under an OBFUSCATED policy, by
-        haversine_distances with haversine_distance recomputing each row
-        within _ARRAY_SLACK_M + _ARRAY_SLACK_REL * d of a tie or a bound.
+        (_chord2), so no user's distance is computed here. The caller ranks
+        the users picked here by haversine_distance, or, under an OBFUSCATED
+        policy, by the distances of their squared chords, with
+        haversine_distance recomputing each row within _ARRAY_SLACK_M +
+        _ARRAY_SLACK_REL * d of a tie or a bound.
         """
         k = self.max_entries
         self._positions()
@@ -409,20 +408,22 @@ class World:
             mid_band = (chord2 >= _chord2(near + _APPROX_SLACK_M)) & (chord2 < _chord2(mid - _APPROX_SLACK_M))
             counted = int(np.count_nonzero(drawing & mid_band))
             ranked |= drawing & ~mid_band
-        return rows[ranked], counted
+        return rows[ranked], chord2[ranked], counted
 
-    def _obfuscated_screen(self, obs: SimUser, cols: np.ndarray, counted: int) -> QueryResponse:
+    def _obfuscated_screen(self, obs: SimUser, cols: np.ndarray, chord2: np.ndarray, counted: int) -> QueryResponse:
         """The screen of a truncating OBFUSCATED query: the users at cols
-        (ascending columns, from _candidates) ranked by true distance and
-        their shown distances drawn, then counted more mid-band draws.
+        (ascending columns, from _candidates, with their squared chords from
+        the observer) ranked by true distance and their shown distances
+        drawn, then counted more mid-band draws.
 
-        The users are sorted by haversine_distances with a stable sort, so
-        ties stay in id order. The array distances differ from
-        haversine_distance by far less than _ARRAY_SLACK_M + _ARRAY_SLACK_REL
-        * d, so haversine_distance is asked only for the rows whose last bits
-        could change the screen (_inexact); the rows are then sorted again.
-        Every other row is on the same side of each tie and each bound as its
-        exact distance, so it ranks and shows the same.
+        The users are sorted by the distances of their squared chords
+        (_chord_m) with a stable sort, so ties stay in id order. Up to
+        _ARRAY_EXACT_FROM_M those distances differ from haversine_distance by
+        a hundredth of _ARRAY_SLACK_M + _ARRAY_SLACK_REL * d at most, so
+        haversine_distance is asked only for the rows whose last bits could
+        change the screen (_inexact); the rows are then sorted again. Every other row is on the
+        same side of each tie and each bound as its exact distance, so it
+        ranks and shows the same.
 
         counted, from _candidates, is the number of other users that rank
         past the ranked ones and lie in [near_cutoff, mid_cutoff). Each takes
@@ -432,7 +433,7 @@ class World:
         ranked users' ones, by count, in the same obfuscate_distances call.
         """
         here, k = obs.location, self.max_entries
-        d = haversine_distances(here, self._lats[cols], self._lons[cols])
+        d = _chord_m(chord2)
         by = np.argsort(d, kind="stable")
         redo = by[self._inexact(d[by], cols[by])]
         if redo.size:
@@ -446,13 +447,13 @@ class World:
         return QueryResponse(tuple([self._ids[c] for c in cols[:k].tolist()]), tuple(shown))
 
     def _inexact(self, d: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Which rows of ascending array distances d (of the users at cols)
+        """Which rows of ascending chord distances d (of the users at cols)
         need their exact distance: those farther than _ARRAY_EXACT_FROM_M;
         shown ones within the slack of floor_value, near_cutoff, mid_cutoff
         or a rounding midpoint, (m + 1/2) * mid_band in the mid band or
         (m + 1/2) * far_unit in the far band; and every row of a run within
         the slack of one another, unless the whole run stands on one point
-        with one array distance and none of it is recomputed for another
+        with one chord distance and none of it is recomputed for another
         reason, where the exact distances tie too and the stable sort keeps
         id order either way."""
         p, top = self.policy.pattern, d[-1] if d.size else 0.0
@@ -475,10 +476,11 @@ class World:
         close = d[1:] - d[:-1] < s
         if close.any():
             # a run with a recomputed row is recomputed whole: a row left with
-            # its array distance could sort on the wrong side of an exact one
-            lats, lons = self._lats[cols], self._lons[cols]
-            apart = close & ((lats[1:] != lats[:-1]) | (lons[1:] != lons[:-1]) | (d[1:] != d[:-1]))
-            apart |= close & (inexact[1:] | inexact[:-1])
+            # its chord distance could sort on the wrong side of an exact one
+            apart = close & ((d[1:] != d[:-1]) | inexact[1:] | inexact[:-1])
+            order = self._order
+            for i in np.flatnonzero(close & ~apart).tolist():
+                apart[i] = order[cols[i]].location != order[cols[i + 1]].location
             if apart.any():
                 run = np.cumsum(np.concatenate(([False], ~close)))
                 inexact |= np.isin(run, run[1:][apart])

@@ -17,7 +17,6 @@ from geoleak.geodesy import (
     LocalPoint,
     Projection,
     haversine_distance,
-    haversine_distances,
     unproject,
 )
 from geoleak.lbs_sim import (
@@ -539,27 +538,39 @@ def _place(rng: random.Random, spots: list[GeoPoint]) -> GeoPoint:
     return _near(rng, spots)
 
 
-def _jittered_distances(a, lat, lon):
-    """haversine_distances as another host's numpy may give them: off by up
-    to a hundredth of the slack, or by up to 0.1 m past _ARRAY_EXACT_FROM_M
-    (towards the antipode), by a different amount in each row, users on one
-    point included, and never below 0."""
-    d = haversine_distances(a, lat, lon)
-    off = np.where(d > lbs_sim._ARRAY_EXACT_FROM_M, 0.1, (lbs_sim._ARRAY_SLACK_M + lbs_sim._ARRAY_SLACK_REL * d) / 100.0)
-    return np.maximum(d + np.sin(1e5 * (lat + 3.0 * lon) + np.arange(lat.size)) * off, 0.0)
+# the distances of squared chords, as this host's numpy gives them; the
+# functions below stand in for lbs_sim._chord_m, which reads a truncated
+# screen's cut and, under an OBFUSCATED policy, the distances it ranks by
+_chord_m = lbs_sim._chord_m
+
+
+def _off(d):
+    """How far another host's numpy may put chord distances d: a hundredth
+    of the slack, or 0.1 m past _ARRAY_EXACT_FROM_M (towards the antipode)."""
+    return np.where(d > lbs_sim._ARRAY_EXACT_FROM_M, 0.1, (lbs_sim._ARRAY_SLACK_M + lbs_sim._ARRAY_SLACK_REL * d) / 100.0)
+
+
+def _rows(d):
+    """0, 1, 2, ... in the shape of d: each row's position in its array."""
+    return np.arange(np.size(d)).reshape(np.shape(d))
+
+
+def _jittered_distances(chord2):
+    """Chord distances as another host's numpy may give them: off by up to
+    _off, by a different amount in each row, users on one point included,
+    and never below 0."""
+    d = _chord_m(chord2)
+    return np.maximum(d + np.sin(1e9 * chord2 + _rows(d)) * _off(d), 0.0)
 
 
 def _shifted_distances(sign):
-    """haversine_distances as another host's numpy may give them: off by a
-    hundredth of the slack in the direction of sign, or by 0.1 m past
-    _ARRAY_EXACT_FROM_M, so that the offset is a function of the distance
-    alone and every row at one point keeps one array distance; never below
-    0."""
+    """Chord distances as another host's numpy may give them: off by _off in
+    the direction of sign, so that the offset is a function of the distance
+    alone and every row at one point keeps one distance; never below 0."""
 
-    def shifted(a, lat, lon):
-        d = haversine_distances(a, lat, lon)
-        off = np.where(d > lbs_sim._ARRAY_EXACT_FROM_M, 0.1, (lbs_sim._ARRAY_SLACK_M + lbs_sim._ARRAY_SLACK_REL * d) / 100.0)
-        return np.maximum(d + sign * off, 0.0)
+    def shifted(chord2):
+        d = _chord_m(chord2)
+        return np.maximum(d + sign * _off(d), 0.0)
 
     return shifted
 
@@ -567,11 +578,20 @@ def _shifted_distances(sign):
 _JITTERS = {"rows": _jittered_distances, "+": _shifted_distances(1.0), "-": _shifted_distances(-1.0)}
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
+@settings(derandomize=True, deadline=None, max_examples=200)
 @given(
     users=st.integers(2, 300),
     mode=st.sampled_from(PolicyMode),
-    pattern=st.sampled_from([HORNET_DEFAULT, _SMALL_PATTERN]),
+    # the last two put two bounds' slack intervals over one another:
+    # near_cutoff on mid_cutoff, and floor_value 1e-7 m below near_cutoff
+    pattern=st.sampled_from(
+        [
+            HORNET_DEFAULT,
+            _SMALL_PATTERN,
+            ObfuscationPattern(20.0, 60.0, 60.0, 50.0, 10.0, 100.0),
+            ObfuscationPattern(60.0, 60.0000001, 400.0, 50.0, 10.0, 100.0),
+        ]
+    ),
     drop=st.sampled_from([0.0, 0.3, 0.9, 1.0]),
     max_entries=st.none() | st.integers(1, 50),
     seed=st.integers(0, 2**32 - 1),
@@ -602,7 +622,7 @@ def test_screens_and_rng_streams_match_the_reference(users, mode, pattern, drop,
     """Every call gives what the reference gives, on the same streams; with
     a jitter, truncated obfuscated screens rank from _JITTERS[jitter]."""
     if jitter:
-        with mock.patch.object(lbs_sim, "haversine_distances", _JITTERS[jitter]):
+        with mock.patch.object(lbs_sim, "_chord_m", _JITTERS[jitter]):
             _match_the_reference(users, mode, pattern, drop, max_entries, seed, ops)
     else:
         _match_the_reference(users, mode, pattern, drop, max_entries, seed, ops)
@@ -652,16 +672,39 @@ def _match_the_reference(users, mode, pattern, drop, max_entries, seed, ops):
         assert world.queries == ref.queries and world.profile_views == ref.profile_views
 
 
-def _watch_screens(monkeypatch):
-    """What truncated obfuscated screens compute, as three lists that fill as
-    they run: the locations lbs_sim asks haversine_distance for, the (lat,
-    lon) points it ranks by haversine_distances, and the counts of mid-band
-    draws past the cut it takes by count, one per screen."""
-    calls, ranked, counted = _count_haversine(monkeypatch), [], []
+def _read_with(monkeypatch, chord_m):
+    """Truncated screens read their distances from squared chords with
+    chord_m in place of _chord_m. Returns a list that fills with the number
+    of rows of each array of squared chords they ask it for."""
+    asked = []
 
-    def ranking(a, lat, lon):
-        ranked.extend(zip(lat.tolist(), lon.tolist()))
-        return haversine_distances(a, lat, lon)
+    def reading(chord2):
+        if np.ndim(chord2):  # not the cut
+            asked.append(np.size(chord2))
+        return chord_m(chord2)
+
+    monkeypatch.setattr(lbs_sim, "_chord_m", reading)
+    return asked
+
+
+def _watch_screens(monkeypatch):
+    """What truncated obfuscated screens compute, as four lists that fill as
+    they run: the locations lbs_sim asks haversine_distance for, the (lat,
+    lon) points it ranks, the counts of mid-band draws past the cut it takes
+    by count, one per screen, and the distances _chord_m reads from the
+    ranked rows' squared chords."""
+    calls, ranked, counted, read = _count_haversine(monkeypatch), [], [], []
+    screen = World._obfuscated_screen
+
+    def ranking(world, obs, cols, *rest):
+        ranked.extend((world._order[c].location.lat, world._order[c].location.lon) for c in cols.tolist())
+        return screen(world, obs, cols, *rest)
+
+    def reading(chord2):
+        d = _chord_m(chord2)
+        if np.ndim(d):  # not the cut
+            read.extend(d.tolist())
+        return d
 
     def drawing(ds, pattern, rng, *count):
         # only a truncated screen passes a count; the other screens and
@@ -669,9 +712,10 @@ def _watch_screens(monkeypatch):
         counted.extend(count)
         return obfuscate_distances(ds, pattern, rng, *count)
 
-    monkeypatch.setattr(lbs_sim, "haversine_distances", ranking)
+    monkeypatch.setattr(World, "_obfuscated_screen", ranking)
+    monkeypatch.setattr(lbs_sim, "_chord_m", reading)
     monkeypatch.setattr(lbs_sim, "obfuscate_distances", drawing)
-    return calls, ranked, counted
+    return calls, ranked, counted, read
 
 
 def _drawing(world, observer, drop_state):
@@ -692,7 +736,8 @@ def _drawing(world, observer, drop_state):
 
 def _matched_screen(world, ref, observer, watched):
     """A screen of observer in world and ref, which must match, with both
-    streams; the lists of watched (_watch_screens) are emptied first. Returns
+    streams; the lists of watched (_watch_screens) are emptied first, and
+    every row the screen ranks has its distance read from its chord. Returns
     the screen and the users whose draws it took."""
     drop_state = _drop_state(world)
     for seen in watched:
@@ -701,6 +746,8 @@ def _matched_screen(world, ref, observer, watched):
     assert got == ref.query_nearby(observer)
     assert _drop_state(world) == ref._drop_rng.getstate()
     assert world._obf_rng.getstate() == ref._obf_rng.getstate()
+    _, ranked, _, read = watched
+    assert len(read) == len(ranked)
     return got, _drawing(world, observer, drop_state) if world.policy.pattern else []
 
 
@@ -840,7 +887,7 @@ def test_users_past_the_cut_in_the_mid_band_are_counted_not_ranked(monkeypatch):
     edge = [mid + side * slack + e for side in (-1, 0, 1) for e in (-0.5, -0.01, 0.0, 0.01, 0.5) for _ in range(3)]
     users = [(f"u{i:03d}", _ring(rng, d), rng.random() < 0.8) for i, d in enumerate(crowd + tail + edge)]
     world, ref = _pair_of_worlds(5, 10, users)
-    watched = calls, ranked, counted = _watch_screens(monkeypatch)
+    watched = calls, ranked, counted, _ = _watch_screens(monkeypatch)
     for _ in range(10):
         _, drawing = _matched_screen(world, ref, "obs", watched)
         assert counted[0] and len(ranked) < len(drawing)
@@ -864,7 +911,7 @@ def test_a_crowd_inside_near_cutoff_is_ranked_and_its_mid_band_tail_counted(monk
     far = [rng.uniform(1000.0, 3000.0) for _ in range(20)]
     users = [(f"u{i:03d}", _ring(rng, d), rng.random() < 0.8) for i, d in enumerate(crowd + edge + tail + far)]
     world, ref = _pair_of_worlds(8, 20, users)
-    watched = calls, ranked, counted = _watch_screens(monkeypatch)
+    watched = calls, ranked, counted, _ = _watch_screens(monkeypatch)
     for _ in range(10):
         _, drawing = _matched_screen(world, ref, "obs", watched)
         assert counted[0] and len(ranked) < len(drawing)
@@ -877,14 +924,14 @@ def test_a_crowd_inside_near_cutoff_is_ranked_and_its_mid_band_tail_counted(monk
 
 def test_a_screen_with_no_row_near_a_tie_or_an_edge_computes_no_haversine_distance(monkeypatch):
     """Users at distinct distances, a few sharing one point each: a truncated
-    obfuscated screen ranks them all from array distances and asks
+    obfuscated screen ranks them all from chord distances and asks
     haversine_distance for none, and matches the reference."""
     rng = random.Random(21)
     spots = [_ring(rng, rng.uniform(120.0, 900.0)) for _ in range(4)]
     users = [(f"u{i:03d}", _ring(rng, rng.uniform(0.0, 2500.0)), rng.random() < 0.8) for i in range(80)]
     users += [(f"s{i:03d}", spots[i % 4], True) for i in range(12)]
     world, ref = _pair_of_worlds(21, 30, users)
-    watched = calls, ranked, _ = _watch_screens(monkeypatch)
+    watched = calls, ranked, _, _ = _watch_screens(monkeypatch)
     for _ in range(10):
         got, _ = _matched_screen(world, ref, "obs", watched)
         assert len(got.users) == 30 and len(ranked) >= 30 and calls == []
@@ -895,7 +942,7 @@ def test_rows_near_a_rounding_midpoint_a_band_edge_or_a_tie_are_recomputed(monke
     """Shown users within 1e-9 m of each rounding midpoint (mid band and far
     band) and each band edge, one per mark so that no two tie, and near-ties
     at distinct points, are the rows haversine_distance is asked for, and the
-    screen matches the reference; array distances come from
+    screen matches the reference; chord distances come from
     _jittered_distances, so a row left inexact could round, band or rank
     wrongly."""
     rng = random.Random(22)
@@ -916,19 +963,21 @@ def test_rows_near_a_rounding_midpoint_a_band_edge_or_a_tie_are_recomputed(monke
         w.add_user("obs", SCIENCE_FRONTIER_LAB, True)
         for uid, point, show in users:
             w.add_user(uid, point, show)
-    monkeypatch.setattr(lbs_sim, "haversine_distances", _jittered_distances)
+    asked = _read_with(monkeypatch, _jittered_distances)
     calls = _count_haversine(monkeypatch)
     for _ in range(5):
         calls.clear()
+        asked.clear()
         assert world.query_nearby("obs") == ref.query_nearby("obs")
         assert world._obf_rng.getstate() == ref._obf_rng.getstate()
         assert sorted(map(id, calls)) == sorted(id(point) for _, point, _ in special)
+        assert asked == [len(users) - 1]
         _step_in_place(world, ref)
 
 
 def test_rows_near_the_antipode_are_recomputed(monkeypatch):
-    """Users within a metre of the observer's antipode, where array distances
-    may be off by centimetres: every ranked row is recomputed, and the screen
+    """Users within a metre of the observer's antipode, where chord distances
+    may be off by decimetres: every ranked row is recomputed, and the screen
     matches the reference under _jittered_distances."""
     rng = random.Random(24)
     users = [
@@ -936,19 +985,21 @@ def test_rows_near_the_antipode_are_recomputed(monkeypatch):
         for i in range(30)
     ]
     world, ref = _pair_of_worlds(24, 10, users)
-    monkeypatch.setattr(lbs_sim, "haversine_distances", _jittered_distances)
+    asked = _read_with(monkeypatch, _jittered_distances)
     calls = _count_haversine(monkeypatch)
     for _ in range(5):
         calls.clear()
+        asked.clear()
         assert world.query_nearby("obs") == ref.query_nearby("obs")
         assert world._obf_rng.getstate() == ref._obf_rng.getstate()
         assert len(calls) >= 10
+        assert len(asked) == 1 and asked[0] == len(calls)
         _step_in_place(world, ref)
 
 
 def test_a_tie_at_one_point_beside_a_user_at_another_is_recomputed_whole(monkeypatch):
     """b and c stand on one point, and a on its mirror image across the
-    observer's meridian, at exactly the same distance. The array distances
+    observer's meridian, at exactly the same distance. The chord distances
     put b and c a hundredth of the slack below it and a as far above, so b,
     c, a run in that order with gaps under the slack. All three are
     recomputed and the screen shows a, b, c, as the reference does; were
@@ -966,23 +1017,25 @@ def test_a_tie_at_one_point_beside_a_user_at_another_is_recomputed_whole(monkeyp
         for uid, point, show in users:
             w.add_user(uid, point, show)
 
-    def split(a, lat, lon):
-        d = haversine_distances(a, lat, lon)
-        return d + np.where(lon > a.lon, -1.0, 1.0) * (lbs_sim._ARRAY_SLACK_M + lbs_sim._ARRAY_SLACK_REL * d) / 100.0
+    def split(chord2):
+        # the ranked rows are in id order, so a, b and c are the first three
+        d = _chord_m(chord2)
+        return d + np.where(_rows(d) == 0, 1.0, -1.0) * _off(d)
 
-    monkeypatch.setattr(lbs_sim, "haversine_distances", split)
+    asked = _read_with(monkeypatch, split)
     calls = _count_haversine(monkeypatch)
     got = world.query_nearby("obs")
     assert got == ref.query_nearby("obs") and got.users[:3] == ("a", "b", "c")
     assert sorted(map(id, calls)) == sorted(map(id, (there, here, here)))
+    assert len(asked) == 1 and asked[0] >= 5
 
 
 def test_a_tie_at_one_point_with_unequal_array_distances_is_recomputed_whole(monkeypatch):
-    """b, c and d stand on one point, and the array distances put them a
+    """b, c and d stand on one point, and the chord distances put them a
     hundredth of the slack apart in reverse id order, as a numpy that rounds
     one point's distance differently by where it falls in the array might.
     All three are recomputed, and the screen shows them in id order, as the
-    reference does; trusting the array order would show d, c, b."""
+    reference does; trusting the chord order would show d, c, b."""
     here = _ring(random.Random(25), 400.0)
     rng = random.Random(25)
     users = [(uid, here, True) for uid in "bcd"]
@@ -994,15 +1047,50 @@ def test_a_tie_at_one_point_with_unequal_array_distances_is_recomputed_whole(mon
         for uid, point, show in users:
             w.add_user(uid, point, show)
 
-    def apart(a, lat, lon):
-        d = haversine_distances(a, lat, lon)
-        return d - np.arange(lat.size) * (lbs_sim._ARRAY_SLACK_M + lbs_sim._ARRAY_SLACK_REL * d) / 100.0
+    def apart(chord2):
+        # the ranked rows are in id order, so b, c and d are the first three
+        d = _chord_m(chord2)
+        return d - _rows(d) * _off(d)
 
-    monkeypatch.setattr(lbs_sim, "haversine_distances", apart)
+    asked = _read_with(monkeypatch, apart)
     calls = _count_haversine(monkeypatch)
     got = world.query_nearby("obs")
     assert got == ref.query_nearby("obs") and got.users[:3] == ("b", "c", "d")
     assert sorted(map(id, calls)) == [id(here)] * 3
+    assert len(asked) == 1 and asked[0] >= 5
+
+
+def test_equal_chord_distances_at_two_points_are_recomputed(monkeypatch):
+    """a and b stand at two points 2e-8 m apart in distance from the
+    observer, a the farther, and the chord distances round both onto one
+    value, as a numpy might. Both are recomputed, and the screen shows b
+    before a, as the reference does; trusting the tie would keep id order."""
+    grid = float(_off(400.0))
+    mark = round(400.0 / grid) * grid
+    near, far = _destination(SCIENCE_FRONTIER_LAB, mark - 1e-8, 1.0), _destination(SCIENCE_FRONTIER_LAB, mark + 1e-8, 2.0)
+    d_near, d_far = (haversine_distance(SCIENCE_FRONTIER_LAB, q) for q in (near, far))
+    assert d_near < d_far and round(d_near / grid) == round(d_far / grid)
+    rng = random.Random(27)
+    users = [("a", far, True), ("b", near, True)]
+    users += [(f"f{i}", _ring(rng, rng.uniform(2000.0, 3000.0)), True) for i in range(8)]
+    policy = DisclosurePolicy(PolicyMode.OBFUSCATED, HORNET_DEFAULT)
+    world, ref = World(policy, 27, 5), _ReferenceWorld(policy, 27, 5)
+    for w in (world, ref):
+        w.add_user("obs", SCIENCE_FRONTIER_LAB, True)
+        for uid, point, show in users:
+            w.add_user(uid, point, show)
+
+    def rounded(chord2):
+        # to the nearest multiple of grid, a hundredth of the slack at 400 m:
+        # no row moves by more than a hundredth of its own slack
+        return np.round(_chord_m(chord2) / grid) * grid
+
+    asked = _read_with(monkeypatch, rounded)
+    calls = _count_haversine(monkeypatch)
+    got = world.query_nearby("obs")
+    assert got == ref.query_nearby("obs") and got.users[:2] == ("b", "a")
+    assert sorted(map(id, calls)) == sorted(map(id, (near, far)))
+    assert len(asked) == 1 and asked[0] >= 5
 
 
 def test_a_user_moved_off_integer_coordinates_ranks_from_where_it_stands():
@@ -1152,23 +1240,50 @@ def _array_pairs(draw):
     return a, rest
 
 
+# the bound on |_chord_m - haversine_distance| that lbs_sim's comment on
+# _ARRAY_SLACK_M derives, as metres plus a share of the distance
+_CHORD_GAP_M, _CHORD_GAP_REL = 1e-7, 1e-14
+
+
 @settings(derandomize=True, deadline=None, max_examples=500)
 @given(pairs=_array_pairs())
 @example(pairs=(GeoPoint(90.0, 0.0), [GeoPoint(-90.0, 0.0), GeoPoint(90.0, 180.0), GeoPoint(89.999, -180.0)]))
 @example(pairs=(GeoPoint(0.0, 180.0), [GeoPoint(0.0, -180.0), GeoPoint(0.0, 0.0), GeoPoint(1e-300, 179.99999)]))
 @example(pairs=(GeoPoint(35.0, 135.0), [GeoPoint(-35.0, -45.0), GeoPoint(-35.0 + 1e-9, -45.0), GeoPoint(35.0, 135.0 + 1e-12)]))
-def test_array_distances_lie_a_hundredth_of_the_slack_from_haversine_distance(pairs):
-    """Up to _ARRAY_EXACT_FROM_M, haversine_distances is within a hundredth
-    of _ARRAY_SLACK_M + _ARRAY_SLACK_REL * d of haversine_distance; past it a
-    truncated obfuscated screen recomputes the row."""
+@example(
+    pairs=(
+        GeoPoint(0.0, 180.0),
+        [GeoPoint(0.0, 180.0), GeoPoint(1e-12, 180.0), GeoPoint(0.0, 180.0 - 1e-12), GeoPoint(-1e-12, -180.0)],
+    )
+)
+@example(pairs=(GeoPoint(-90.0, 45.0), [GeoPoint(-90.0, 45.0), GeoPoint(-90.0 + 1e-12, 45.0), GeoPoint(-90.0, -135.0)]))
+@example(pairs=(GeoPoint(35.0, 135.0), [GeoPoint(35.0, 135.0)] * 3 + [GeoPoint(35.0 + 1e-12, 135.0 - 1e-12)]))
+def test_chord_distances_lie_a_hundredth_of_the_slack_from_haversine_distance(pairs):
+    """A truncated screen's squared chords, from the unit vectors as built
+    and as refreshed after every user moves onto an equal point, give
+    distances within _CHORD_GAP_M + _CHORD_GAP_REL * d of haversine_distance
+    up to _ARRAY_EXACT_FROM_M, which is no more than the hundredth of the
+    slack the tests' jitters apply; past it a truncated obfuscated screen
+    recomputes the row."""
+    assert 100.0 * _CHORD_GAP_M <= lbs_sim._ARRAY_SLACK_M and 100.0 * _CHORD_GAP_REL <= lbs_sim._ARRAY_SLACK_REL
     a, others = pairs
-    got = haversine_distances(a, np.array([b.lat for b in others]), np.array([b.lon for b in others])).tolist()
-    for b, d in zip(others, got):
-        e = haversine_distance(a, b)
-        if d <= lbs_sim._ARRAY_EXACT_FROM_M:
-            assert 100.0 * abs(d - e) <= lbs_sim._ARRAY_SLACK_M + lbs_sim._ARRAY_SLACK_REL * e
-        else:
-            assert e > lbs_sim._ARRAY_EXACT_FROM_M - 1.0
+    world = World(EXACT, 0, max_entries=len(others))  # keeps every row: the cut is infinite
+    world.add_user("a", a)
+    for i, b in enumerate(others):
+        world.add_user(f"b{i:02d}", b)
+    rows = np.arange(1, len(others) + 1)  # the columns of b00, b01, ...; a sorts first
+    for refreshed in (False, True):
+        if refreshed:
+            for uid, u in list(world.users.items()):
+                world.move_user(uid, GeoPoint(u.location.lat, u.location.lon))
+        cols, chord2, counted = world._candidates(world.users["a"], rows)
+        assert cols.tolist() == rows.tolist() and counted == 0
+        for c, d in zip(cols.tolist(), lbs_sim._chord_m(chord2).tolist()):
+            e = haversine_distance(a, world._order[c].location)
+            if d <= lbs_sim._ARRAY_EXACT_FROM_M:
+                assert abs(d - e) <= _CHORD_GAP_M + _CHORD_GAP_REL * e
+            else:
+                assert e > lbs_sim._ARRAY_EXACT_FROM_M - 1.0
 
 
 _HALF_CIRCUMFERENCE_M = math.pi * EARTH_RADIUS_M
