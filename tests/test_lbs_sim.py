@@ -691,20 +691,14 @@ def _watch_screens(monkeypatch):
     """What truncated obfuscated screens compute, as four lists that fill as
     they run: the locations lbs_sim asks haversine_distance for, the (lat,
     lon) points it ranks, the counts of mid-band draws past the cut it takes
-    by count, one per screen, and the distances _chord_m reads from the
-    ranked rows' squared chords."""
-    calls, ranked, counted, read = _count_haversine(monkeypatch), [], [], []
+    by count, one per screen, and the sizes of the arrays of squared chords
+    it reads distances from (_read_with)."""
+    calls, ranked, counted = _count_haversine(monkeypatch), [], []
     screen = World._obfuscated_screen
 
     def ranking(world, obs, cols, *rest):
         ranked.extend((world._order[c].location.lat, world._order[c].location.lon) for c in cols.tolist())
         return screen(world, obs, cols, *rest)
-
-    def reading(chord2):
-        d = _chord_m(chord2)
-        if np.ndim(d):  # not the cut
-            read.extend(d.tolist())
-        return d
 
     def drawing(ds, pattern, rng, *count):
         # only a truncated screen passes a count; the other screens and
@@ -713,9 +707,8 @@ def _watch_screens(monkeypatch):
         return obfuscate_distances(ds, pattern, rng, *count)
 
     monkeypatch.setattr(World, "_obfuscated_screen", ranking)
-    monkeypatch.setattr(lbs_sim, "_chord_m", reading)
     monkeypatch.setattr(lbs_sim, "obfuscate_distances", drawing)
-    return calls, ranked, counted, read
+    return calls, ranked, counted, _read_with(monkeypatch, _chord_m)
 
 
 def _drawing(world, observer, drop_state):
@@ -746,8 +739,8 @@ def _matched_screen(world, ref, observer, watched):
     assert got == ref.query_nearby(observer)
     assert _drop_state(world) == ref._drop_rng.getstate()
     assert world._obf_rng.getstate() == ref._obf_rng.getstate()
-    _, ranked, _, read = watched
-    assert len(read) == len(ranked)
+    _, ranked, _, asked = watched
+    assert sum(asked) == len(ranked)
     return got, _drawing(world, observer, drop_state) if world.policy.pattern else []
 
 
