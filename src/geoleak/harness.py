@@ -142,6 +142,10 @@ class BackgroundSpec:
             raise ValueError(f"generator background center latitude must be within +-{MAX_ORIGIN_LAT_DEG}, got {self.center.lat}")
         elif self.radius_m >= UNPROJECT_WINDOW_M:
             raise ValueError(f"generator background radius_m must be below {UNPROJECT_WINDOW_M}, got {self.radius_m}")
+        # no user's longitude center.lon +- x / meters_per_degree_lon, with
+        # |x| <= radius_m, can round past this reach
+        elif (reach := abs(self.center.lon) + self.radius_m / Projection.at(self.center).meters_per_degree_lon) >= 180.0:
+            raise ValueError(f"generator background must end short of +-180 degrees longitude, reaches {reach}")
 
 
 @dataclass(frozen=True)

@@ -14,16 +14,12 @@ and numpy's Generator.random makes each of its floats from the next two words
 of the same state in the same way, so the coins and the stream are the ones
 random() calls would give. Only a world that truncates loads numpy.random.
 
-Every distance a screen sorts or shows is haversine_distance's, or lies on
-the same side of every tie and every bound of the obfuscation pattern as
-haversine_distance's. A screen that can truncate groups the kept users by
-their squared chords from the observer (_candidates); under an OBFUSCATED
-policy it also ranks them by the distances those chords give (_chord_m),
-and haversine_distance recomputes each row within _ARRAY_SLACK_M +
-_ARRAY_SLACK_REL * d of a band edge or of a rounding midpoint, the whole run
-of rows within that of one another unless it stands on one point with one
-chord distance, and each row farther than _ARRAY_EXACT_FROM_M. Every other
-screen sorts and shows haversine_distance.
+Every screen ranks and shows its users as their haversine_distance would. A
+screen that can truncate groups the kept users by their squared chords from
+the observer (_candidates); under an OBFUSCATED policy it also ranks them by
+the distances those chords give (_chord_m), and haversine_distance
+recomputes every row whose rank, band or rounded base those could change
+(_inexact). Every other screen sorts and shows haversine_distance itself.
 """
 
 from __future__ import annotations
@@ -54,10 +50,12 @@ from .obfuscation import ObfuscationPattern, obfuscate_distances
 # the gap keeps the split exact.
 _APPROX_SLACK_M = 10.0
 
-# How close to a tie or to a bound a truncated obfuscated screen's distance,
-# as read from its squared chord (_chord_m), must lie before
-# haversine_distance is asked for the exact one: _ARRAY_SLACK_M +
-# _ARRAY_SLACK_REL * d for distances up to d. Each unit-vector component is
+# How far a truncated obfuscated screen's distance, as read from its squared
+# chord (_chord_m), may lie from haversine_distance's: a hundredth of the
+# slack s = _ARRAY_SLACK_M + _ARRAY_SLACK_REL * d for distances up to d.
+# _inexact recomputes a row unless its rank, its band and its rounded bases
+# hold across [d - s, d + s]; each of these is monotone in the distance, so
+# it then holds at the exact distance too. Each unit-vector component is
 # off by a few ulps (u = 2**-53): np.radians rounds the angle, by up to
 # ~2u * pi radians, and cos, sin and their product add a few ulps each,
 # whatever SIMD numpy dispatches, so each component lies within ~25u of the
@@ -310,12 +308,10 @@ class World:
         outside the mid band. The users past the cut that provably draw in
         the mid band are counted, and take their draws by count. Under an
         OBFUSCATED policy such a screen is ranked from the distances of the
-        squared chords _candidates computed (_obfuscated_screen): each one it
-        sorts or shows is either haversine_distance's or lies on the same
-        side of every tie and every bound of the pattern, having been
-        recomputed wherever it came within _ARRAY_SLACK_M + _ARRAY_SLACK_REL
-        * d of one. Under the other policies, whose shown value is the
-        distance itself, every ranked distance is a haversine_distance.
+        squared chords _candidates computed (_obfuscated_screen), with
+        haversine_distance recomputing the rows _inexact names. Under the
+        other policies, whose shown value is the distance itself, every
+        ranked distance is a haversine_distance.
         A screen that cannot truncate draws its coins one random() call at a
         time and ranks by haversine_distance, so a world that never
         truncates, such as a ~50-user preset world, never loads numpy.random.
@@ -389,8 +385,7 @@ class World:
         (_chord2), so no user's distance is computed here. The caller ranks
         the users picked here by haversine_distance, or, under an OBFUSCATED
         policy, by the distances of their squared chords, with
-        haversine_distance recomputing each row within _ARRAY_SLACK_M +
-        _ARRAY_SLACK_REL * d of a tie or a bound.
+        haversine_distance recomputing the rows _inexact names.
         """
         k = self.max_entries
         self._positions()
@@ -417,13 +412,10 @@ class World:
         drawn, then counted more mid-band draws.
 
         The users are sorted by the distances of their squared chords
-        (_chord_m) with a stable sort, so ties stay in id order. Up to
-        _ARRAY_EXACT_FROM_M those distances differ from haversine_distance by
-        a hundredth of _ARRAY_SLACK_M + _ARRAY_SLACK_REL * d at most, so
+        (_chord_m) with a stable sort, so ties stay in id order.
         haversine_distance is asked only for the rows whose last bits could
-        change the screen (_inexact); the rows are then sorted again. Every other row is on the
-        same side of each tie and each bound as its exact distance, so it
-        ranks and shows the same.
+        change the screen (_inexact), and the rows are then sorted again.
+        Every other row ranks and shows as its exact distance would.
 
         counted, from _candidates, is the number of other users that rank
         past the ranked ones and lie in [near_cutoff, mid_cutoff). Each takes
@@ -449,29 +441,29 @@ class World:
     def _inexact(self, d: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Which rows of ascending chord distances d (of the users at cols)
         need their exact distance: those farther than _ARRAY_EXACT_FROM_M;
-        shown ones within the slack of floor_value, near_cutoff, mid_cutoff
-        or a rounding midpoint, (m + 1/2) * mid_band in the mid band or
-        (m + 1/2) * far_unit in the far band; and every row of a run within
-        the slack of one another, unless the whole run stands on one point
-        with one chord distance and none of it is recomputed for another
-        reason, where the exact distances tie too and the stable sort keeps
-        id order either way."""
+        shown ones whose band or rounded base could differ from the exact
+        distance's; and every row of a run within the slack of one another,
+        unless the whole run stands on one point with one chord distance and
+        none of it is recomputed for another reason, where the exact
+        distances tie too and the stable sort keeps id order either way.
+
+        A shown distance is a function of three keys of the true distance x
+        and of the draws: its band, the number of bounds (floor_value,
+        near_cutoff, mid_cutoff) at or below x, which is where
+        obfuscate_distances' bisect_left slices put it; and its bases
+        floor(x / mid_band + 1/2) and floor(x / far_unit + 1/2), computed as
+        obfuscate_distances computes them. Each key is non-decreasing in x
+        under IEEE rounding, and up to _ARRAY_EXACT_FROM_M the exact distance
+        lies within a hundredth of the slack s of the chord distance d, so a
+        key that agrees at d - s and at d + s agrees at the exact distance
+        too. A shown row is an edge when any of the three does not."""
         p, top = self.policy.pattern, d[-1] if d.size else 0.0
         s = _ARRAY_SLACK_M + _ARRAY_SLACK_REL * top
-        # the bounds' slack intervals, merged where they overlap: a row lies
-        # in one when an odd number of their ends lie below it
-        ends: list[float] = []
-        for bound in (p.floor_value, p.near_cutoff, p.mid_cutoff):
-            if ends and bound - s <= ends[-1]:
-                ends[-1] = bound + s
-            else:
-                ends += (bound - s, bound + s)
-        edge = np.searchsorted(ends, d) % 2 == 1
-        q = d / p.mid_band + 0.5
-        edge |= (d >= p.near_cutoff) & (d < p.mid_cutoff) & (np.abs(q - np.rint(q)) <= s / p.mid_band)
-        if top >= p.mid_cutoff:
-            q = d / p.far_unit + 0.5
-            edge |= (d >= p.mid_cutoff) & (np.abs(q - np.rint(q)) <= s / p.far_unit)
+        lo, hi = d - s, d + s
+        bounds = (p.floor_value, p.near_cutoff, p.mid_cutoff)
+        edge = np.searchsorted(bounds, lo, "right") != np.searchsorted(bounds, hi, "right")
+        for unit in (p.mid_band, p.far_unit):
+            edge |= np.floor(lo / unit + 0.5) != np.floor(hi / unit + 0.5)
         inexact = (d > _ARRAY_EXACT_FROM_M) | (edge & self._shows[cols])
         close = d[1:] - d[:-1] < s
         if close.any():

@@ -14,7 +14,7 @@ import pytest
 
 from geoleak.cli import main
 from geoleak.fixtures import SCIENCE_FRONTIER_LAB
-from geoleak.geodesy import GeoPoint, haversine_distance
+from geoleak.geodesy import GeoPoint, Projection, haversine_distance
 from geoleak.harness import (
     VICTIM_ID,
     AttackSpec,
@@ -82,6 +82,11 @@ def _polar_background(doc):
     doc["background"]["center"] = {"lat": 89.99, "lon": 135.77}
 
 
+def _antimeridian_background(doc):
+    """A generated background whose 1.5 km disc crosses 180 degrees east."""
+    doc["background"]["center"] = {"lat": 10.0, "lon": 179.995}
+
+
 # explicit vantages on one meridian: their anchor triangle has zero area
 COLLINEAR_VANTAGES = [{"lat": lat, "lon": 135.77} for lat in (35.02, 35.03, 35.04)]
 
@@ -144,6 +149,7 @@ def _hornet_favorites_pattern(**fields):
         (_polar_background, "$.background: generator background center latitude must be within +-85.0, got 89.99"),
         (lambda d: d["background"].update(radius_m=200_000),
          "$.background: generator background radius_m must be below 120000.0, got 200000"),
+        (_antimeridian_background, "$.background: generator background must end short of +-180 degrees longitude, reaches 180.0"),
     ],
     ids=[
         "typo", "string-int", "bool-int", "no-victim", "bad-enum", "two-vantages", "stale-key", "user-shape",
@@ -153,6 +159,7 @@ def _hornet_favorites_pattern(**fields):
         "nan-radius", "users-and-generator", "huge-epsilon", "user-latitude", "duplicate-user-id",
         "attacker-id", "victim-id", "infer-without-pattern", "parent-name", "absolute-name", "nested-name",
         "backslash-name", "collinear-trilateration-vantages", "polar-background", "huge-radius",
+        "antimeridian-background",
     ],
 )
 def test_scenario_loading_is_strict(edit, message):
@@ -192,10 +199,11 @@ def test_cli_bad_scenario_file_exits_1_naming_the_key(tmp_path, capsys):
          "$.background: users[0]: id 'attacker' is reserved"),
         (_polar_background, "$.background: generator background center latitude must be within +-85.0"),
         (lambda d: d["background"].update(radius_m=200_000), "$.background: generator background radius_m must be below"),
+        (_antimeridian_background, "$.background: generator background must end short of +-180 degrees longitude"),
     ],
     ids=[
         "nan-epsilon", "negative-max-entries", "negative-max-moves", "huge-epsilon", "reserved-user-id",
-        "polar-background", "huge-radius",
+        "polar-background", "huge-radius", "antimeridian-background",
     ],
 )
 def test_cli_bad_number_in_scenario_file_exits_1(tmp_path, capsys, edit, message):
@@ -212,6 +220,20 @@ def test_a_generated_background_at_the_projection_limit_is_built():
     no more: one centred on the limit is built."""
     doc = _edited_dump(lambda d: d["background"].update(center={"lat": -85.0, "lon": 135.77}))
     scenario = from_json(Scenario, doc)
+    world, _, _ = build_world(scenario, 1)
+    assert sum(uid.startswith("bg-") for uid in world.users) == scenario.background.count
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_a_generated_background_short_of_the_antimeridian_is_built(side):
+    """The loader rejects a generated background whose disc reaches +-180
+    degrees longitude, where unproject would put a user off the globe in
+    build_world, and no more: one ending a micro-degree short of it is
+    built."""
+    center = GeoPoint(10.0, 0.0)
+    reach = preset("grindr-hidden").background.radius_m / Projection.at(center).meters_per_degree_lon
+    lon = side * (180.0 - reach - 1e-6)
+    scenario = from_json(Scenario, _edited_dump(lambda d: d["background"].update(center={"lat": 10.0, "lon": lon})))
     world, _, _ = build_world(scenario, 1)
     assert sum(uid.startswith("bg-") for uid in world.users) == scenario.background.count
 

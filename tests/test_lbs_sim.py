@@ -516,6 +516,15 @@ class _ReferenceWorld(World):
 
 # a pattern whose bands fall inside the test worlds' 1.5 km radius
 _SMALL_PATTERN = ObfuscationPattern(20.0, 60.0, 400.0, 50.0, 10.0, 100.0)
+# the last two put two bounds on one another, or closer than the slack, in
+# _inexact's searchsorted: near_cutoff on mid_cutoff, and floor_value 1e-7 m
+# below near_cutoff
+_PATTERNS = [
+    HORNET_DEFAULT,
+    _SMALL_PATTERN,
+    ObfuscationPattern(20.0, 60.0, 60.0, 50.0, 10.0, 100.0),
+    ObfuscationPattern(60.0, 60.0000001, 400.0, 50.0, 10.0, 100.0),
+]
 _ANTIPODE = GeoPoint(-SCIENCE_FRONTIER_LAB.lat, SCIENCE_FRONTIER_LAB.lon - 180.0)
 
 
@@ -582,16 +591,7 @@ _JITTERS = {"rows": _jittered_distances, "+": _shifted_distances(1.0), "-": _shi
 @given(
     users=st.integers(2, 300),
     mode=st.sampled_from(PolicyMode),
-    # the last two put two bounds' slack intervals over one another:
-    # near_cutoff on mid_cutoff, and floor_value 1e-7 m below near_cutoff
-    pattern=st.sampled_from(
-        [
-            HORNET_DEFAULT,
-            _SMALL_PATTERN,
-            ObfuscationPattern(20.0, 60.0, 60.0, 50.0, 10.0, 100.0),
-            ObfuscationPattern(60.0, 60.0000001, 400.0, 50.0, 10.0, 100.0),
-        ]
-    ),
+    pattern=st.sampled_from(_PATTERNS),
     drop=st.sampled_from([0.0, 0.3, 0.9, 1.0]),
     max_entries=st.none() | st.integers(1, 50),
     seed=st.integers(0, 2**32 - 1),
@@ -1084,6 +1084,49 @@ def test_equal_chord_distances_at_two_points_are_recomputed(monkeypatch):
     assert got == ref.query_nearby("obs") and got.users[:2] == ("b", "a")
     assert sorted(map(id, calls)) == sorted(map(id, (near, far)))
     assert len(asked) == 1 and asked[0] >= 5
+
+
+def _marks(p):
+    """Where a key of _inexact steps for pattern p below 4 km: each bound,
+    and each (m + 1/2) * mid_band and (m + 1/2) * far_unit."""
+    halves = [(m + 0.5) * unit for unit in (p.mid_band, p.far_unit) for m in range(int(4000.0 / unit))]
+    return [p.floor_value, p.near_cutoff, p.mid_cutoff, *halves]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    pattern=st.sampled_from(_PATTERNS),
+    gaps=st.lists(st.floats(3e-5, 400.0), max_size=30),
+    data=st.data(),
+)
+def test_a_row_inexact_leaves_unmarked_shows_the_same_across_its_error_interval(pattern, gaps, data):
+    """Ascending distances, some spaced wider than the slack and one within
+    two slacks of each step of a key: for every shown row _inexact leaves
+    unmarked, obfuscate_distances draws the same value, on the same stream,
+    at either end of the interval a hundredth of the slack wide where its
+    exact distance lies."""
+    marks = _marks(pattern)
+    # each mark's point lies this many slacks from it
+    offset = st.sampled_from([0.0, -0.005, 0.005]) | st.floats(-2.0, 2.0)
+    offsets = data.draw(st.lists(offset, min_size=len(marks), max_size=len(marks)))
+    # no narrower than the slack _inexact takes from the largest distance
+    s = lbs_sim._ARRAY_SLACK_M + lbs_sim._ARRAY_SLACK_REL * 4100.0
+    spaced = np.cumsum(gaps)
+    spaced = [x for x in spaced if x <= 4000.0 and min(abs(x - m) for m in marks) > 3.0 * s]
+    d = np.sort(np.array([*spaced, *(m + u * s for m, u in zip(marks, offsets))]))
+    world = World(DisclosurePolicy(PolicyMode.OBFUSCATED, pattern), 0)
+    for i in range(d.size):
+        world.add_user(f"u{i:03d}", GeoPoint(0.0, i * 1e-3), True)
+    world._positions()
+    inexact = world._inexact(d, np.arange(d.size))
+    s = lbs_sim._ARRAY_SLACK_M + lbs_sim._ARRAY_SLACK_REL * d[-1]
+    for x in d[~inexact].tolist():
+        for k in range(3):
+            draws = []
+            for end in (x - s / 100.0, x + s / 100.0):
+                rng = random.Random(k)
+                draws.append((obfuscate_distances([end], pattern, rng), rng.getstate()))
+            assert draws[0] == draws[1], (x, k)
 
 
 def test_a_user_moved_off_integer_coordinates_ranks_from_where_it_stands():
