@@ -279,9 +279,10 @@ def intersect_constraints(
     candidates, which the cell test then rejects.
 
     Raises:
-        ValueError: cell_size is not finite and positive, or too small for
-            the constraints' extent.
+        ValueError: cell_size is not finite and positive.
         EmptyRegion: no bounded constraint, or the intersection is empty.
+        NonConvergence: the grid over the constraints' extent would hold
+            more than _MAX_GRID_CELLS cells.
     """
     _require_finite_positive("cell_size", cell_size)
     bounded = [c for c in constraints if c.bounded]
@@ -296,7 +297,7 @@ def intersect_constraints(
     i0, i1 = math.floor(x_lo / cell_size), math.ceil(x_hi / cell_size)
     j0, j1 = math.floor(y_lo / cell_size), math.ceil(y_hi / cell_size)
     if (i1 - i0) * (j1 - j0) > _MAX_GRID_CELLS:
-        raise ValueError("cell_size too small for the constraint extent")
+        raise NonConvergence(f"{(i1 - i0) * (j1 - j0)} grid cells over the constraint extent, past {_MAX_GRID_CELLS}")
     xs = np.arange(i0, i1, dtype=float) * cell_size
     ys = np.arange(j0, j1, dtype=float) * cell_size
     rows, cols = _row_spans(min(bounded, key=lambda c: c.r_hi - c.r_lo), xs, ys, cell_size)

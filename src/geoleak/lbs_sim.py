@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .geodesy import EARTH_RADIUS_M, GeoPoint, haversine_distance
-from .obfuscation import ObfuscationPattern, obfuscate_distances
+from .obfuscation import ObfuscationPattern, band_of, obfuscate_distances, rounded_base
 
 
 # How far from a bound a user's distance, as read from its squared chord,
@@ -447,23 +447,19 @@ class World:
         none of it is recomputed for another reason, where the exact
         distances tie too and the stable sort keeps id order either way.
 
-        A shown distance is a function of three keys of the true distance x
-        and of the draws: its band, the number of bounds (floor_value,
-        near_cutoff, mid_cutoff) at or below x, which is where
-        obfuscate_distances' bisect_left slices put it; and its bases
-        floor(x / mid_band + 1/2) and floor(x / far_unit + 1/2), computed as
-        obfuscate_distances computes them. Each key is non-decreasing in x
-        under IEEE rounding, and up to _ARRAY_EXACT_FROM_M the exact distance
-        lies within a hundredth of the slack s of the chord distance d, so a
-        key that agrees at d - s and at d + s agrees at the exact distance
-        too. A shown row is an edge when any of the three does not."""
+        A shown distance is a function of the draws and of three keys of the
+        true distance x: band_of(x) and rounded_base(x, unit) for mid_band and
+        far_unit. Each is non-decreasing in x, and up to _ARRAY_EXACT_FROM_M
+        the exact distance lies within a hundredth of the slack s of the
+        chord distance d, so a key that agrees at d - s and at d + s agrees at
+        the exact distance too. A shown row is an edge when any of the three
+        does not."""
         p, top = self.policy.pattern, d[-1] if d.size else 0.0
         s = _ARRAY_SLACK_M + _ARRAY_SLACK_REL * top
         lo, hi = d - s, d + s
-        bounds = (p.floor_value, p.near_cutoff, p.mid_cutoff)
-        edge = np.searchsorted(bounds, lo, "right") != np.searchsorted(bounds, hi, "right")
+        edge = band_of(lo, p) != band_of(hi, p)
         for unit in (p.mid_band, p.far_unit):
-            edge |= np.floor(lo / unit + 0.5) != np.floor(hi / unit + 0.5)
+            edge |= rounded_base(lo, unit) != rounded_base(hi, unit)
         inexact = (d > _ARRAY_EXACT_FROM_M) | (edge & self._shows[cols])
         close = d[1:] - d[:-1] < s
         if close.any():

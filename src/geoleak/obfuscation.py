@@ -88,8 +88,16 @@ class ObfuscationSample:
                 raise ValueError(f"sample distances must be finite and >= 0, got {v}")
 
 
-def _round_half_up(value: float, unit: float) -> float:
-    return math.floor(value / unit + 0.5) * unit
+def band_of(x, pattern: ObfuscationPattern):
+    """The band key of a true distance x, or of each in an array: how many of
+    (floor_value, near_cutoff, mid_cutoff) are at or below it."""
+    return np.searchsorted((pattern.floor_value, pattern.near_cutoff, pattern.mid_cutoff), x, "right")
+
+
+def rounded_base(x, unit: float):
+    """The rounded-base key of a true distance x, or of each in an array: x in
+    units rounded half up, as the float math.floor or np.floor would give."""
+    return (x / unit + 0.5) // 1.0
 
 
 def _band_levels(pattern: ObfuscationPattern) -> int:
@@ -130,9 +138,9 @@ def obfuscate_distances(ds: Sequence[float], pattern: ObfuscationPattern, rng: r
     if mid > near or counted:
         # one of the additive values {0, mid_step, ..., mid_band} per draw
         draws = _randranges(rng, int(band // step) + 1, mid - near + counted)
-        shown += [math.floor(d / band + 0.5) * band + r * step for d, r in zip(ds[near:mid], draws)]
+        shown += [rounded_base(d, band) * band + r * step for d, r in zip(ds[near:mid], draws)]
     if mid < len(ds):
-        shown += [math.floor(d / far + 0.5) * far for d in ds[mid:]]
+        shown += [rounded_base(d, far) * far for d in ds[mid:]]
     return shown
 
 
@@ -182,25 +190,26 @@ def obfuscation_envelope(d: float, pattern: ObfuscationPattern) -> tuple[float, 
     if d < 0.0:
         raise NegativeDistance(f"true distance must be >= 0, got {d}")
     p = pattern
-    if d < p.floor_value:
+    b = band_of(d, p)
+    if b == 0:
         return (p.floor_value, p.floor_value)
-    if d < p.near_cutoff:
+    if b == 1:
         return (p.floor_value, p.floor_value + _band_levels(p) * p.mid_step)
-    if d < p.mid_cutoff:
-        base = _round_half_up(d, p.mid_band)
+    if b == 2:
+        base = rounded_base(d, p.mid_band) * p.mid_band
         return (base, base + p.mid_band)
-    r = _round_half_up(d, p.far_unit)
+    r = rounded_base(d, p.far_unit) * p.far_unit
     return (r, r)
-
-
-def _on_grid(value: float, unit: float) -> bool:
-    q = value / unit
-    return abs(q - round(q)) < 1e-9
 
 
 def invert_reading(shown: float, pattern: ObfuscationPattern) -> tuple[float, float] | None:
     """Smallest half-open interval [lo, hi) holding every true distance that
     can emit ``shown``; when the preimage has gaps, the interval spans them.
+
+    A shown distance depends on the true one only through its band_of key
+    and, in bands 2 and 3, its rounded_base. Each key that gives shown at
+    some level, computed as obfuscate_distances computes it, adds its exact
+    preimage: the band's cutoffs, narrowed to that rounded base (_least).
 
     Returns None when no true distance can produce the reading under the
     pattern (an impossible reading is a signal, not an error).
@@ -208,41 +217,36 @@ def invert_reading(shown: float, pattern: ObfuscationPattern) -> tuple[float, fl
     p = pattern
     if shown is None or not math.isfinite(shown) or shown < 0.0:
         return None
-    pieces: list[tuple[float, float]] = []
-
-    # floor band: every d in [0, floor_value) shows exactly floor_value
-    if shown == p.floor_value:
-        pieces.append((0.0, p.floor_value))
-
-    # fixed-level band: any level in {floor + k*step} can appear for any
-    # d in [floor_value, near_cutoff)
-    top_level = p.floor_value + _band_levels(p) * p.mid_step
-    if p.floor_value <= shown <= top_level and _on_grid(shown - p.floor_value, p.mid_step):
+    pieces = [(0.0, p.floor_value)] if shown == p.floor_value else []
+    if _emits(shown, p.floor_value, p.mid_step, _band_levels(p)):
         pieces.append((p.floor_value, p.near_cutoff))
+    keyed = ((p.near_cutoff, p.mid_cutoff, p.mid_band, int(p.mid_band // p.mid_step)), (p.mid_cutoff, math.inf, p.far_unit, 0))
+    for lo_cut, hi_cut, unit, levels in keyed:
+        k = shown // unit  # a key that gives shown lies within one of it
+        for key in (k - 1.0, k, k + 1.0):
+            if key >= 0.0 and _emits(shown, key * unit, p.mid_step, levels):
+                pieces.append((max(lo_cut, _least(key, unit)), min(hi_cut, _least(key + 1.0, unit))))
+    pieces = [(lo, hi) for lo, hi in pieces if lo < hi]
+    return (min(lo for lo, _ in pieces), max(hi for _, hi in pieces)) if pieces else None
 
-    # banded band: shown = base + additive with base a mid_band multiple and
-    # additive in [0, mid_band]; the d-preimage of a base is
-    # [base - mid_band/2, base + mid_band/2) clipped to [near_cutoff, mid_cutoff)
-    if _on_grid(shown, p.mid_step):
-        k_min = math.ceil((shown - p.mid_band) / p.mid_band - 1e-9)
-        k_max = math.floor(shown / p.mid_band + 1e-9)
-        for k in range(k_min, k_max + 1):
-            base = k * p.mid_band
-            lo = max(base - p.mid_band / 2.0, p.near_cutoff)
-            hi = min(base + p.mid_band / 2.0, p.mid_cutoff)
-            if lo < hi:
-                pieces.append((lo, hi))
 
-    # far band: shown = m * far_unit for d in [m*u - u/2, m*u + u/2), d >= mid_cutoff
-    if _on_grid(shown, p.far_unit):
-        lo = max(shown - p.far_unit / 2.0, p.mid_cutoff)
-        hi = shown + p.far_unit / 2.0
-        if lo < hi:
-            pieces.append((lo, hi))
+def _emits(shown: float, base: float, step: float, levels: int) -> bool:
+    """Whether base + r * step, as obfuscate_distances computes it, is shown for a level r in 0..levels."""
+    lo, hi = 0, levels  # bisect for the least level that reaches shown
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if base + mid * step < shown else (lo, mid)
+    return base + lo * step == shown
 
-    if not pieces:
-        return None
-    return (min(lo for lo, _ in pieces), max(hi for _, hi in pieces))
+
+def _least(key: float, unit: float) -> float:
+    """The least float x >= 0 with rounded_base(x, unit) >= key: a few floats from (key - 1/2) * unit."""
+    x = max((key - 0.5) * unit, 0.0)
+    while x > 0.0 and rounded_base(math.nextafter(x, 0.0), unit) >= key:
+        x = math.nextafter(x, 0.0)
+    while rounded_base(x, unit) < key:
+        x = math.nextafter(x, math.inf)
+    return x
 
 
 EXACT = "exact"

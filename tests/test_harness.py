@@ -338,6 +338,17 @@ def test_failure_outcomes_are_rows_not_exceptions():
     assert row.localization_error is None
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_victim_too_far_to_rasterize_ends_in_non_convergence(seed):
+    """~20 km from the explicit vantages, the final rings' bounding box needs
+    more than _MAX_GRID_CELLS cells at 5 m: a declared outcome, not an error."""
+    sc = preset("grindr-hidden")
+    far = GeoPoint(35.2, LAB.lon)
+    sc = replace(sc, victim=replace(sc.victim, lat=far.lat), background=replace(sc.background, center=far))
+    row = run_scenario(sc, seed=seed)
+    assert row.outcome == "non_convergence" and row.localization_error is None
+
+
 def test_geojson_artifacts_and_replay_bytes(tmp_path):
     sc = preset("grindr-hidden")
     a_dir = tmp_path / "a"

@@ -19,7 +19,6 @@ from geoleak.obfuscation import (
     invert_reading,
     _band_levels,
     _randranges,
-    _round_half_up,
     obfuscate_distances,
     obfuscation_envelope,
 )
@@ -201,25 +200,67 @@ def test_invert_reading_spans_a_gapped_preimage():
     assert invert_reading(250.0, p) == (150.0, 255.0)
 
 
+# whole metres, binary fractions and decimals: a decimal unit's quotients
+# are inexact, and more so the farther the distance
+_UNITS = st.integers(1, 2000).map(float) | st.sampled_from([0.25, 0.5, 2.5, 0.1, 0.3, 0.4, 0.7])
+
+
 @st.composite
 def _patterns(draw):
     floor = draw(st.integers(1, 400))
     near = draw(st.integers(floor + 1, floor + 400))
-    mid = draw(st.integers(near, near + 2000))
-    step = draw(st.integers(1, 50))
-    band = step * draw(st.integers(1, 20))
-    far = draw(st.integers(1, 2000))
-    return ObfuscationPattern(float(floor), float(near), float(mid), float(band), float(step), float(far))
+    mid = draw(st.integers(near, near + 2000) | st.integers(near, 20_000_000))
+    step = draw(st.integers(1, 50).map(float) | st.sampled_from([0.25, 0.1, 0.3, 0.4]))
+    band = step * draw(st.integers(1, 20).filter(lambda n: step * n % step == 0.0))
+    return ObfuscationPattern(float(floor), float(near), float(mid), band, step, draw(_UNITS))
+
+
+# distances up to 20,000 km, most within the bands of a few-km pattern
+_DISTANCES = st.floats(0.0, 5000.0) | st.floats(0.0, 2e7)
 
 
 @settings(derandomize=True, deadline=None, max_examples=1000)
-@given(_patterns(), st.floats(0.0, 5000.0), st.randoms(use_true_random=False))
+@given(_patterns(), _DISTANCES, st.randoms(use_true_random=False))
+@example(ObfuscationPattern(80, 100, 1000, 100, 10, 0.3), 4_195_000.0, random.Random(0))  # shows 4,194,999.899999999
+@example(ObfuscationPattern(80, 100, 2e7, 0.4, 0.1, 1000), 841_000.0, random.Random(7))  # shows 841,000.2
 def test_every_reading_inverts_to_an_interval_holding_the_truth(p, d, rng):
     (shown,) = obfuscate_distances([d], p, rng)
     interval = invert_reading(shown, p)
     assert interval is not None and interval[0] <= d < interval[1]
     lo, hi = obfuscation_envelope(d, p)
     assert lo <= shown <= hi
+
+
+def _half_up(d, unit):
+    return math.floor(d / unit + 0.5) * unit
+
+
+def _can_show(x, shown, p):
+    """The oracle: whether some draw at true distance x shows shown, its
+    band, base and every level written out as the scalar loop drew them."""
+    if x < p.floor_value:
+        return shown == p.floor_value
+    if x < p.near_cutoff:
+        base, levels = p.floor_value, _band_levels(p)
+    elif x < p.mid_cutoff:
+        base, levels = _half_up(x, p.mid_band), int(p.mid_band // p.mid_step)
+    else:
+        base, levels = _half_up(x, p.far_unit), 0
+    return any(base + r * p.mid_step == shown for r in range(levels + 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(_patterns(), _DISTANCES, st.randoms(use_true_random=False))
+@example(ObfuscationPattern(80, 100, 1000, 100, 10, 0.3), 4_195_000.0, random.Random(0))
+@example(ObfuscationPattern(80, 100, 2e7, 0.4, 0.1, 1000), 841_000.0, random.Random(7))
+def test_an_inverted_reading_is_tight_at_both_ends(p, d, rng):
+    """The float just inside each end of the interval can show the reading,
+    and the float just outside cannot."""
+    (shown,) = obfuscate_distances([d], p, rng)
+    lo, hi = invert_reading(shown, p)
+    assert _can_show(lo, shown, p) and _can_show(math.nextafter(hi, 0.0), shown, p)
+    assert lo == 0.0 or not _can_show(math.nextafter(lo, 0.0), shown, p)
+    assert not _can_show(hi, shown, p)
 
 
 def _one_by_one(d, p, rng):
@@ -232,9 +273,9 @@ def _one_by_one(d, p, rng):
     if d < p.near_cutoff:
         return p.floor_value + rng.randint(0, _band_levels(p)) * p.mid_step
     if d < p.mid_cutoff:
-        base = _round_half_up(d, p.mid_band)
+        base = _half_up(d, p.mid_band)
         return base + rng.randint(0, int(p.mid_band // p.mid_step)) * p.mid_step
-    return _round_half_up(d, p.far_unit)
+    return _half_up(d, p.far_unit)
 
 
 # a valid pattern whose near and mid bands have 20 * 2**30 + 1 and 2**40 + 1
