@@ -17,9 +17,11 @@ random() calls would give. Only a world that truncates loads numpy.random.
 Every screen ranks and shows its users as their haversine_distance would. A
 screen that can truncate groups the kept users by their squared chords from
 the observer (_candidates); under an OBFUSCATED policy it also ranks them by
-the distances those chords give (_chord_m), and haversine_distance
-recomputes every row whose rank, band or rounded base those could change
-(_inexact). Every other screen sorts and shows haversine_distance itself.
+the distances those chords give (geodesy.chord_distance), and
+haversine_distance recomputes every row whose rank, band or rounded base
+those could change (_inexact). Every other screen sorts and shows
+haversine_distance itself. The spherical math of both, unit vectors, chords
+and their error bound, lives in geodesy.
 """
 
 from __future__ import annotations
@@ -30,73 +32,34 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Sequence
 
 import numpy as np
 
-from .geodesy import EARTH_RADIUS_M, GeoPoint, haversine_distance
+from .geodesy import GeoPoint, chord_distance, haversine_distance, squared_chord, squared_chords, unit_vectors
 from .obfuscation import ObfuscationPattern, band_of, obfuscate_distances, rounded_base
 
 
 # How far from a bound a user's distance, as read from its squared chord,
 # must lie before a truncated screen trusts which side of it the user is on:
 # past the max_entries-th smallest distance, at least near_cutoff, or below
-# mid_cutoff. In real arithmetic the squared chord |u - o|^2 between unit
-# vectors is exactly 4h, h being haversine_distance's haversine term, and
-# 2R asin(sqrt(c) / 2) is the distance. After rounding, the distance read
-# from the chord lies within 0.27 m of haversine_distance (measured over 400k
-# random pairs; the worst lie within 1e-5 degrees of antipodal, where asin is
-# steepest), and within 1e-8 m at service distances. Any margin over twice
-# the gap keeps the split exact.
+# mid_cutoff. The distance chord_distance reads from a squared chord lies
+# within 0.27 m of haversine_distance anywhere (geodesy); any margin over
+# twice that gap keeps the split exact.
 _APPROX_SLACK_M = 10.0
 
 # How far a truncated obfuscated screen's distance, as read from its squared
-# chord (_chord_m), may lie from haversine_distance's: a hundredth of the
-# slack s = _ARRAY_SLACK_M + _ARRAY_SLACK_REL * d for distances up to d.
+# chord (chord_distance), may lie from haversine_distance's: a hundredth of
+# the slack s = _ARRAY_SLACK_M + _ARRAY_SLACK_REL * d for distances up to d.
 # _inexact recomputes a row unless its rank, its band and its rounded bases
 # hold across [d - s, d + s]; each of these is monotone in the distance, so
-# it then holds at the exact distance too. Each unit-vector component is
-# off by a few ulps (u = 2**-53): np.radians rounds the angle, by up to
-# ~2u * pi radians, and cos, sin and their product add a few ulps each,
-# whatever SIMD numpy dispatches, so each component lies within ~25u of the
-# true one, and the chord within 2 sqrt(3) * 25u. The differences of nearby
-# components are exact, and squaring, summing, sqrt and arcsin round by a few
-# ulps relative. Up to a quarter circumference (10,007 km) the distance moves
-# by at most sqrt(2) R per unit of chord, so |_chord_m - haversine_distance|
-# <= 9e-8 m + ~1e-15 * d < 1e-7 m + 1e-14 * d, a hundredth of the slack.
-# Measured over ~310k pairs (points co-located, 1e-12 to 0.05 degrees apart
-# or anywhere, at the poles and at +-180 degrees; x86-64 with numpy 2.4), the
-# worst gap was 3.2e-9 m within 10 km and 5.6e-9 m up to 10,000 km. Past a
-# quarter circumference arcsin steepens towards the antipode (gaps up to
-# 0.27 m, see _APPROX_SLACK_M), so every row farther than
-# _ARRAY_EXACT_FROM_M, 7.5 km short of it, is recomputed.
+# it then holds at the exact distance too. Up to a quarter circumference
+# (10,007 km) geodesy bounds the gap by 1e-7 m + 1e-14 * d, a hundredth of
+# the slack. Past it the gap grows towards the antipode (up to 0.27 m), so
+# every row farther than _ARRAY_EXACT_FROM_M, 7.5 km short of it, is
+# recomputed.
 _ARRAY_SLACK_REL = 1e-9
 _ARRAY_SLACK_M = 1e-5
 _ARRAY_EXACT_FROM_M = 10_000_000.0
-
-
-def _unit_vectors(lat: Sequence[float], lon: Sequence[float]) -> np.ndarray:
-    """The points (lat[i], lon[i]) on the unit sphere, as the columns of a
-    3 x n array: (cos lat cos lon, cos lat sin lon, sin lat)."""
-    angles = np.radians((lat, lon))
-    cos, sin = np.cos(angles), np.sin(angles)
-    return np.array((cos[0] * cos[1], cos[0] * sin[1], sin[0]))
-
-
-def _chord_m(chord2: float | np.ndarray) -> float | np.ndarray:
-    """The great-circle distance, in metres, between unit vectors chord2 =
-    |u - v|^2 apart, for one squared chord or an array of them."""
-    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(np.sqrt(chord2) / 2.0, 1.0))
-
-
-def _chord2(d: float) -> float:
-    """The squared chord between unit vectors d metres apart on the globe:
-    0 at or below 0 m, inf at or beyond half the circumference."""
-    if d <= 0.0:
-        return 0.0
-    if d >= math.pi * EARTH_RADIUS_M:
-        return math.inf
-    return (2.0 * math.sin(d / (2.0 * EARTH_RADIUS_M))) ** 2
 
 
 def check_max_entries(max_entries: int | None) -> None:
@@ -214,7 +177,7 @@ class World:
         # read-side caches, dropped by add_user: the users sorted by id, their
         # ids in that order and each id's position (column) in it; and for
         # screens that can truncate, per column, the users' unit vectors (a
-        # 3 x users array of _unit_vectors) and show flags. _stale holds the
+        # 3 x users array of unit_vectors) and show flags. _stale holds the
         # users moved since these were last brought up to date (_positions).
         self._order: list[SimUser] | None = None
         self._ids: list[str] | None = None
@@ -279,12 +242,12 @@ class World:
         bits (see _inexact)."""
         if self._coords is None:
             order = self._id_order()
-            self._coords = _unit_vectors([u.location.lat for u in order], [u.location.lon for u in order])
+            self._coords = unit_vectors([u.location.lat for u in order], [u.location.lon for u in order])
             self._shows = np.array([u.show_distance for u in order])
         elif self._stale:
             cols = np.array([self._column[uid] for uid in self._stale])
             points = [self.users[uid].location for uid in self._stale]
-            self._coords[:, cols] = _unit_vectors([q.lat for q in points], [q.lon for q in points])
+            self._coords[:, cols] = unit_vectors([q.lat for q in points], [q.lon for q in points])
         self._stale.clear()
 
     # -- queries ---------------------------------------------------------
@@ -382,25 +345,22 @@ class World:
         draw. Every other user is ruled out: it ranks past the cut and draws
         nothing, being hidden, under a policy that is not OBFUSCATED, or at
         least mid_cutoff away. Each bound is compared as a squared chord
-        (_chord2), so no user's distance is computed here. The caller ranks
-        the users picked here by haversine_distance, or, under an OBFUSCATED
-        policy, by the distances of their squared chords, with
+        (squared_chord), so no user's distance is computed here. The caller
+        ranks the users picked here by haversine_distance, or, under an
+        OBFUSCATED policy, by the distances of their squared chords, with
         haversine_distance recomputing the rows _inexact names.
         """
         k = self.max_entries
         self._positions()
-        coords = self._coords
-        d = coords - coords[:, self._column[obs.id], None]
-        d *= d
-        chord2 = (d[0] + d[1] + d[2])[rows]
-        cut = _chord_m(np.partition(chord2, k - 1)[k - 1]) if rows.size > k else math.inf
-        past = chord2 > _chord2(cut + _APPROX_SLACK_M)
+        chord2 = squared_chords(self._coords, self._column[obs.id])[rows]
+        cut = chord_distance(np.partition(chord2, k - 1)[k - 1]) if rows.size > k else math.inf
+        past = chord2 > squared_chord(cut + _APPROX_SLACK_M)
         ranked = ~past
         counted = 0
         if self.policy.mode is PolicyMode.OBFUSCATED:
             near, mid = self.policy.pattern.near_cutoff, self.policy.pattern.mid_cutoff
-            drawing = past & self._shows[rows] & (chord2 < _chord2(mid + _APPROX_SLACK_M))
-            mid_band = (chord2 >= _chord2(near + _APPROX_SLACK_M)) & (chord2 < _chord2(mid - _APPROX_SLACK_M))
+            drawing = past & self._shows[rows] & (chord2 < squared_chord(mid + _APPROX_SLACK_M))
+            mid_band = (chord2 >= squared_chord(near + _APPROX_SLACK_M)) & (chord2 < squared_chord(mid - _APPROX_SLACK_M))
             counted = int(np.count_nonzero(drawing & mid_band))
             ranked |= drawing & ~mid_band
         return rows[ranked], chord2[ranked], counted
@@ -412,7 +372,7 @@ class World:
         drawn, then counted more mid-band draws.
 
         The users are sorted by the distances of their squared chords
-        (_chord_m) with a stable sort, so ties stay in id order.
+        (chord_distance) with a stable sort, so ties stay in id order.
         haversine_distance is asked only for the rows whose last bits could
         change the screen (_inexact), and the rows are then sorted again.
         Every other row ranks and shows as its exact distance would.
@@ -425,7 +385,7 @@ class World:
         ranked users' ones, by count, in the same obfuscate_distances call.
         """
         here, k = obs.location, self.max_entries
-        d = _chord_m(chord2)
+        d = chord_distance(chord2)
         by = np.argsort(d, kind="stable")
         redo = by[self._inexact(d[by], cols[by])]
         if redo.size:

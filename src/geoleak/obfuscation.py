@@ -20,6 +20,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .geodesy import EARTH_RADIUS_M
+
 
 class NegativeDistance(ValueError):
     """Distance inputs must be >= 0."""
@@ -30,6 +32,12 @@ class InsufficientSamples(ValueError):
 
 
 _PATTERN_FIELDS = ("floor_value", "near_cutoff", "mid_cutoff", "mid_band", "mid_step", "far_unit")
+
+# The least mid_band and far_unit. In a smaller unit a distance on the globe
+# (at most half a circumference) can measure 2**52 units or more, where
+# floats no longer hold the half that rounding half up adds, and a reading
+# can fail to invert.
+_MIN_UNIT_M = math.pi * EARTH_RADIUS_M / 2**52
 
 
 @dataclass(frozen=True)
@@ -45,8 +53,10 @@ class ObfuscationPattern:
                                          uniform additive in {0, mid_step, ..., mid_band}
       d >= mid_cutoff                 -> d rounded to the nearest far_unit
 
-    All rounding is half-up. Defaults reproduce the 80 m floor, 100 m banded
-    noise with 10 m steps, and nearest-kilometre far rounding.
+    All rounding is half-up. mid_band and far_unit are at least _MIN_UNIT_M,
+    and both randomized bands hold a finite number of mid_step levels.
+    Defaults reproduce the 80 m floor, 100 m banded noise with 10 m steps,
+    and nearest-kilometre far rounding.
     """
 
     floor_value: float = 80.0
@@ -70,6 +80,10 @@ class ObfuscationPattern:
             raise ValueError("mid_step and far_unit must be positive")
         if self.mid_band <= 0.0 or (self.mid_band % self.mid_step) != 0.0:
             raise ValueError("mid_step must divide mid_band")
+        if min(self.mid_band, self.far_unit) < _MIN_UNIT_M:
+            raise ValueError(f"mid_band and far_unit must be at least {_MIN_UNIT_M!r} m (half a circumference / 2**52)")
+        if not math.isfinite(max(self.near_cutoff - self.floor_value, self.mid_band) / self.mid_step):
+            raise ValueError("the near and mid bands must hold a finite number of mid_step levels")
 
 
 HORNET_DEFAULT = ObfuscationPattern()
@@ -222,7 +236,10 @@ def invert_reading(shown: float, pattern: ObfuscationPattern) -> tuple[float, fl
         pieces.append((p.floor_value, p.near_cutoff))
     keyed = ((p.near_cutoff, p.mid_cutoff, p.mid_band, int(p.mid_band // p.mid_step)), (p.mid_cutoff, math.inf, p.far_unit, 0))
     for lo_cut, hi_cut, unit, levels in keyed:
-        k = shown // unit  # a key that gives shown lies within one of it
+        # a key that gives shown lies within one of the rounded quotient's
+        # floor while keys stay below 2**52 (_MIN_UNIT_M); shown // unit can
+        # be two off where unit nears the spacing of floats at shown
+        k = (shown / unit) // 1.0
         for key in (k - 1.0, k, k + 1.0):
             if key >= 0.0 and _emits(shown, key * unit, p.mid_step, levels):
                 pieces.append((max(lo_cut, _least(key, unit)), min(hi_cut, _least(key + 1.0, unit))))

@@ -101,6 +101,12 @@ def _hornet_favorites_pattern(**fields):
     return edit
 
 
+# a near band of 2**1030 mid_step levels, which no int can count
+_COUNTLESS_LEVELS = _hornet_favorites_pattern(
+    floor_value=1.0, near_cutoff=2**30 + 1, mid_cutoff=2**30 + 1, mid_band=2**-26, mid_step=2**-1000, far_unit=1.0
+)
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -121,6 +127,8 @@ def _hornet_favorites_pattern(**fields):
         (lambda d: d.update(max_entries=-2), "$: max_entries must be a positive integer or null, got -2"),
         (lambda d: d.update(max_entries=0), "$: max_entries must be a positive integer or null, got 0"),
         (_hornet_favorites_pattern(far_unit=math.inf, mid_cutoff=300), "$.policy.pattern: far_unit must be finite"),
+        (_COUNTLESS_LEVELS, "$.policy.pattern: the near and mid bands must hold a finite number of mid_step levels"),
+        (_hornet_favorites_pattern(far_unit=4e-9), "$.policy.pattern: mid_band and far_unit must be at least 4.44"),
         (lambda d: d["attack"].update(max_moves=-5), "$.attack: max_moves must be at least 1, got -5"),
         (lambda d: d["attack"].update(max_queries=0), "$.attack: max_queries must be at least 1, got 0"),
         (lambda d: d["attack"].update(locations=0), "$.attack: locations must be at least 1, got 0"),
@@ -154,7 +162,7 @@ def _hornet_favorites_pattern(**fields):
     ids=[
         "typo", "string-int", "bool-int", "no-victim", "bad-enum", "two-vantages", "stale-key", "user-shape",
         "nan-epsilon", "inf-max-distance", "nan-max-distance", "negative-max-distance", "zero-max-distance",
-        "negative-max-entries", "zero-max-entries", "inf-pattern-field",
+        "negative-max-entries", "zero-max-entries", "inf-pattern-field", "countless-levels", "tiny-unit",
         "negative-max-moves", "zero-max-queries", "zero-locations", "negative-queries-per-location",
         "nan-radius", "users-and-generator", "huge-epsilon", "user-latitude", "duplicate-user-id",
         "attacker-id", "victim-id", "infer-without-pattern", "parent-name", "absolute-name", "nested-name",
@@ -200,10 +208,12 @@ def test_cli_bad_scenario_file_exits_1_naming_the_key(tmp_path, capsys):
         (_polar_background, "$.background: generator background center latitude must be within +-85.0"),
         (lambda d: d["background"].update(radius_m=200_000), "$.background: generator background radius_m must be below"),
         (_antimeridian_background, "$.background: generator background must end short of +-180 degrees longitude"),
+        (_COUNTLESS_LEVELS, "$.policy.pattern: the near and mid bands must hold a finite number of mid_step levels"),
+        (_hornet_favorites_pattern(far_unit=4e-9), "$.policy.pattern: mid_band and far_unit must be at least"),
     ],
     ids=[
         "nan-epsilon", "negative-max-entries", "negative-max-moves", "huge-epsilon", "reserved-user-id",
-        "polar-background", "huge-radius", "antimeridian-background",
+        "polar-background", "huge-radius", "antimeridian-background", "countless-levels", "tiny-unit",
     ],
 )
 def test_cli_bad_number_in_scenario_file_exits_1(tmp_path, capsys, edit, message):

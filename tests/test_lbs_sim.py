@@ -16,6 +16,7 @@ from geoleak.geodesy import (
     GeoPoint,
     LocalPoint,
     Projection,
+    chord_distance,
     haversine_distance,
     unproject,
 )
@@ -35,6 +36,7 @@ from geoleak.obfuscation import (
     obfuscate_distances,
     obfuscation_envelope,
 )
+from test_geodesy import _CHORD_GAP_ANYWHERE_M, _CHORD_GAP_M, _CHORD_GAP_REL, _point_pairs
 
 LAB_TO_STATION_M = 845.4599899296676
 
@@ -547,10 +549,10 @@ def _place(rng: random.Random, spots: list[GeoPoint]) -> GeoPoint:
     return _near(rng, spots)
 
 
-# the distances of squared chords, as this host's numpy gives them; the
-# functions below stand in for lbs_sim._chord_m, which reads a truncated
-# screen's cut and, under an OBFUSCATED policy, the distances it ranks by
-_chord_m = lbs_sim._chord_m
+# chord_distance gives the distances of squared chords as this host's numpy
+# gives them; the functions below stand in for the chord_distance lbs_sim
+# binds, which reads a truncated screen's cut and, under an OBFUSCATED
+# policy, the distances it ranks by
 
 
 def _off(d):
@@ -568,7 +570,7 @@ def _jittered_distances(chord2):
     """Chord distances as another host's numpy may give them: off by up to
     _off, by a different amount in each row, users on one point included,
     and never below 0."""
-    d = _chord_m(chord2)
+    d = chord_distance(chord2)
     return np.maximum(d + np.sin(1e9 * chord2 + _rows(d)) * _off(d), 0.0)
 
 
@@ -578,7 +580,7 @@ def _shifted_distances(sign):
     alone and every row at one point keeps one distance; never below 0."""
 
     def shifted(chord2):
-        d = _chord_m(chord2)
+        d = chord_distance(chord2)
         return np.maximum(d + sign * _off(d), 0.0)
 
     return shifted
@@ -622,7 +624,7 @@ def test_screens_and_rng_streams_match_the_reference(users, mode, pattern, drop,
     """Every call gives what the reference gives, on the same streams; with
     a jitter, truncated obfuscated screens rank from _JITTERS[jitter]."""
     if jitter:
-        with mock.patch.object(lbs_sim, "_chord_m", _JITTERS[jitter]):
+        with mock.patch.object(lbs_sim, "chord_distance", _JITTERS[jitter]):
             _match_the_reference(users, mode, pattern, drop, max_entries, seed, ops)
     else:
         _match_the_reference(users, mode, pattern, drop, max_entries, seed, ops)
@@ -674,8 +676,8 @@ def _match_the_reference(users, mode, pattern, drop, max_entries, seed, ops):
 
 def _read_with(monkeypatch, chord_m):
     """Truncated screens read their distances from squared chords with
-    chord_m in place of _chord_m. Returns a list that fills with the number
-    of rows of each array of squared chords they ask it for."""
+    chord_m in place of chord_distance. Returns a list that fills with the
+    number of rows of each array of squared chords they ask it for."""
     asked = []
 
     def reading(chord2):
@@ -683,7 +685,7 @@ def _read_with(monkeypatch, chord_m):
             asked.append(np.size(chord2))
         return chord_m(chord2)
 
-    monkeypatch.setattr(lbs_sim, "_chord_m", reading)
+    monkeypatch.setattr(lbs_sim, "chord_distance", reading)
     return asked
 
 
@@ -708,7 +710,7 @@ def _watch_screens(monkeypatch):
 
     monkeypatch.setattr(World, "_obfuscated_screen", ranking)
     monkeypatch.setattr(lbs_sim, "obfuscate_distances", drawing)
-    return calls, ranked, counted, _read_with(monkeypatch, _chord_m)
+    return calls, ranked, counted, _read_with(monkeypatch, chord_distance)
 
 
 def _drawing(world, observer, drop_state):
@@ -1012,7 +1014,7 @@ def test_a_tie_at_one_point_beside_a_user_at_another_is_recomputed_whole(monkeyp
 
     def split(chord2):
         # the ranked rows are in id order, so a, b and c are the first three
-        d = _chord_m(chord2)
+        d = chord_distance(chord2)
         return d + np.where(_rows(d) == 0, 1.0, -1.0) * _off(d)
 
     asked = _read_with(monkeypatch, split)
@@ -1042,7 +1044,7 @@ def test_a_tie_at_one_point_with_unequal_array_distances_is_recomputed_whole(mon
 
     def apart(chord2):
         # the ranked rows are in id order, so b, c and d are the first three
-        d = _chord_m(chord2)
+        d = chord_distance(chord2)
         return d - _rows(d) * _off(d)
 
     asked = _read_with(monkeypatch, apart)
@@ -1076,7 +1078,7 @@ def test_equal_chord_distances_at_two_points_are_recomputed(monkeypatch):
     def rounded(chord2):
         # to the nearest multiple of grid, a hundredth of the slack at 400 m:
         # no row moves by more than a hundredth of its own slack
-        return np.round(_chord_m(chord2) / grid) * grid
+        return np.round(chord_distance(chord2) / grid) * grid
 
     asked = _read_with(monkeypatch, rounded)
     calls = _count_haversine(monkeypatch)
@@ -1222,48 +1224,6 @@ def test_a_world_that_grows_into_truncating_hands_off_mid_stream(mode):
     screens()
 
 
-_LATS = st.sampled_from([-90.0, 0.0, 90.0]) | st.floats(-90.0, 90.0)
-_LONS = st.sampled_from([-180.0, 0.0, 180.0]) | st.floats(-180.0, 180.0)
-
-
-def _nudged(draw, point, by):
-    """point moved by up to by degrees on each axis, kept on the globe."""
-    lat = min(max(point.lat + draw(st.floats(-by, by)), -90.0), 90.0)
-    lon = min(max(point.lon + draw(st.floats(-by, by)), -180.0), 180.0)
-    return GeoPoint(lat, lon)
-
-
-@st.composite
-def _point_pairs(draw):
-    """Two valid points: anywhere, coincident, or within 1e-5 degrees of
-    each other or of each other's antipode."""
-    a = draw(st.builds(GeoPoint, _LATS, _LONS))
-    kind = draw(st.sampled_from(["anywhere", "coincident", "close", "antipodal"]))
-    if kind == "anywhere":
-        return a, draw(st.builds(GeoPoint, _LATS, _LONS))
-    if kind == "coincident":
-        return a, GeoPoint(a.lat, a.lon)
-    if kind == "close":
-        return a, _nudged(draw, a, 1e-5)
-    return a, _nudged(draw, GeoPoint(-a.lat, a.lon - 180.0 if a.lon > 0.0 else a.lon + 180.0), 1e-5)
-
-
-@settings(derandomize=True, deadline=None, max_examples=1000)
-@given(pair=_point_pairs())
-@example(pair=(GeoPoint(90.0, 0.0), GeoPoint(-90.0, 0.0)))
-@example(pair=(GeoPoint(0.0, 180.0), GeoPoint(0.0, -180.0)))
-@example(pair=(GeoPoint(10.0, 179.999), GeoPoint(10.0, -179.999)))
-@example(pair=(GeoPoint(35.0, 135.0), GeoPoint(-35.0, -45.0)))
-def test_the_squared_chord_gives_the_haversine_distance_within_a_metre(pair):
-    """The distance a truncated screen reads from two users' unit vectors is
-    within 1 m of haversine_distance, under the _APPROX_SLACK_M / 2 its
-    split needs."""
-    a, b = pair
-    u, v = lbs_sim._unit_vectors(np.array([a.lat, b.lat]), np.array([a.lon, b.lon])).T
-    chord2 = float(((u - v) ** 2).sum())
-    assert abs(lbs_sim._chord_m(chord2) - haversine_distance(a, b)) <= 1.0 < lbs_sim._APPROX_SLACK_M / 2
-
-
 @st.composite
 def _array_pairs(draw):
     """One point and up to 64 others, each anywhere, coincident, within 1e-5
@@ -1274,11 +1234,6 @@ def _array_pairs(draw):
     flip = GeoPoint(a.lat, -a.lon)  # on the other side of the antimeridian when a.lon is +-180
     rest = [b for _, b in pairs] + [flip, GeoPoint(-a.lat, a.lon), a]
     return a, rest
-
-
-# the bound on |_chord_m - haversine_distance| that lbs_sim's comment on
-# _ARRAY_SLACK_M derives, as metres plus a share of the distance
-_CHORD_GAP_M, _CHORD_GAP_REL = 1e-7, 1e-14
 
 
 @settings(derandomize=True, deadline=None, max_examples=500)
@@ -1300,8 +1255,10 @@ def test_chord_distances_lie_a_hundredth_of_the_slack_from_haversine_distance(pa
     distances within _CHORD_GAP_M + _CHORD_GAP_REL * d of haversine_distance
     up to _ARRAY_EXACT_FROM_M, which is no more than the hundredth of the
     slack the tests' jitters apply; past it a truncated obfuscated screen
-    recomputes the row."""
+    recomputes the row. Anywhere, the gap (_CHORD_GAP_ANYWHERE_M) is under
+    half the _APPROX_SLACK_M a truncated screen's split needs."""
     assert 100.0 * _CHORD_GAP_M <= lbs_sim._ARRAY_SLACK_M and 100.0 * _CHORD_GAP_REL <= lbs_sim._ARRAY_SLACK_REL
+    assert 2.0 * _CHORD_GAP_ANYWHERE_M < lbs_sim._APPROX_SLACK_M
     a, others = pairs
     world = World(EXACT, 0, max_entries=len(others))  # keeps every row: the cut is infinite
     world.add_user("a", a)
@@ -1314,33 +1271,12 @@ def test_chord_distances_lie_a_hundredth_of_the_slack_from_haversine_distance(pa
                 world.move_user(uid, GeoPoint(u.location.lat, u.location.lon))
         cols, chord2, counted = world._candidates(world.users["a"], rows)
         assert cols.tolist() == rows.tolist() and counted == 0
-        for c, d in zip(cols.tolist(), lbs_sim._chord_m(chord2).tolist()):
+        for c, d in zip(cols.tolist(), chord_distance(chord2).tolist()):
             e = haversine_distance(a, world._order[c].location)
             if d <= lbs_sim._ARRAY_EXACT_FROM_M:
                 assert abs(d - e) <= _CHORD_GAP_M + _CHORD_GAP_REL * e
             else:
                 assert e > lbs_sim._ARRAY_EXACT_FROM_M - 1.0
-
-
-_HALF_CIRCUMFERENCE_M = math.pi * EARTH_RADIUS_M
-
-
-@settings(derandomize=True, deadline=None, max_examples=1000)
-@given(d=st.floats(-1e3, 2.1e7), e=st.floats(-1e3, 2.1e7))
-@example(d=0.0, e=-0.0)
-@example(d=_HALF_CIRCUMFERENCE_M, e=math.nextafter(_HALF_CIRCUMFERENCE_M, 0.0))
-def test_a_bound_becomes_a_squared_chord_in_order(d, e):
-    """_chord2 is 0 at and below 0 m, inf at and beyond half the
-    circumference, monotone, and _chord_m takes it back within 1 m."""
-    assert (d <= e) <= (lbs_sim._chord2(d) <= lbs_sim._chord2(e))
-    for x in (d, e):
-        chord2 = lbs_sim._chord2(x)
-        if x <= 0.0:
-            assert chord2 == 0.0
-        elif x >= _HALF_CIRCUMFERENCE_M:
-            assert chord2 == math.inf
-        else:
-            assert abs(lbs_sim._chord_m(chord2) - x) <= 1.0
 
 
 def test_a_user_moved_close_tops_a_truncated_screen():

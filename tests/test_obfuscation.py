@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from geoleak.geodesy import EARTH_RADIUS_M
 from geoleak.jsonio import from_json, to_json
 from geoleak.obfuscation import (
     AMBIGUOUS,
@@ -38,6 +39,11 @@ def test_default_pattern_values():
         dict(near_cutoff=1200.0),  # near above mid cutoff
         dict(mid_step=7.0),  # does not divide mid_band
         dict(far_unit=-1.0),
+        dict(far_unit=4.4e-9),  # below half a circumference / 2**52
+        dict(mid_band=4.4e-9, mid_step=4.4e-9),
+        # 2**1030 near-band levels, and 2**2000 mid-band levels: too many to count
+        dict(floor_value=1.0, near_cutoff=2**30 + 1, mid_cutoff=2**30 + 1, mid_band=2**-26, mid_step=2**-1000),
+        dict(floor_value=1.0, near_cutoff=2.0, mid_cutoff=2.0**1000, mid_band=2.0**1000, mid_step=2.0**-1000),
     ],
 )
 def test_pattern_validation(kwargs):
@@ -229,6 +235,38 @@ def test_every_reading_inverts_to_an_interval_holding_the_truth(p, d, rng):
     assert interval is not None and interval[0] <= d < interval[1]
     lo, hi = obfuscation_envelope(d, p)
     assert lo <= shown <= hi
+
+
+_HALF_CIRCUMFERENCE_M = math.pi * EARTH_RADIUS_M
+# the least mid_band and far_unit a pattern takes
+_LEAST_UNIT_M = _HALF_CIRCUMFERENCE_M / 2**52
+
+
+@st.composite
+def _least_unit_patterns(draw):
+    """A pattern whose far_unit, or whose mid_band with a mid band out to
+    half a circumference, is at or just above the least unit."""
+    unit = draw(st.sampled_from([_LEAST_UNIT_M, math.nextafter(_LEAST_UNIT_M, math.inf), _LEAST_UNIT_M * (1 + 2**-20)]))
+    if draw(st.booleans()):
+        floor, near, mid = draw(st.sampled_from([(80.0, 100.0, 1000.0), (1.0, 2.0, 2.0)]))
+        return ObfuscationPattern(floor, near, mid, 100.0, 10.0, unit)
+    return ObfuscationPattern(1.0, 2.0, _HALF_CIRCUMFERENCE_M, unit, draw(st.sampled_from([unit, unit / 2])), 1000.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(_least_unit_patterns(), st.floats(0.0, _HALF_CIRCUMFERENCE_M), st.randoms(use_true_random=False))
+@example(ObfuscationPattern(80, 100, 1000, 100, 10, _LEAST_UNIT_M), _HALF_CIRCUMFERENCE_M, random.Random(0))
+@example(ObfuscationPattern(1, 2, _HALF_CIRCUMFERENCE_M, _LEAST_UNIT_M, _LEAST_UNIT_M, 1000), _HALF_CIRCUMFERENCE_M, random.Random(0))
+@example(ObfuscationPattern(1, 2, 2, 100, 10, _LEAST_UNIT_M), math.nextafter(_HALF_CIRCUMFERENCE_M, 0.0), random.Random(0))
+# shows itself, 3,951,594,335,827,595 units, which shown // far_unit puts at 593
+@example(ObfuscationPattern(1, 2, 2, 100, 10, _LEAST_UNIT_M), 17_561_841.672953397, random.Random(0))
+def test_a_reading_in_the_least_unit_inverts_to_an_interval_holding_the_truth(p, d, rng):
+    """Every distance on the globe, rounded in a unit at or just above the
+    least one a pattern takes, shows a reading that inverts to an interval
+    holding it."""
+    (shown,) = obfuscate_distances([d], p, rng)
+    interval = invert_reading(shown, p)
+    assert interval is not None and interval[0] <= d < interval[1]
 
 
 def _half_up(d, unit):
