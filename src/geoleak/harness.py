@@ -379,12 +379,7 @@ def _run_inference(scenario: Scenario, seed: int, out_dir: Path | None) -> Metri
         inferred = infer_pattern(samples)
     except InsufficientSamples:
         inferred = None
-    try:
-        success = inferred is not None and inferred.as_pattern() == pattern
-    except ValueError:
-        # an ambiguous field, or exact fields that make no valid pattern (a
-        # sub-meter floor is read as 0 m)
-        success = False
+    success = inferred is not None and inferred.all_exact() and inferred.as_pattern() == pattern
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

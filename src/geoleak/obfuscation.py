@@ -3,7 +3,11 @@
 The forward direction turns a true distance into a displayed one using four
 bands; the inverse direction recovers, from a displayed value, the interval of
 true distances that could have produced it, and `infer_pattern` reconstructs
-the band parameters from observed (true, shown) sample pairs alone.
+the band parameters from observed (true, shown) sample pairs alone. All three
+read a distance through the same keys, `band_of` and `rounded_base`:
+`infer_pattern` keeps the pattern values that agree with every sample, under
+two stated premises (see _FIXED_DRAWS), and tags a field exact only when one
+value is left.
 
 Pattern values are immutable. `obfuscate_distances`, the one forward function,
 takes ascending true distances and an explicit RNG, so there is no hidden
@@ -269,9 +273,14 @@ def _least(key: float, unit: float) -> float:
 EXACT = "exact"
 AMBIGUOUS = "ambiguous"
 
-# minimum distinct sampling positions a band needs before its parameters are
-# reported as exact
-_MIN_POSITIONS = 10
+# infer_pattern rests on two premises. (1) A run of consecutive positions
+# that all show one value over at least _FIXED_DRAWS draws in total lies in
+# neither randomized band, near or mid. (2) near_cutoff and mid_cutoff are
+# multiples of _CUTOFF_GRID metres. A 1 m grid is not enough: it loses
+# hornet-scatter seed 2017's mid_cutoff, as (998.97, 1000.36] holds both 999
+# and 1000.
+_FIXED_DRAWS = 20
+_CUTOFF_GRID = 5.0
 _MIN_SAMPLES = 500
 
 
@@ -279,7 +288,7 @@ _MIN_SAMPLES = 500
 class InferredPattern:
     """Pattern estimate plus a per-field exact/ambiguous confidence tag.
 
-    Fields with no supporting evidence are None and tagged ambiguous.
+    A field is None exactly when it is tagged ambiguous.
     """
 
     floor_value: float | None
@@ -302,12 +311,22 @@ class InferredPattern:
 def infer_pattern(samples: Iterable[ObfuscationSample]) -> InferredPattern:
     """Reconstruct band parameters from observed (true, shown) pairs.
 
-    Samples are grouped by true distance into positions; band structure is
-    read off per-position output sets: the constant-output prefix gives the
-    floor, the fixed-level region gives the near cutoff, within-position
-    spreads give the band width and step, and the trailing deterministic
-    region gives the far unit and the mid cutoff. Shown values are quantized
-    to whole meters before any GCD arithmetic.
+    Samples are grouped by true distance into positions, each fixed (one
+    shown value) or varied. Under premises (1) and (2) above, fixed runs
+    before the first varied position are band 0 and show the floor; those
+    after the last one are the far band, whose unit is the divisor u of their
+    values' GCD, in whole micrometres, for which rounded_base(d, u) * u gives
+    each of them. mid_step is the GCD of the level differences inside varied
+    positions. A split of the varied positions gives near_cutoff and mid_band
+    when every value below it is a floor level no higher than the next
+    position, and each position above it shows levels of its
+    rounded_base(d, mid_band) window, mid_band being their largest spread. A
+    cutoff takes the grid values between the positions on either side of its
+    band change; near_cutoff is also at least every value below the split.
+
+    A field is exact iff exactly one candidate survives, and None otherwise.
+    A fixed run between varied positions, or band-0 runs that show two values
+    or one not above their distances, leave every field ambiguous.
 
     Raises:
         InsufficientSamples: fewer than 500 samples in total.
@@ -315,96 +334,75 @@ def infer_pattern(samples: Iterable[ObfuscationSample]) -> InferredPattern:
     samples = list(samples)
     if len(samples) < _MIN_SAMPLES:
         raise InsufficientSamples(f"need >= {_MIN_SAMPLES} samples, got {len(samples)}")
+    t = np.array([s.true_distance for s in samples])
+    v = np.array([s.shown_distance for s in samples])
+    order = np.lexsort((v, t))
+    t, v = t[order], v[order]
+    same = t[1:] == t[:-1]
+    first = np.flatnonzero(np.r_[True, ~same])
+    ds, lo, hi = t[first], v[first], v[np.r_[first[1:], len(t)] - 1]
+    varied = lo < hi
+    # a run is one varied position, or consecutive fixed ones that show one value
+    run = np.cumsum(np.r_[True, varied[1:] | varied[:-1] | (lo[1:] != lo[:-1])]) - 1
+    known = varied | (np.bincount(run, np.diff(np.r_[first, len(t)]))[run] >= _FIXED_DRAWS)
+    ds, lo, hi, varied = ds[known], lo[known], hi[known], varied[known]
+    vi = np.flatnonzero(varied)
+    a, b = (vi[0], vi[-1] + 1) if vi.size else (len(ds), len(ds))
+    if not varied[a:b].all() or (a and ((lo[:a] != lo[0]).any() or lo[0] <= ds[a - 1])):
+        return InferredPattern(**dict.fromkeys(_PATTERN_FIELDS), confidence=dict.fromkeys(_PATTERN_FIELDS, AMBIGUOUS))
+    floor = lo[0] if a else None
+    step = _micrometre_gcd(np.diff(v)[same]) / 1e6
+    vd, vlo, vhi, edge = ds[a:b], lo[a:b], hi[a:b], np.r_[ds, math.inf]
+    splits = []  # (near_cutoff candidates, mid_band) of each split that passes
+    if floor is not None and b > a and step:
+        top = np.r_[floor, np.maximum.accumulate(vhi)]
+        # a varied position spreads at least 1 um, so only an empty suffix is 0.0
+        spread = np.maximum(np.rint((vhi - vlo) * 1e6), 1.0)
+        widest = np.r_[np.maximum.accumulate(spread[::-1])[::-1], 0] / 1e6
+        on_floor = np.r_[True, np.logical_and.accumulate(_on_levels(vlo, vhi, floor, step))]
+        for k in np.flatnonzero(on_floor & (top <= edge[a : b + 1])):
+            near = _grid(max(ds[a + k - 1], floor), top[k], edge[a + k])
+            band = widest[k]  # 0.0 when no position lies above the split
+            base = rounded_base(vd[k:], band) * band
+            fits = _on_levels(vlo[k:], vhi[k:], base, step) & (vhi[k:] <= base + band)
+            if near and band % step == 0.0 and fits.all():
+                splits.append((near, band))
+    found = {
+        "floor_value": {floor},
+        "near_cutoff": set().union(*(near for near, _ in splits)),
+        "mid_cutoff": _grid(ds[b - 1], 0.0, edge[b]) if b > a else set(),
+        "mid_band": {band for _, band in splits},
+        "mid_step": {step} if splits else set(),
+        "far_unit": {u for u in _units(lo[b:]) if np.array_equal(rounded_base(ds[b:], u) * u, lo[b:])},
+    }
+    # None (no floor) and 0.0 (an empty mid band) leave a field open
+    exact = {name: len(c) == 1 and all(c) for name, c in found.items()}
+    values = {name: float(min(c)) if exact[name] else None for name, c in found.items()}
+    return InferredPattern(confidence={name: EXACT if exact[name] else AMBIGUOUS for name in exact}, **values)
 
-    positions: dict[float, set[int]] = {}
-    for s in samples:
-        positions.setdefault(s.true_distance, set()).add(int(round(s.shown_distance)))
-    ds = sorted(positions)
-    sets = {d: sorted(positions[d]) for d in ds}
 
-    values: dict[str, float | None] = {name: None for name in _PATTERN_FIELDS}
-    conf: dict[str, str] = {name: AMBIGUOUS for name in _PATTERN_FIELDS}
+def _on_levels(lo, hi, base, step):
+    """Whether lo and hi are each base + r * step for a whole r >= 0, as obfuscate_distances computes it."""
+    r_lo, r_hi = np.rint((lo - base) / step), np.rint((hi - base) / step)
+    return (r_lo >= 0) & (base + r_lo * step == lo) & (base + r_hi * step == hi)
 
-    # 1. constant-output prefix -> floor_value
-    i = 0
-    floor_out: int | None = None
-    if sets[ds[0]] != [] and len(sets[ds[0]]) == 1:
-        floor_out = sets[ds[0]][0]
-        while i < len(ds) and sets[ds[i]] == [floor_out]:
-            i += 1
-    if floor_out is not None and i >= _MIN_POSITIONS:
-        values["floor_value"] = float(floor_out)
-        conf["floor_value"] = EXACT
-    else:
-        i = 0
 
-    # 2. fixed-level region: output sets still reach down to the floor value,
-    #    but vary; its top level is the near cutoff
-    b_start = i
-    if conf["floor_value"] == EXACT:
-        while i < len(ds) and min(sets[ds[i]]) == floor_out:
-            i += 1
-        region_b = ds[b_start:i]
-        if region_b:
-            top = max(max(sets[d]) for d in region_b)
-            if len(region_b) >= _MIN_POSITIONS and i < len(ds):
-                values["near_cutoff"] = float(top)
-                conf["near_cutoff"] = EXACT
-            elif top > floor_out:
-                values["near_cutoff"] = float(top)
+def _micrometre_gcd(x) -> int:
+    """The GCD of the distances x in whole micrometres; 0 for none, or when one
+    reaches 2**53 um (~9e9 m), where a float's spacing reaches a micrometre."""
+    um = [round(d * 1e6) for d in np.unique(x).tolist()]
+    return math.gcd(*um) if max(um, default=0) < 2**53 else 0
 
-    # 3. trailing run of deterministic (single-output) positions -> far region;
-    #    everything in between varies per query -> banded region
-    j = len(ds)
-    while j > i and len(sets[ds[j - 1]]) == 1:
-        j -= 1
-    mid_ds = ds[i:j]
-    far_ds = ds[j:]
 
-    # 4. band width and quantization step from within-position variation
-    spreads = [sets[d][-1] - sets[d][0] for d in mid_ds]
-    diffs: list[int] = []
-    for d in mid_ds:
-        outs = sets[d]
-        diffs.extend(b - a for a, b in zip(outs, outs[1:]))
-    if mid_ds and any(diffs):
-        step = 0
-        for delta in diffs:
-            step = math.gcd(step, delta)
-        band = max(spreads)
-        values["mid_step"] = float(step)
-        values["mid_band"] = float(band)
-        if len(mid_ds) >= _MIN_POSITIONS and step > 0 and band % step == 0:
-            conf["mid_step"] = EXACT
-            conf["mid_band"] = EXACT
-    elif not any(sets[d][-1] - sets[d][0] for d in ds):
-        # no position varies at all: zero observed randomization, but the band
-        # structure itself cannot be confirmed
-        values["mid_band"] = 0.0
+def _units(values) -> list[float]:
+    """Every unit, in whole micrometres, of which each value is a multiple (none if all are 0)."""
+    n = _micrometre_gcd(values)
+    small = [i for i in range(1, math.isqrt(n) + 1) if n % i == 0]
+    return [i / 1e6 for i in small + [n // i for i in small]]
 
-    # 5. far unit from the GCD of far outputs; only meaningful when a varying
-    #    region precedes the deterministic tail
-    if mid_ds and far_ds:
-        unit = 0
-        for d in far_ds:
-            unit = math.gcd(unit, sets[d][0])
-        if unit > 1:
-            values["far_unit"] = float(unit)
-            if len(far_ds) >= _MIN_POSITIONS:
-                conf["far_unit"] = EXACT
 
-        # 6. mid cutoff lies between the last varying position and the first
-        #    deterministic one; snap to the unique far-unit multiple if any
-        lo_d, hi_d = mid_ds[-1], far_ds[0]
-        if values["far_unit"]:
-            u = values["far_unit"]
-            k_lo = math.floor(lo_d / u) + 1
-            k_hi = math.floor(hi_d / u)
-            if k_lo == k_hi:
-                values["mid_cutoff"] = k_lo * u
-                if conf["far_unit"] == EXACT and len(mid_ds) >= _MIN_POSITIONS:
-                    conf["mid_cutoff"] = EXACT
-        if values["mid_cutoff"] is None:
-            values["mid_cutoff"] = hi_d
-
-    return InferredPattern(confidence=conf, **values)
+def _grid(above: float, least: float, most: float) -> set[float]:
+    """The multiples of _CUTOFF_GRID over above, at least least and at most
+    most; two at most, since two already make a cutoff ambiguous."""
+    k = max(math.floor(above / _CUTOFF_GRID) + 1, math.ceil(least / _CUTOFF_GRID))
+    return {j * _CUTOFF_GRID for j in (k, k + 1) if j * _CUTOFF_GRID <= most}

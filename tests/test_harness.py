@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from geoleak.attack import ColludingOptions, colluding_trilateration
 from geoleak.cli import main
 from geoleak.fixtures import SCIENCE_FRONTIER_LAB
 from geoleak.geodesy import GeoPoint, Projection, haversine_distance
@@ -445,20 +446,21 @@ def test_inference_scenario_closed_loop(tmp_path):
     assert (tmp_path / f"{sc.name}-{sc.seed}-scatter.csv").exists()
 
 
-def test_an_exact_but_wrong_inference_is_not_a_success():
+def test_a_mid_band_that_reaches_down_to_the_floor_is_recovered():
+    # mid-band bases just above near_cutoff round down to the 140 m floor
     sc = preset("hornet-scatter")
     truth = ObfuscationPattern(140, 150, 200, 35, 5, 200)
     sc = replace(sc, policy=replace(sc.policy, pattern=truth))
     a = sc.attack
     inferred = infer_pattern(emit_scatter(truth, a.locations, a.queries_per_location, a.max_distance_m, 1))
-    assert inferred.all_exact() and inferred.near_cutoff == 175.0
+    assert inferred.all_exact() and inferred.as_pattern() == truth
     row = run_scenario(sc, seed=1)
-    assert (row.outcome, row.localization_error) == ("non_convergence", None)
+    assert (row.outcome, row.localization_error) == ("success", 0.0)
 
 
 def test_an_exact_inference_that_makes_no_valid_pattern_is_not_a_success():
-    # shown values are read in whole meters, so a 0.4 m floor comes back as an
-    # exact 0 m, which no ObfuscationPattern accepts
+    # the 0.4 m floor is read exactly; mid_cutoff 12 m is off the 5 m grid
+    # that infer_pattern assumes, so it stays ambiguous and the run fails
     sc = preset("hornet-scatter")
     truth = ObfuscationPattern(0.4, 5, 12, 2, 1, 4)
     sc = replace(
@@ -469,10 +471,32 @@ def test_an_exact_inference_that_makes_no_valid_pattern_is_not_a_success():
     )
     a = sc.attack
     inferred = infer_pattern(emit_scatter(truth, a.locations, a.queries_per_location, a.max_distance_m, 1))
-    assert inferred.all_exact() and inferred.floor_value == 0.0
+    assert (inferred.floor_value, inferred.confidence["floor_value"]) == (0.4, "exact")
+    assert (inferred.mid_cutoff, inferred.confidence["mid_cutoff"]) == (None, "ambiguous")
     rows, summaries = run_suite([sc], repetitions=1)
     assert [(r.outcome, r.localization_error) for r in rows] == [("non_convergence", None)]
     assert summaries[0].success_rate == 0.0
+
+
+def test_colluding_with_the_inferred_pattern_matches_the_true_pattern(hornet_scatter_samples):
+    # ROADMAP item 2's loop in a test: hornet-favorites, colluding with the
+    # pattern inferred from the hornet-scatter samples as its belief, does
+    # what it does with the true pattern
+    belief = infer_pattern(hornet_scatter_samples).as_pattern()
+    sc = preset("hornet-favorites")
+    a = sc.attack
+    opts = ColludingOptions(
+        epsilon=a.epsilon_m, cell_size=a.cell_size_m, use_favorites=True, max_moves=a.max_moves, max_queries=a.max_queries
+    )
+    for seed in range(5, 10):
+        runs = []
+        for pattern in (belief, HORNET_DEFAULT):
+            world, ids, vantages = build_world(sc, seed)
+            report = colluding_trilateration([world.account(uid) for uid in ids], vantages, VICTIM_ID, pattern, opts)
+            region = report.region
+            counts = (world.moves, world.queries, world.profile_views)
+            runs.append((region.i0, region.j0, region.occupied.tolist(), report.estimate, counts))
+        assert runs[0] == runs[1]
 
 
 def test_explicit_users_reproduce_the_generated_background(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from geoleak.geodesy import EARTH_RADIUS_M
+from geoleak.harness import emit_scatter
 from geoleak.jsonio import from_json, to_json
 from geoleak.obfuscation import (
     AMBIGUOUS,
@@ -18,6 +19,7 @@ from geoleak.obfuscation import (
     ObfuscationSample,
     infer_pattern,
     invert_reading,
+    _PATTERN_FIELDS,
     _band_levels,
     _randranges,
     obfuscate_distances,
@@ -442,7 +444,85 @@ def test_identity_samples_flag_everything_ambiguous():
         samples.extend([ObfuscationSample(d, d)] * 2)
     inferred = infer_pattern(samples)
     assert all(v == AMBIGUOUS for v in inferred.confidence.values())
-    assert inferred.mid_band == 0.0
+    assert inferred.mid_band is None
+
+
+def _premise_pattern(integer):
+    """A valid pattern from ROADMAP item 1's generator ranges that meets
+    infer_pattern's premises, integer(lo, hi) choosing each value. Half are
+    whole (steps 5-25 m, floors on the 5 m grid, far units of 100, 200 or
+    500 m), half decimal (steps, floors and far units in tenths of a metre).
+    mid_band is 1-20 steps, among the counts whose float product is a valid
+    band. near_cutoff and mid_cutoff lie on the 5 m grid, the near band holds
+    two levels or more, and every band lies well inside 3 km."""
+    if integer(0, 1):
+        step, floor, far = integer(1, 250) / 10, integer(1, 2000) / 10, integer(10, 5000) / 10
+    else:
+        step, floor, far = float(integer(5, 25)), 5.0 * integer(1, 40), (100.0, 200.0, 500.0)[integer(0, 2)]
+    tenths = round(step * 10)
+    counts = [n for n in range(1, 21) if n * tenths / 10 % step == 0.0]
+    band = counts[integer(0, len(counts) - 1)] * tenths / 10
+    near = 5.0 * (math.floor((floor + step) / 5.0) + integer(1, 60))
+    return ObfuscationPattern(floor, near, near + 5.0 * integer(0, 300), band, step, far)
+
+
+@st.composite
+def _premise_patterns(draw):
+    return _premise_pattern(lambda lo, hi: draw(st.integers(lo, hi)))
+
+
+def _wrong_and_exact(inferred, pattern):
+    return [name for name in _PATTERN_FIELDS if inferred.confidence[name] == EXACT and getattr(inferred, name) != getattr(pattern, name)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(pattern=_premise_patterns(), seed=st.integers(0, 2**32 - 1), scatter=st.just((3000, 3000.0)))
+# the near band reaches its top level, and mid-band bases round down to the floor
+@example(pattern=ObfuscationPattern(140, 150, 200, 35, 5, 200), seed=1, scatter=(3000, 3000.0))
+# a sub-metre floor, and a mid_cutoff off the grid, which stays ambiguous
+@example(pattern=ObfuscationPattern(0.4, 5, 12, 2, 1, 4), seed=1, scatter=(600, 20.0))
+# the step does not divide the near band, whose top level is 100 m
+@example(pattern=ObfuscationPattern(80, 105, 1000, 100, 10, 1000), seed=2016, scatter=(3000, 3000.0))
+def test_no_inferred_field_is_exact_and_wrong(pattern, seed, scatter):
+    locations, max_distance = scatter
+    inferred = infer_pattern(emit_scatter(pattern, locations, 30, max_distance, seed))
+    assert _wrong_and_exact(inferred, pattern) == []
+    if inferred.all_exact():
+        assert inferred.as_pattern() == pattern
+
+
+def test_patterns_that_meet_the_premises_are_recovered():
+    recovered = 0
+    for seed in range(20):
+        pattern = _premise_pattern(random.Random(seed).randint)
+        inferred = infer_pattern(emit_scatter(pattern, 3000, 30, 3000.0, seed))
+        assert _wrong_and_exact(inferred, pattern) == []
+        recovered += inferred.all_exact() and inferred.as_pattern() == pattern
+    assert recovered == 20
+
+
+@pytest.mark.parametrize(
+    "low, high, shown",
+    [
+        (500.0, 520.0, 500.0),  # a fixed run between varied positions
+        (0.0, 40.0, 70.0),  # band-0 runs that show 70 m and 80 m
+        (0.0, 80.0, 50.0),  # a band-0 run that shows less than its distances
+    ],
+)
+def test_a_scatter_no_pattern_makes_under_the_premises_leaves_every_field_ambiguous(hornet_scatter_samples, low, high, shown):
+    samples = [ObfuscationSample(s.true_distance, shown) if low <= s.true_distance < high else s for s in hornet_scatter_samples]
+    inferred = infer_pattern(samples)
+    assert set(inferred.confidence.values()) == {AMBIGUOUS}
+    assert [getattr(inferred, name) for name in _PATTERN_FIELDS] == [None] * 6
+
+
+def test_far_values_too_large_for_whole_micrometres_leave_far_unit_ambiguous(hornet_scatter_samples):
+    # past 2**53 um a float holds no whole micrometres, and a divisor search
+    # of a 1e26 um GCD would not end
+    samples = [ObfuscationSample(s.true_distance, 1e20) if s.true_distance >= 1000.0 else s for s in hornet_scatter_samples]
+    inferred = infer_pattern(samples)
+    assert (inferred.far_unit, inferred.confidence["far_unit"]) == (None, AMBIGUOUS)
+    assert [name for name in _PATTERN_FIELDS if inferred.confidence[name] == EXACT] == [name for name in _PATTERN_FIELDS if name != "far_unit"]
 
 
 def test_insufficient_samples():
