@@ -311,18 +311,18 @@ class InferredPattern:
 def infer_pattern(samples: Iterable[ObfuscationSample]) -> InferredPattern:
     """Reconstruct band parameters from observed (true, shown) pairs.
 
-    Samples are grouped by true distance into positions, each fixed (one
-    shown value) or varied. Under premises (1) and (2) above, fixed runs
-    before the first varied position are band 0 and show the floor; those
-    after the last one are the far band, whose unit is the divisor u of their
-    values' GCD, in whole micrometres, for which rounded_base(d, u) * u gives
-    each of them. mid_step is the GCD of the level differences inside varied
-    positions. A split of the varied positions gives near_cutoff and mid_band
-    when every value below it is a floor level no higher than the next
-    position, and each position above it shows levels of its
-    rounded_base(d, mid_band) window, mid_band being their largest spread. A
-    cutoff takes the grid values between the positions on either side of its
-    band change; near_cutoff is also at least every value below the split.
+    Samples are grouped by true distance into positions, fixed (one shown
+    value) or varied. Under premises (1) and (2) above, fixed runs before the
+    first varied position are band 0 and show the floor; those after the last
+    are the far band, whose unit is the divisor u of their values' GCD in whole
+    micrometres for which rounded_base(d, u) * u gives each of them. mid_step
+    is the GCD of the level differences inside varied positions. A split of the
+    varied positions gives near_cutoff and mid_band when every value below it
+    is a floor level no higher than the next position, and each position above
+    it shows levels of its rounded_base(d, mid_band) window, mid_band being
+    their largest spread. A cutoff takes the grid values between the positions
+    on either side of its band change; near_cutoff is also at least every value
+    below the split.
 
     A field is exact iff exactly one candidate survives, and None otherwise.
     A fixed run between varied positions, or band-0 runs that show two values
@@ -382,7 +382,7 @@ def infer_pattern(samples: Iterable[ObfuscationSample]) -> InferredPattern:
 
 
 def _on_levels(lo, hi, base, step):
-    """Whether lo and hi are each base + r * step for a whole r >= 0, as obfuscate_distances computes it."""
+    """_emits on arrays, the top level left to the caller: are lo and hi each base + r * step, r >= 0?"""
     r_lo, r_hi = np.rint((lo - base) / step), np.rint((hi - base) / step)
     return (r_lo >= 0) & (base + r_lo * step == lo) & (base + r_hi * step == hi)
 
